@@ -51,6 +51,7 @@ from .profiles import (
     integrate_profile,
     ode_residual,
     principal_curvatures,
+    profile_samples,
     write_profile_csv,
 )
 from .spectra import (

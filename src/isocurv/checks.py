@@ -33,7 +33,6 @@ class RunConfig:
     grid: int = pf.DEFAULT_GRID
     step: float = 1e-3
     tol: float = cv.DEFAULT_PROBE_TOL
-    format: str = "json"
 
     def __post_init__(self):
         if self.frames < 2:
@@ -42,10 +41,8 @@ class RunConfig:
             raise ValueError(f"grid must be >= 2, got {self.grid}")
         if not self.step > 0:
             raise ValueError(f"step must be > 0, got {self.step}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -160,29 +157,29 @@ def check_gauss_frame_identity(config: RunConfig) -> str:
     return f"200 spectra x {frames} frames, worst deviation {worst:.1e}"
 
 
-def _random_valid_family(rng: np.random.Generator) -> tuple[pf.ProfileFamily, float, int]:
+def _random_valid_family(rng: np.random.Generator) -> pf.ProfileFamily:
     kind = rng.integers(0, 4)
     if kind == 0:
         C = float(rng.uniform(0.2, 5.0))
-        return pf.TrigProfile(C=C, alpha=float(rng.uniform(0.0, 0.9))), C, 1
+        return pf.TrigProfile(C=C, alpha=float(rng.uniform(0.0, 0.9)))
     if kind == 1:
-        return pf.ParabolicProfile(beta=float(rng.uniform(0.3, 4.0))), 0.0, 1
+        return pf.ParabolicProfile(beta=float(rng.uniform(0.3, 4.0)))
     if kind == 2:
         C = float(rng.uniform(-3.0, -0.2))
         delta = int(rng.integers(-1, 2))
         a = float(rng.uniform(0.6, 2.0))
         b = float(rng.uniform(0.6, 2.0))
-        return pf.ExponentialProfile(C=C, A=a, B=b, delta=delta), C, delta
+        return pf.ExponentialProfile(C=C, A=a, B=b, delta=delta)
     b = float(rng.uniform(0.5, 3.0))
     a = float(rng.uniform(-0.8, 0.8)) * 2.0 * math.sqrt(b)
-    return pf.QuadraticProfile(A=a, B=b), 0.0, 1
+    return pf.QuadraticProfile(A=a, B=b)
 
 
-def _sup_error_vs_closed_form(fam: pf.ProfileFamily, C: float, delta: int,
-                              window: tuple[float, float], step: float) -> tuple[float, float]:
+def _sup_error_vs_closed_form(fam: pf.ProfileFamily, window: tuple[float, float],
+                              step: float) -> tuple[float, float]:
     """(sup |x_rk - x_closed|, sup |x_closed|) on a thinned sample grid."""
     x0, v0, _ = fam.eval(0.0)
-    pts = pf.integrate_profile(C, delta, x0, v0, s_max=window[1], step=step)
+    pts = pf.integrate_profile(fam.ode_constant, fam.ode_delta, x0, v0, s_max=window[1], step=step)
     stride = max(1, len(pts) // 500)
     err = scale = 0.0
     for s, x, _ in pts[::stride]:
@@ -198,26 +195,26 @@ def check_profile_ode(config: RunConfig) -> str:
     h = 1e-4
     worst_resid = worst_rel = 0.0
     for _ in range(50):
-        fam, C, delta = _random_valid_family(rng)
+        fam = _random_valid_family(rng)
         for s in rng.uniform(-2.0, 2.0, size=100):
-            resid = pf.ode_residual(fam, C, delta, float(s), h)
+            resid = pf.ode_residual(fam, fam.ode_constant, fam.ode_delta, float(s), h)
             worst_resid = max(worst_resid, resid)
             assert resid <= 1e-6, f"{fam!r}: residual {resid:.3e} > 1e-6 at s={s}"
-        err, scale = _sup_error_vs_closed_form(fam, C, delta, config.window, config.step)
+        err, scale = _sup_error_vs_closed_form(fam, config.window, config.step)
         rel = err / max(1.0, scale)
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-6, f"{fam!r}: RK error {err:.3e} (scale {scale:.1e}) > 1e-6"
 
     # named cases, absolute bounds
-    err, _ = _sup_error_vs_closed_form(pf.ParabolicProfile(beta=1.0), 0.0, 1, config.window, config.step)
+    err, _ = _sup_error_vs_closed_form(pf.ParabolicProfile(beta=1.0), config.window, config.step)
     assert err <= 1e-8, f"parabolic RK error {err:.3e} > 1e-8"
     trig = pf.TrigProfile(C=2.0, alpha=0.3)
-    err, _ = _sup_error_vs_closed_form(trig, 2.0, 1, config.window, config.step)
+    err, _ = _sup_error_vs_closed_form(trig, config.window, config.step)
     assert err <= 1e-6, f"trig RK error {err:.3e} > 1e-6"
 
     # fourth-order convergence on the trig case, in the truncation-dominated regime
-    coarse, _ = _sup_error_vs_closed_form(trig, 2.0, 1, config.window, 0.1)
-    fine, _ = _sup_error_vs_closed_form(trig, 2.0, 1, config.window, 0.05)
+    coarse, _ = _sup_error_vs_closed_form(trig, config.window, 0.1)
+    fine, _ = _sup_error_vs_closed_form(trig, config.window, 0.05)
     ratio = coarse / fine
     assert ratio >= 12.0, f"convergence ratio {ratio:.1f} < 12"
     return f"worst residual {worst_resid:.1e}, worst RK error {worst_rel:.1e}, order ratio {ratio:.1f}"
@@ -285,7 +282,7 @@ def check_classification_table(config: RunConfig) -> str:
             if o.tag != cls.ROTATION_FAMILY:
                 continue
             fam = cls.witness(o, q)
-            ambient = pf.AmbientSpec(c=c, delta=getattr(fam, "ode_delta", 1))
+            ambient = pf.AmbientSpec(c=c, delta=fam.ode_delta)
             assert pf.domain_check(fam, ambient, config.window, config.grid) is None, (
                 f"witness {fam!r} fails domain check for ({n}, {c}, {C})"
             )

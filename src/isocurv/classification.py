@@ -30,8 +30,7 @@ from .profiles import (
     TrigProfile,
     domain_check,
 )
-
-BOUNDARY_TOL = 1e-12
+from .spectra import BOUNDARY_TOL
 
 Number = Union[int, float, Fraction]
 
@@ -46,7 +45,7 @@ ROTATION_FAMILY = "RotationFamily"
 @dataclass(frozen=True)
 class ClassQuery:
     """Classification input: hypersurface dimension n, ambient curvature c,
-    isotropic constant C."""
+    isotropic constant C; c and C must be finite."""
 
     n: int
     c: Number
@@ -55,6 +54,14 @@ class ClassQuery:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"classification needs n >= 4, got {self.n}")
+        for name in ("c", "C"):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int or Fraction beyond the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -165,11 +172,12 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
     the violated bound when no complete hypersurface exists."""
     n, c, C = q.n, q.c, q.C
     cf, Cf = float(c), float(C)
-    vs4c = _cmp(C, 4 * Fraction(c) if _is_exact(c) else 4.0 * cf)
+    vs4c = _cmp(C, 4 * c)
+    umbilic_sq = (Cf - 4.0 * cf) / 4.0  # C = 4c + 4 lambda^2 for the spectrum (lambda^n)
 
     if n >= 5:
         if vs4c > 0:
-            return [ClassificationOutcome(tag=UMBILICAL, lambda_sq=(Cf - 4.0 * cf) / 4.0)]
+            return [ClassificationOutcome(tag=UMBILICAL, lambda_sq=umbilic_sq)]
         if vs4c == 0:
             if cf > 0:
                 return [ClassificationOutcome(tag=TOTALLY_GEODESIC)]
@@ -206,7 +214,7 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
         ]
 
     if vs0_c > 0:  # spherical ambient
-        vs2c = _cmp(C, 2 * Fraction(c) if _is_exact(c) else 2.0 * cf)
+        vs2c = _cmp(C, 2 * c)
         if vs2c <= 0:
             return [
                 ClassificationOutcome(
@@ -223,7 +231,7 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
                 _trig_outcome(Cf, Interval(0.0, 1.0, lo_open=False)),
             ]
         return [
-            ClassificationOutcome(tag=UMBILICAL, lambda_sq=(Cf - 4.0 * cf) / 4.0),
+            ClassificationOutcome(tag=UMBILICAL, lambda_sq=umbilic_sq),
             _trig_outcome(Cf, Interval(0.0, 1.0, lo_open=False)),
         ]
 
@@ -243,7 +251,7 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
         ]
     if vs0_C < 0:
         return [
-            ClassificationOutcome(tag=UMBILICAL, lambda_sq=(Cf - 4.0 * cf) / 4.0),
+            ClassificationOutcome(tag=UMBILICAL, lambda_sq=umbilic_sq),
             _exponential_outcome(Cf),
         ]
     if vs0_C == 0:
@@ -259,7 +267,7 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
             ),
         ]
     return [
-        ClassificationOutcome(tag=UMBILICAL, lambda_sq=(Cf - 4.0 * cf) / 4.0),
+        ClassificationOutcome(tag=UMBILICAL, lambda_sq=umbilic_sq),
         _trig_outcome(Cf, Interval(0.0, 1.0, lo_open=False)),
     ]
 
@@ -269,7 +277,7 @@ def witness(outcome: ClassificationOutcome, q: ClassQuery) -> ProfileFamily | st
 
     Bounded parameter intervals are instantiated at their midpoint; the
     unbounded parabolic/quadratic/exponential parameters use the canonical
-    values beta = 1, (A, B) = (0, 1) and A = B with 4AB = 2*delta^2 + 2.
+    values beta = 1, (A, B) = (0, 1) and A = B = 1 with delta = 1.
     """
     if outcome.tag != ROTATION_FAMILY:
         return outcome.tag
@@ -282,8 +290,7 @@ def witness(outcome: ClassificationOutcome, q: ClassQuery) -> ProfileFamily | st
     if outcome.family == "quadratic":
         return QuadraticProfile(A=0.0, B=1.0)
     if outcome.family == "exponential":
-        ab = math.sqrt((1.0 + 1.0) / 2.0)  # delta = 1: 4AB = 4
-        return ExponentialProfile(C=Cf, A=ab, B=ab, delta=1)
+        return ExponentialProfile(C=Cf, A=1.0, B=1.0, delta=1)
     raise ValueError(f"unknown rotation family {outcome.family!r}")
 
 
@@ -321,11 +328,11 @@ def nonexistence_witness(
         )
 
     window = (0.0, s_max)
+    ambient = AmbientSpec(c=cf, delta=1)
     vs0_c = _cmp(q.c, 0)
     vs0_C = _cmp(q.C, 0)
     if vs0_c > 0 and vs0_C > 0:  # 0 < C <= 2c
         candidate: ProfileFamily = TrigProfile(C=Cf, alpha=0.0)
-        ambient = AmbientSpec(c=cf, delta=1)
         mech = "positive-bound-at-origin"
         detail = (
             f"constant candidate x = sqrt(2/C): c*x(0)^2 = 2c/C = {2.0 * cf / Cf:.6f} >= 1, "
@@ -333,17 +340,14 @@ def nonexistence_witness(
         )
     elif vs0_c > 0 and vs0_C == 0:
         candidate = ParabolicProfile(beta=1.0)
-        ambient = AmbientSpec(c=cf, delta=1)
         mech = "unbounded-growth"
         detail = "c*x^2 = c*(s^2 + beta) exceeds 1 for large |s|, killing the curvature radicand"
     elif vs0_c >= 0:  # C < 0 in flat or spherical ambient
         candidate = ExponentialProfile(C=Cf, A=1.0, B=1.0, delta=1)
-        ambient = AmbientSpec(c=cf, delta=1)
         mech = "unit-speed"
         detail = "the profile slope reaches |x'| >= 1 at moderate |s|, violating unit speed"
     else:  # c < 0, C < 4c
         candidate = ExponentialProfile(C=Cf, A=1.0, B=1.0, delta=1)
-        ambient = AmbientSpec(c=cf, delta=1)
         mech = "asymptotic-negative"
         detail = (
             f"lambda^2 -> -c + C/4 = {-cf + Cf / 4.0:.6f} < 0 as |s| -> infinity, "

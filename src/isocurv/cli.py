@@ -8,15 +8,20 @@ Subcommands:
   check     run the full verification suite
 
 Numeric arguments accept decimals or simple fractions (`8/3`) so branch
-boundaries can be hit exactly.  The environment variable CIC_SEED overrides
-the default seed 42.  Exit codes: 0 success, 1 verification/domain failure,
-2 usage error.
+boundaries can be hit exactly; non-finite numbers (nan, inf) are usage
+errors, and so are integers or fractions too large for a float.  `--tol`
+must be positive and finite; the probe tolerance is relative: values count
+as constant when their spread is at most tol * max(1, max |R_ijkl|).  The
+environment variable CIC_SEED overrides the default seed 42.  Exit codes:
+0 success, 1 verification/domain failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -38,16 +43,31 @@ class UsageError(ValueError):
 
 
 def parse_number(text: str):
-    """int, Fraction or float from a CLI numeric argument."""
+    """int, Fraction or float from a CLI numeric argument whose float value is finite."""
     text = text.strip()
     try:
         if "/" in text:
-            return Fraction(text)
-        if re.fullmatch(r"[+-]?\d+", text):
-            return int(text)
-        return float(text)
+            value = Fraction(text)
+        elif re.fullmatch(r"[+-]?\d+", text):
+            value = int(text)
+        else:
+            value = float(text)
+        finite = math.isfinite(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse number {text!r}: {exc}") from exc
+    except OverflowError:  # an int or Fraction beyond the float range
+        finite = False
+    if not finite:
+        raise UsageError(f"number must be finite, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a positive finite float."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def parse_product(text: str) -> cv.ProductSpec:
@@ -84,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", required=True, help="e.g. 'S3:1 x R1' or 'S2:1 x H2:-1'")
     p.add_argument("--frames", type=int, default=cv.DEFAULT_FRAMES)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=cv.DEFAULT_PROBE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=cv.DEFAULT_PROBE_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("classify", help="classify (n, c, C)")
@@ -110,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the verification suites")
     p.add_argument("--frames", type=int, default=cv.DEFAULT_FRAMES)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=cv.DEFAULT_PROBE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=cv.DEFAULT_PROBE_TOL)
     p.add_argument("--window", type=float, nargs=2, default=pf.DEFAULT_WINDOW, metavar=("LO", "HI"))
     p.add_argument("--grid", type=int, default=pf.DEFAULT_GRID)
     p.add_argument("--step", type=float, default=1e-3)
@@ -139,7 +159,7 @@ def _cmd_probe(args) -> int:
             "mean": report.mean,
             "is_constant": report.is_constant,
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -156,7 +176,7 @@ def _cmd_classify(args) -> int:
                 continue
             ambient = pf.AmbientSpec(c=float(q.c), delta=w.ode_delta)
             failure = pf.domain_check(w, ambient, window, args.grid)
-            info = {"family": outcome.family, "params": _family_params(w)}
+            info = {"family": outcome.family, "params": dataclasses.asdict(w)}
             if failure is None:
                 samples, deviation = pf.cic_along_profile(w, ambient, window, args.grid)
                 info["cic_mean"] = sum(p.cic for p in samples) / len(samples)
@@ -164,18 +184,8 @@ def _cmd_classify(args) -> int:
             else:
                 info["domain_failure"] = {"s": failure.s, "reason": failure.reason}
             entry["witness"] = info
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0
-
-
-def _family_params(fam: pf.ProfileFamily) -> dict:
-    if isinstance(fam, pf.TrigProfile):
-        return {"C": fam.C, "alpha": fam.alpha}
-    if isinstance(fam, pf.ParabolicProfile):
-        return {"beta": fam.beta}
-    if isinstance(fam, pf.ExponentialProfile):
-        return {"C": fam.C, "A": fam.A, "B": fam.B, "delta": fam.delta}
-    return {"A": fam.A, "B": fam.B}
 
 
 def _require(args, name: str):
@@ -186,43 +196,26 @@ def _require(args, name: str):
 
 
 def _build_family(args) -> pf.ProfileFamily:
-    try:
-        if args.family == "trig":
-            return pf.TrigProfile(C=_require(args, "C"), alpha=_require(args, "alpha"))
-        if args.family == "parabolic":
-            return pf.ParabolicProfile(beta=_require(args, "beta"))
-        if args.family == "exponential":
-            return pf.ExponentialProfile(
-                C=_require(args, "C"), A=_require(args, "A"), B=_require(args, "B"), delta=args.delta
-            )
-        return pf.QuadraticProfile(A=_require(args, "A"), B=_require(args, "B"))
-    except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(str(exc)) from exc
+    if args.family == "trig":
+        return pf.TrigProfile(C=_require(args, "C"), alpha=_require(args, "alpha"))
+    if args.family == "parabolic":
+        return pf.ParabolicProfile(beta=_require(args, "beta"))
+    if args.family == "exponential":
+        return pf.ExponentialProfile(
+            C=_require(args, "C"), A=_require(args, "A"), B=_require(args, "B"), delta=args.delta
+        )
+    return pf.QuadraticProfile(A=_require(args, "A"), B=_require(args, "B"))
 
 
 def _cmd_profile(args) -> int:
     fam = _build_family(args)
+    ambient = pf.AmbientSpec(c=float(parse_number(args.c)), delta=args.delta)
+    samples = pf.profile_samples(fam, ambient, tuple(args.window), args.grid)
     try:
-        ambient = pf.AmbientSpec(c=float(parse_number(args.c)), delta=args.delta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    lo, hi = args.window
-    if args.grid < 2 or not hi > lo:
-        raise UsageError(f"bad window/grid: {args.window} with {args.grid} points")
-    step = (hi - lo) / (args.grid - 1)
-    sys.stdout.write("s,x,xp,lambda,mu,cic\n")
-    for i in range(args.grid):
-        s = lo + i * step
-        x, xp, xpp = fam.eval(s)
-        try:
-            lam, mu = pf.principal_curvatures(ambient, x, xp, xpp, s=s)
-        except pf.DomainBreakdown as exc:
-            sys.stderr.write(f"domain breakdown: {exc}\n")
-            return 1
-        cic = 4.0 * ambient.c + 2.0 * (lam * lam + lam * mu)
-        sys.stdout.write(f"{s!r},{x!r},{xp!r},{lam!r},{mu!r},{cic!r}\n")
+        pf.write_profile_csv(samples, sys.stdout)
+    except pf.DomainBreakdown as exc:
+        sys.stderr.write(f"domain breakdown: {exc}\n")
+        return 1
     return 0
 
 
@@ -262,10 +255,7 @@ def main(argv=None) -> int:
         if args.command == "profile":
             return _cmd_profile(args)
         return _cmd_check(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, cv.FrameError) as exc:
+    except ValueError as exc:  # UsageError, FrameError and rejected parameters
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BrokenPipeError:

@@ -17,6 +17,7 @@ span(X, Y) is R(X, Y, Y, X) / area^2, positive on round spheres.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +43,8 @@ class CurvatureTensor:
 
     Invariant under construction: antisymmetry in the first and second index
     pairs, symmetry under pair exchange, and the first Bianchi identity.
-    The component array is read-only; tensors are safe to share.
+    Components must be finite.  The component array is read-only; tensors
+    are safe to share.
     """
 
     dim: int
@@ -54,6 +56,8 @@ class CurvatureTensor:
         arr = np.array(self.comp, dtype=float, copy=True)
         if arr.shape != (self.dim,) * 4:
             raise ValueError(f"component array must have shape {(self.dim,) * 4}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"curvature components must be finite, got {arr[~np.isfinite(arr)][0]}")
         arr.setflags(write=False)
         object.__setattr__(self, "comp", arr)
 
@@ -89,6 +93,8 @@ class Factor:
     curvature: float
 
     def __post_init__(self):
+        if not math.isfinite(self.curvature):
+            raise ValueError(f"factor curvature must be finite, got {self.curvature}")
         if self.kind not in FACTOR_KINDS:
             raise ValueError(f"factor kind must be one of {FACTOR_KINDS}, got {self.kind!r}")
         if self.dim < 1:
@@ -130,7 +136,8 @@ class ProbeReport:
     is_constant: bool
 
     def __post_init__(self):
-        if not (self.min <= self.mean + 1e-15 and self.mean <= self.max + 1e-15):
+        slack = 1e-15 * max(1.0, abs(self.min), abs(self.max))
+        if not (self.min <= self.mean + slack and self.mean <= self.max + slack):
             raise ValueError("probe report requires min <= mean <= max")
 
 
@@ -154,6 +161,19 @@ class SymmetryReport:
 # constructors
 
 
+def _from_sectional(kmat: np.ndarray) -> CurvatureTensor:
+    """R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl) for a symmetric K.
+
+    K_ij (i != j) is the sectional curvature of span(e_i, e_j); the diagonal
+    of K does not enter.  Every builder here yields a tensor of this form.
+    """
+    if not np.isfinite(kmat).all():
+        raise ValueError(f"sectional curvatures must be finite, got {kmat[~np.isfinite(kmat)][0]}")
+    d = np.eye(kmat.shape[0])
+    delta = d[:, None, None, :] * d[None, :, :, None] - d[:, None, :, None] * d[None, :, None, :]
+    return CurvatureTensor(d.shape[0], kmat[:, :, None, None] * delta)
+
+
 def build_constant_curvature(n: int, k: float) -> CurvatureTensor:
     """Curvature tensor of the n-dimensional space form of curvature k.
 
@@ -162,9 +182,7 @@ def build_constant_curvature(n: int, k: float) -> CurvatureTensor:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    eye = np.eye(n)
-    comp = k * (np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye))
-    return CurvatureTensor(n, comp)
+    return _from_sectional(np.full((n, n), float(k)))
 
 
 def build_product(spec: ProductSpec) -> CurvatureTensor:
@@ -175,15 +193,13 @@ def build_product(spec: ProductSpec) -> CurvatureTensor:
     carry no curvature.
     """
     n = spec.total_dim
-    comp = np.zeros((n, n, n, n))
+    kmat = np.zeros((n, n))
     offset = 0
     for f in spec.factors:
-        if f.dim >= 2 and f.curvature != 0:
-            block = build_constant_curvature(f.dim, f.curvature).comp
-            sl = slice(offset, offset + f.dim)
-            comp[sl, sl, sl, sl] = block
+        sl = slice(offset, offset + f.dim)
+        kmat[sl, sl] = f.curvature
         offset += f.dim
-    return CurvatureTensor(n, comp)
+    return _from_sectional(kmat)
 
 
 def build_from_shape(c: float, lambdas: Sequence[float]) -> CurvatureTensor:
@@ -197,10 +213,7 @@ def build_from_shape(c: float, lambdas: Sequence[float]) -> CurvatureTensor:
     n = lams.size
     if n < 4:
         raise ValueError(f"need at least 4 principal curvatures, got {n}")
-    eye = np.eye(n)
-    kmat = c + np.outer(lams, lams)
-    comp = np.einsum("ij,il,jk->ijkl", kmat, eye, eye) - np.einsum("ij,ik,jl->ijkl", kmat, eye, eye)
-    return CurvatureTensor(n, comp)
+    return _from_sectional(c + np.outer(lams, lams))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +329,9 @@ def cic_probe(
 ) -> ProbeReport:
     """Sample the frame functional and report its spread.
 
-    is_constant is True exactly when max - min <= tol over the sampled
-    frames; for the tensors built here, constant and non-constant cases
+    is_constant is True exactly when max - min <= tol * max(1, max |R_ijkl|)
+    over the sampled frames, so the verdict does not change when the tensor
+    is scaled; for the tensors built here, constant and non-constant cases
     separate by many orders of magnitude.
     """
     if count < 2:
@@ -331,7 +345,7 @@ def cic_probe(
         min=vmin,
         max=vmax,
         mean=float(vals.mean()),
-        is_constant=bool(vmax - vmin <= tol),
+        is_constant=bool(vmax - vmin <= tol * max(1.0, float(np.max(np.abs(t.comp))))),
     )
 
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Iterator, TextIO, Union
+
+from .spectra import cic_from_spectrum
 
 EPS_DOM = 1e-9            # breakdown threshold for delta - c*x^2 - x'^2
 DEFAULT_WINDOW = (-10.0, 10.0)
@@ -71,6 +73,8 @@ class AmbientSpec:
     delta: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError(f"ambient curvature must be finite, got {self.c}")
         if self.delta not in (-1, 0, 1):
             raise ValueError(f"delta must be -1, 0 or 1, got {self.delta}")
         if self.c >= 0 and self.delta != 1:
@@ -233,6 +237,11 @@ class FirstFailure:
     reason: str
 
 
+def _radicand(ambient: AmbientSpec, x: float, xp: float) -> float:
+    """delta - c*x^2 - x'^2, which must stay above EPS_DOM for real curvatures."""
+    return ambient.delta - ambient.c * x * x - xp * xp
+
+
 def principal_curvatures(
     ambient: AmbientSpec, x: float, xp: float, xpp: float, s: float | None = None
 ) -> tuple[float, float]:
@@ -243,7 +252,7 @@ def principal_curvatures(
     """
     if not x > 0:
         raise ValueError(f"profile value must be positive, got x={x}")
-    d = ambient.delta - ambient.c * x * x - xp * xp
+    d = _radicand(ambient, x, xp)
     if d <= EPS_DOM:
         raise DomainBreakdown(d, s=s)
     rd = math.sqrt(d)
@@ -269,8 +278,8 @@ def _grid(window: tuple[float, float], n: int) -> list[float]:
     lo, hi = window
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
-    if not hi > lo:
-        raise ValueError(f"window must satisfy lo < hi, got {window}")
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ValueError(f"window must be finite with lo < hi, got {window}")
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -290,7 +299,7 @@ def domain_check(
         x, xp, _ = f.eval(s)
         if not x > 0:
             return FirstFailure(s, f"x = {x:.6e} <= 0")
-        d = ambient.delta - ambient.c * x * x - xp * xp
+        d = _radicand(ambient, x, xp)
         if d <= EPS_DOM:
             return FirstFailure(
                 s,
@@ -298,6 +307,27 @@ def domain_check(
                 f"(c*x^2 + x'^2 = {ambient.c * x * x + xp * xp:.6e} vs delta = {ambient.delta})",
             )
     return None
+
+
+def _sample(f: ProfileFamily, ambient: AmbientSpec, s: float) -> ProfileSample:
+    x, xp, xpp = f.eval(s)
+    lam, mu = principal_curvatures(ambient, x, xp, xpp, s=s)
+    cic = cic_from_spectrum(ambient.c, lam, mu)
+    return ProfileSample(s=s, x=x, xp=xp, xpp=xpp, lam=lam, mu=mu, cic=cic)
+
+
+def profile_samples(
+    f: ProfileFamily,
+    ambient: AmbientSpec,
+    s_window: tuple[float, float] = DEFAULT_WINDOW,
+    grid_n: int = DEFAULT_GRID,
+) -> Iterator[ProfileSample]:
+    """Lazily sample lambda, mu and the isotropic value along the profile.
+
+    The window and grid are validated by this call, before any sample is
+    produced; the iterator raises DomainBreakdown at the first invalid point.
+    """
+    return (_sample(f, ambient, s) for s in _grid(s_window, grid_n))
 
 
 def cic_along_profile(
@@ -311,12 +341,7 @@ def cic_along_profile(
     Returns the samples and the maximum deviation of the isotropic value
     from its grid mean.  Propagates DomainBreakdown from invalid points.
     """
-    samples = []
-    for s in _grid(s_window, grid_n):
-        x, xp, xpp = f.eval(s)
-        lam, mu = principal_curvatures(ambient, x, xp, xpp, s=s)
-        cic = 4.0 * ambient.c + 2.0 * (lam * lam + lam * mu)
-        samples.append(ProfileSample(s=s, x=x, xp=xp, xpp=xpp, lam=lam, mu=mu, cic=cic))
+    samples = list(profile_samples(f, ambient, s_window, grid_n))
     mean = sum(p.cic for p in samples) / len(samples)
     deviation = max(abs(p.cic - mean) for p in samples)
     return samples, deviation

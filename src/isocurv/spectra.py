@@ -75,8 +75,7 @@ def pairing_test(lambdas: Sequence[float], tol: float = DISTINCT_TOL) -> bool:
     a*c + b*d and a*d + b*c; frame constancy of the isotropic curvature
     forces all three to coincide on every 4-subset.
     """
-    a, b, c, d = (float(v) for v in lambdas)
-    p = (a * b + c * d, a * c + b * d, a * d + b * c)
+    p = _pairing_values([float(v) for v in lambdas])
     return max(p) - min(p) <= tol
 
 

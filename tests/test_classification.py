@@ -93,6 +93,22 @@ def test_query_validation():
         ClassQuery(3, 1, 1)
 
 
+def test_nan_ambient_curvature_is_rejected():
+    with pytest.raises(ValueError, match="c must be finite, got nan"):
+        classify(ClassQuery(4, math.nan, 1))
+
+
+def test_infinite_isotropic_constant_is_rejected():
+    with pytest.raises(ValueError, match="C must be finite, got inf"):
+        classify(ClassQuery(4, 1, math.inf))
+
+
+@pytest.mark.parametrize("big", [10**400, Fraction(-(10**400), 3)])
+def test_exact_value_beyond_float_range_is_rejected(big):
+    with pytest.raises(ValueError, match="c must be finite"):
+        ClassQuery(4, big, 1)
+
+
 def test_exact_fraction_boundaries():
     # C = 4c exactly, via rationals a float grid would miss
     out = classify(ClassQuery(4, Fraction(1, 3), Fraction(4, 3)))

@@ -1,9 +1,11 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from isocurv import profiles as pf
 from isocurv.cli import main, parse_number, parse_product
 from isocurv.curvature import Factor
 
@@ -36,6 +38,14 @@ def test_parse_product_grammar():
     assert spec.factors[0].curvature == 1.0
     spec = parse_product("S2:4/3 x H2:-2")
     assert spec.factors[0].curvature == pytest.approx(4.0 / 3.0)
+
+
+@pytest.mark.parametrize("text", ["nan", "-inf", "inf", "1e400", "1" + "0" * 400, "-1" + "0" * 400 + "/3"])
+def test_parse_number_rejects_non_finite(text):
+    from isocurv.cli import UsageError
+
+    with pytest.raises(UsageError, match="must be finite"):
+        parse_number(text)
 
 
 @pytest.mark.parametrize("text", ["garbage!", "S3:-1 x R1", "X3 x R1", "S3", "R2 x R1"])
@@ -88,6 +98,18 @@ def test_probe_usage_error(capsys):
     code, _, err = run_cli(capsys, "probe", "--product", "garbage!")
     assert code == 2
     assert "bad factor" in err
+
+
+@pytest.mark.parametrize("command", ["probe", "check"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8", "x"])
+def test_bad_tolerance_is_a_usage_error(capsys, command, tol):
+    argv = [command, "--tol", tol] + (["--product", "S3:1 x R1"] if command == "probe" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "--tol" in out.err
 
 
 def test_probe_seed_env_override(capsys, monkeypatch):
@@ -149,6 +171,37 @@ def test_classify_bad_number(capsys):
     assert "cannot parse" in err
 
 
+@pytest.mark.parametrize("c", ["nan", "1" + "0" * 400])
+def test_classify_non_finite_is_a_usage_error(capsys, c):
+    code, out, err = run_cli(capsys, "classify", "4", c, "1")
+    assert code == 2
+    assert out == ""
+    assert f"must be finite, got {c!r}" in err
+
+
+def test_classify_witness_window_must_be_finite(capsys):
+    code, out, err = run_cli(capsys, "classify", "4", "0", "0", "--witness", "--window", " -1e308", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "window must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv,params",
+    [
+        (("4", "1", "3"), [("C", 3.0), ("alpha", 0.25)]),
+        (("4", "0", "0"), [("beta", 1.0)]),
+        (("4", "-1", "-2"), [("C", -2.0), ("A", 1.0), ("B", 1.0), ("delta", 1)]),
+        (("4", "-1", "0"), [("A", 0.0), ("B", 1.0)]),
+    ],
+)
+def test_classify_witness_params(capsys, argv, params):
+    code, out, _ = run_cli(capsys, "classify", *argv, "--witness")
+    assert code == 0
+    (entry,) = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
+    assert list(entry["witness"]["params"].items()) == params
+
+
 def test_classify_symbolic_witness(capsys):
     code, out, _ = run_cli(capsys, "classify", "5", "1", "4", "--witness")
     assert code == 0
@@ -199,6 +252,53 @@ def test_profile_domain_failure_partial_output(capsys):
     assert code == 1
     assert out.startswith("s,x,xp,lambda,mu,cic")  # header already emitted
     assert "domain breakdown" in err and "s=0.0" in err
+
+
+@pytest.mark.parametrize(
+    "argv,fam,ambient",
+    [
+        (
+            ("trig", "--C", "2", "--alpha", "0.3", "--c", "0"),
+            pf.TrigProfile(C=2.0, alpha=0.3),
+            pf.AmbientSpec(0.0),
+        ),
+        (("parabolic", "--beta", "1/2", "--c", "0"), pf.ParabolicProfile(beta=0.5), pf.AmbientSpec(0.0)),
+        (
+            ("exponential", "--C", "-2", "--A", "1", "--B", "1", "--delta", "0", "--c", "-1"),
+            pf.ExponentialProfile(C=-2.0, A=1.0, B=1.0, delta=0),
+            pf.AmbientSpec(-1.0, delta=0),
+        ),
+        (
+            ("quadratic", "--A", "0.5", "--B", "1", "--c", "-1"),
+            pf.QuadraticProfile(A=0.5, B=1.0),
+            pf.AmbientSpec(-1.0),
+        ),
+    ],
+)
+def test_profile_stdout_is_the_library_csv(capsys, argv, fam, ambient):
+    code, out, _ = run_cli(capsys, "profile", *argv, "--window", "-3", "3", "--grid", "101")
+    assert code == 0
+    expected = io.StringIO()
+    pf.write_profile_csv(pf.cic_along_profile(fam, ambient, (-3.0, 3.0), 101)[0], expected)
+    assert out == expected.getvalue()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--grid", "1"),
+        ("--window", "1", "1"),
+        ("--window", "2", "-2"),
+        ("--window", "0", "inf"),
+        ("--window", "0", "nan"),
+        ("--window", " -1e308", "1e308"),  # the space keeps argparse from reading an option
+    ],
+)
+def test_profile_bad_grid_is_a_usage_error_before_any_output(capsys, extra):
+    code, out, err = run_cli(capsys, "profile", "trig", "--C", "2", "--alpha", "0.3", "--c", "0", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_profile_missing_parameter(capsys):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +38,62 @@ def split_product(c):
 
 # ---------------------------------------------------------------------------
 # constructors
+
+
+def gauss_reference(c, lams):
+    """Gauss equation c(g_il g_jk - g_ik g_jl) + h_il h_jk - h_ik h_jl, one component at a time."""
+    n = len(lams)
+    g, h = np.eye(n), np.diag(np.asarray(lams, dtype=float))
+    comp = np.zeros((n, n, n, n))
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        comp[i, j, k, l] = c * (g[i, l] * g[j, k] - g[i, k] * g[j, l]) + h[i, l] * h[j, k] - h[i, k] * h[j, l]
+    return comp
+
+
+def product_reference(factors):
+    """Each factor's space-form block where all four indices lie in it; zero elsewhere."""
+    owner = [f for f, (dim, _) in enumerate(factors) for _ in range(dim)]
+    n = len(owner)
+    comp = np.zeros((n, n, n, n))
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if owner[i] == owner[j] == owner[k] == owner[l]:
+            kf = factors[owner[i]][1]
+            comp[i, j, k, l] = kf * ((i == l) * (j == k) - (i == k) * (j == l))
+    return comp
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+@pytest.mark.parametrize("k", [1.75, -0.6, 0.0])
+def test_constant_curvature_matches_dense_reference(n, k):
+    assert np.array_equal(build_constant_curvature(n, k).comp, gauss_reference(k, [0.0] * n))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [("sphere", 3, 1.0), ("flat", 1, 0.0)],
+        [("sphere", 2, 0.5), ("hyperbolic", 2, -2.0)],
+        [("sphere", 1, 1.0)] * 4,
+        [("flat", 4, 0.0)],
+        [("sphere", 3, 1.5), ("sphere", 1, 2.0), ("flat", 1, 0.0)],
+        [("hyperbolic", 3, -0.75), ("flat", 1, 0.0), ("sphere", 2, 2.0), ("flat", 2, 0.0)],
+    ],
+)
+def test_product_matches_dense_reference(factors):
+    t = build_product(ProductSpec(tuple(Factor(kind, d, k) for kind, d, k in factors)))
+    assert np.array_equal(t.comp, product_reference([(d, k) for _, d, k in factors]))
+
+
+@pytest.mark.parametrize(
+    "c,lams",
+    [
+        (0.75, (-0.5, -0.5, -0.5, 1.5)),
+        (-1.0, (0.3, 0.3, 0.3, 0.3, -2.0)),
+        (0.2, (0.9, -1.3, 0.4, 2.2, -0.7, 0.1, 1.1, -2.5)),
+    ],
+)
+def test_build_from_shape_matches_dense_reference(c, lams):
+    assert np.array_equal(build_from_shape(c, lams).comp, gauss_reference(c, lams))
 
 
 def test_constant_curvature_components():
@@ -241,6 +299,58 @@ def test_cic_probe_detects_nonconstant():
     assert report.max - report.min >= 1.0
     assert report.min >= 2.0 - 1e-10
     assert report.max <= 4.0 + 1e-10
+
+
+SCALE_BASES = [
+    build_constant_curvature(4, 1.0),
+    build_constant_curvature(8, -0.5),
+    build_from_shape(0.75, (-0.5, -0.5, -0.5, 1.5)),
+    split_product(1.0),
+    sphere_line(sphere_dim=5),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=st.floats(min_value=1e-3, max_value=1e9), which=st.integers(0, len(SCALE_BASES) - 1))
+def test_cic_probe_scales_with_the_tensor(t, which):
+    base = SCALE_BASES[which]
+    ref = cic_probe(base, count=100, seed=5)
+    scaled = cic_probe(CurvatureTensor(base.dim, t * base.comp), count=100, seed=5)
+    size = t * max(1.0, abs(ref.min), abs(ref.max))
+    for field in ("min", "max", "mean"):
+        assert abs(getattr(scaled, field) - t * getattr(ref, field)) <= 1e-12 * size
+    assert scaled.is_constant == ref.is_constant
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [
+        build_constant_curvature(4, 1e9),
+        build_constant_curvature(16, 1e9),
+        CurvatureTensor(4, 1e8 * build_from_shape(0.75, (-0.5, -0.5, -0.5, 1.5)).comp),
+    ],
+)
+def test_cic_probe_tolerance_is_relative_to_the_tensor(tensor):
+    assert cic_probe(tensor, count=200, seed=42).is_constant
+
+
+def test_cic_probe_rejects_nan_tensor():
+    with pytest.raises(ValueError, match="components must be finite, got nan"):
+        cic_probe(CurvatureTensor(4, np.full((4, 4, 4, 4), math.nan)))
+
+
+@pytest.mark.parametrize(
+    "build,bad",
+    [
+        (lambda: Factor("sphere", 3, math.inf), "inf"),
+        (lambda: Factor("flat", 1, math.nan), "nan"),
+        (lambda: build_from_shape(math.nan, (1.0, 1.0, 1.0, 1.0)), "nan"),
+        (lambda: build_from_shape(0.0, (1.0, 1.0, 1.0, math.inf)), "inf"),
+    ],
+)
+def test_non_finite_inputs_are_rejected(build, bad):
+    with pytest.raises(ValueError, match=f"must be finite, got -?{bad}"):
+        build()
 
 
 def test_cic_probe_rejects_tiny_count():

@@ -130,6 +130,8 @@ def test_ambient_spec_validation():
         AmbientSpec(c=0.0, delta=-1)
     with pytest.raises(ValueError):
         AmbientSpec(c=-1.0, delta=2)
+    with pytest.raises(ValueError, match="must be finite, got nan"):
+        AmbientSpec(c=math.nan)
     assert AmbientSpec(c=-1.0, delta=-1).delta == -1
 
 
