@@ -5,7 +5,8 @@ For n >= 5 only umbilical hypersurfaces and constant-curvature ones occur;
 every n = 4 branch adds a one-parameter rotation-hypersurface family whose
 profile solves (x*x')' = delta - (C/2)*x^2.  Branch boundaries sit at
 C = 2c, C = 4c and C = 0, so comparisons are exact when the inputs are
-exact (int / Fraction) and tolerance-based otherwise.
+exact (int / Fraction) and otherwise within BOUNDARY_TOL * max(|c|, |C|),
+so scaling (c, C) by t > 0 does not change the branch.
 
 `witness` instantiates a rotation family at a canonical interior parameter
 for numerical cross-checks; `nonexistence_witness` builds the candidate
@@ -135,7 +136,12 @@ def _is_exact(v: Number) -> bool:
     return isinstance(v, Rational) and not isinstance(v, bool)
 
 
-def _cmp(lhs: Number, rhs: Number, tol: float = BOUNDARY_TOL) -> int:
+def _boundary_tol(q: ClassQuery) -> float:
+    """Float boundary tolerance at the query's own scale."""
+    return BOUNDARY_TOL * max(abs(float(q.c)), abs(float(q.C)))
+
+
+def _cmp(lhs: Number, rhs: Number, tol: float) -> int:
     """-1, 0 or +1 for lhs vs rhs; exact when both sides are rational."""
     if _is_exact(lhs) and _is_exact(rhs):
         diff = Fraction(lhs) - Fraction(rhs)
@@ -172,7 +178,8 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
     the violated bound when no complete hypersurface exists."""
     n, c, C = q.n, q.c, q.C
     cf, Cf = float(c), float(C)
-    vs4c = _cmp(C, 4 * c)
+    tol = _boundary_tol(q)
+    vs4c = _cmp(C, 4 * c, tol)
     umbilic_sq = (Cf - 4.0 * cf) / 4.0  # C = 4c + 4 lambda^2 for the spectrum (lambda^n)
 
     if n >= 5:
@@ -190,8 +197,8 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
             )
         ]
 
-    vs0_c = _cmp(c, 0)
-    vs0_C = _cmp(C, 0)
+    vs0_c = _cmp(c, 0, tol)
+    vs0_C = _cmp(C, 0, tol)
 
     if vs0_c == 0:  # flat ambient
         if vs0_C < 0:
@@ -214,7 +221,7 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
         ]
 
     if vs0_c > 0:  # spherical ambient
-        vs2c = _cmp(C, 2 * c)
+        vs2c = _cmp(C, 2 * c, tol)
         if vs2c <= 0:
             return [
                 ClassificationOutcome(
@@ -329,8 +336,9 @@ def nonexistence_witness(
 
     window = (0.0, s_max)
     ambient = AmbientSpec(c=cf, delta=1)
-    vs0_c = _cmp(q.c, 0)
-    vs0_C = _cmp(q.C, 0)
+    tol = _boundary_tol(q)
+    vs0_c = _cmp(q.c, 0, tol)
+    vs0_C = _cmp(q.C, 0, tol)
     if vs0_c > 0 and vs0_C > 0:  # 0 < C <= 2c
         candidate: ProfileFamily = TrigProfile(C=Cf, alpha=0.0)
         mech = "positive-bound-at-origin"

@@ -10,6 +10,12 @@ frame functional
 evaluated on orthonormal 4-frames, and a seeded random-frame probe that
 tests whether the functional is constant over frames.
 
+Evaluation views the components as the (n^2, n^2) pair matrix
+P[(i,j), (k,l)] = R_ijkl, so R(a, b, c, d) = (a (x) b)^T P (c (x) d).  A
+batch of m frames costs one matrix product (m, n^2) @ (n^2, n^2) per term
+of the functional: O(m n^4) flops and O(m n^2) temporary memory, for every
+tensor and every frame count.
+
 Sign convention: components are stored so that the sectional curvature of
 span(X, Y) is R(X, Y, Y, X) / area^2, positive on round spheres.
 """
@@ -220,6 +226,18 @@ def build_from_shape(c: float, lambdas: Sequence[float]) -> CurvatureTensor:
 # evaluation
 
 
+def _contract(comp: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """R(a_m, b_m, c_m, d_m) for (m, n) batches of vectors.
+
+    Row m is (a_m (x) b_m) . P . (c_m (x) d_m), with P the (n^2, n^2) pair
+    matrix view of the components: one gemm and two (m, n^2) outer products,
+    at most two of the three (m, n^2) arrays alive at once.
+    """
+    m, n = a.shape
+    left = (a[:, :, None] * b[:, None, :]).reshape(m, n * n) @ comp.reshape(n * n, n * n)
+    return np.einsum("mi,mi->m", left, (c[:, :, None] * d[:, None, :]).reshape(m, n * n))
+
+
 def sectional(t: CurvatureTensor, x: Sequence[float], y: Sequence[float]) -> float:
     """Sectional curvature of the plane spanned by x and y.
 
@@ -231,8 +249,7 @@ def sectional(t: CurvatureTensor, x: Sequence[float], y: Sequence[float]) -> flo
     area2 = float(xv @ xv) * float(yv @ yv) - float(xv @ yv) ** 2
     if area2 < DEGENERATE_PLANE:
         raise ValueError(f"degenerate plane: Gram determinant {area2:.3e} < {DEGENERATE_PLANE}")
-    num = float(np.einsum("ijkl,i,j,k,l->", t.comp, xv, yv, yv, xv, optimize=True))
-    return num / area2
+    return float(_contract(t.comp, xv[None], yv[None], yv[None], xv[None])[0]) / area2
 
 
 def _as_frame_array(frame, dim: int) -> np.ndarray:
@@ -247,19 +264,14 @@ def _as_frame_array(frame, dim: int) -> np.ndarray:
 
 def _isotropic_batch(comp: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Frame functional for a batch of frames of shape (m, 4, n)."""
-
-    def r(a, b, c, d):
-        return np.einsum(
-            "ijkl,mi,mj,mk,ml->m",
-            comp,
-            frames[:, a],
-            frames[:, b],
-            frames[:, c],
-            frames[:, d],
-            optimize=True,
-        )
-
-    return r(0, 2, 2, 0) + r(0, 3, 3, 0) + r(1, 2, 2, 1) + r(1, 3, 3, 1) - 2.0 * r(0, 1, 2, 3)
+    e1, e2, e3, e4 = (frames[:, k] for k in range(4))
+    return (
+        _contract(comp, e1, e3, e3, e1)
+        + _contract(comp, e1, e4, e4, e1)
+        + _contract(comp, e2, e3, e3, e2)
+        + _contract(comp, e2, e4, e4, e2)
+        - 2.0 * _contract(comp, e1, e2, e3, e4)
+    )
 
 
 def isotropic_component(t: CurvatureTensor, frame) -> float:
@@ -332,20 +344,28 @@ def cic_probe(
     is_constant is True exactly when max - min <= tol * max(1, max |R_ijkl|)
     over the sampled frames, so the verdict does not change when the tensor
     is scaled; for the tensors built here, constant and non-constant cases
-    separate by many orders of magnitude.
+    separate by many orders of magnitude.  Raises ValueError when the
+    values or their mean overflow the float range.
     """
     if count < 2:
         raise ValueError(f"probe needs at least 2 frames, got {count}")
     frames = _frame_array(t.dim, count, seed)
-    vals = _isotropic_batch(t.comp, frames)
+    scale = float(np.max(np.abs(t.comp)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _isotropic_batch(t.comp, frames)
+        mean = float(vals.mean())
+    if not (np.isfinite(vals).all() and math.isfinite(mean)):
+        raise ValueError(
+            f"isotropic curvature overflows the float range: max |R_ijkl| = {scale:.6e} is too large"
+        )
     vmin = float(vals.min())
     vmax = float(vals.max())
     return ProbeReport(
         samples=count,
         min=vmin,
         max=vmax,
-        mean=float(vals.mean()),
-        is_constant=bool(vmax - vmin <= tol * max(1.0, float(np.max(np.abs(t.comp))))),
+        mean=mean,
+        is_constant=bool(vmax - vmin <= tol * max(1.0, scale)),
     )
 
 

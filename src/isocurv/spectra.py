@@ -18,7 +18,7 @@ from typing import Sequence
 
 DISTINCT_TOL = 1e-9        # principal curvatures closer than this are merged
 CLIFFORD_REL_TOL = 1e-9    # relative tolerance on C - 8c/3 for Clifford detection
-BOUNDARY_TOL = 1e-12       # tolerance on C - 4c comparisons
+BOUNDARY_TOL = 1e-12       # branch-boundary tolerance, relative to max(|c|, |C|)
 
 
 class SpectrumError(ValueError):
@@ -193,7 +193,7 @@ def minimal_classify(n: int, c: float, C: float) -> MinimalVerdict:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     gap = C - 4.0 * c
-    tol = BOUNDARY_TOL * max(1.0, abs(C), abs(4.0 * c))
+    tol = BOUNDARY_TOL * max(abs(C), abs(4.0 * c))
     if gap > tol:
         return MinimalVerdict(MinimalKind.NONE)
     if abs(gap) <= tol:
@@ -201,7 +201,7 @@ def minimal_classify(n: int, c: float, C: float) -> MinimalVerdict:
     # C < 4c from here on
     if n == 4 and c > 0:
         target = 8.0 * c / 3.0
-        if abs(C - target) <= CLIFFORD_REL_TOL * max(1.0, abs(C), abs(target)):
+        if abs(C - target) <= CLIFFORD_REL_TOL * max(abs(C), abs(target)):
             lam = -math.sqrt(c / 3.0)
             return MinimalVerdict(
                 MinimalKind.CLIFFORD,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from isocurv.checks import _signature, _truth_table
 from isocurv.classification import (
     EMPTY,
     ROTATION_FAMILY,
@@ -124,6 +125,42 @@ def test_float_boundary_tolerance():
     assert tags(classify(ClassQuery(4, 1.0, 4.0 + 1e-13))) == ["RotationFamily", "TotallyGeodesic"]
     assert tags(classify(ClassQuery(4, 1.0, 4.0 + 1e-6))) == ["RotationFamily", "UmbilicalNonTG"]
     assert tags(classify(ClassQuery(4, 1.0, 4.0 - 1e-6))) == ["RotationFamily"]
+
+
+SCALES = [1e-13, 1e-6, 1e6, 1e13]
+
+
+@pytest.mark.parametrize("t", SCALES)
+def test_boundary_table_is_scale_invariant(t):
+    """Float boundaries sit at the query's own scale: scaling (c, C) by t
+    keeps every row of the boundary table on its side."""
+    for n, c, C, expected in _truth_table():
+        got = frozenset(_signature(o) for o in classify(ClassQuery(n, t * c, t * C)))
+        assert got == expected, f"({n}, {t * c}, {t * C}): got {sorted(got)}"
+
+
+@pytest.mark.parametrize(
+    "n,c,C,expected",
+    [
+        (4, 1e-13, 3e-13, ["RotationFamily"]),  # trig, as at (4, 1, 3)
+        (5, -1e-13, -2e-13, ["UmbilicalNonTG"]),  # as at (5, -1, -2)
+        (4, 1e-13, 1.5e-13, ["Empty"]),  # C < 2c, as at (4, 1, 1.5)
+    ],
+)
+def test_small_scale_queries_take_their_branch(n, c, C, expected):
+    assert tags(classify(ClassQuery(n, c, C))) == expected
+
+
+def test_nonexistence_at_small_scale():
+    ev = nonexistence_witness(ClassQuery(4, 1e-13, 1.5e-13))
+    assert ev.mechanism == "positive-bound-at-origin"
+    assert ev.failure is not None and ev.failure.s == 0.0
+
+
+@pytest.mark.parametrize("t", SCALES)
+def test_minimal_clifford_at_every_scale(t):
+    assert minimal_classify(4, t, 8.0 * t / 3.0).kind is MinimalKind.CLIFFORD
+    assert minimal_classify(4, t, 4.0 * t).kind is MinimalKind.TOTALLY_GEODESIC
 
 
 def empty_expected(n, c, C):

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -110,6 +111,25 @@ def test_bad_tolerance_is_a_usage_error(capsys, command, tol):
     assert exc.value.code == 2
     assert out.out == ""
     assert "--tol" in out.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_probe_overflow_is_a_usage_error(capsys, fmt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "probe", "--product", "S3:1e308 x R1", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: isotropic curvature overflows") and "max |R_ijkl| = 1.000000e+308" in err
+
+
+def test_probe_large_finite_curvature_is_constant(capsys):
+    code, out, _ = run_cli(capsys, "probe", "--product", "S3:1e200 x R1", "--format", "csv")
+    assert code == 0
+    _, vmin, vmax, mean, is_constant = out.splitlines()[1].split(",")
+    assert is_constant == "True"
+    for value in (vmin, vmax, mean):
+        assert float(value) == pytest.approx(2e200, rel=1e-12)
 
 
 def test_probe_seed_env_override(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from isocurv.curvature import (
     FrameError,
     OrthoFrame4,
     ProductSpec,
+    _isotropic_batch,
     build_constant_curvature,
     build_from_shape,
     build_product,
@@ -229,22 +232,47 @@ def test_isotropic_rejects_bad_frames():
         isotropic_component(t, np.eye(5)[:4])  # dimension mismatch
 
 
-def test_brute_force_oracle_agreement():
-    """Naive quadruple-loop contraction agrees with the library path."""
+def kulkarni_nomizu_square(n, seed):
+    """Kulkarni-Nomizu square h (.) h = 2 (h_il h_jk - h_ik h_jl) of a random
+    symmetric h; mixed components such as R_0123 are nonzero."""
+    h = np.random.default_rng(seed).standard_normal((n, n))
+    h = h + h.T
+    return CurvatureTensor(n, 2.0 * (np.einsum("il,jk->ijkl", h, h) - np.einsum("ik,jl->ijkl", h, h)))
 
-    def naive(comp, frame):
-        n = comp.shape[0]
 
+def json_tensor(n):
+    """A tensor_from_json tensor with an R_0123 entry (symmetries unfolded, Bianchi not imposed)."""
+    entries = [
+        [0, 1, 0, 1, -1.3],
+        [0, 1, 2, 3, 0.7],
+        [0, 2, 1, 3, -0.4],
+        [1, 2, 1, 2, 0.9],
+        [0, n - 1, n - 2, n - 1, 0.25],
+    ]
+    return tensor_from_json(json.dumps({"dim": n, "components": entries}))
+
+
+ORACLE_TENSORS = {
+    "gauss": lambda n: build_from_shape(0.3, np.random.default_rng(n).uniform(-1.5, 1.5, n)),
+    "kulkarni-nomizu": lambda n: kulkarni_nomizu_square(n, seed=n),
+    "json": json_tensor,
+}
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+@pytest.mark.parametrize("kind", sorted(ORACLE_TENSORS))
+def test_brute_force_oracle_agreement(kind, n):
+    """Naive quadruple-loop contraction agrees with the library path, one
+    frame at a time and as one batch of n^2 + 1 frames."""
+
+    def naive(comp, frames):
         def r(u, v, z, w):
-            total = 0.0
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        for l in range(n):
-                            total += comp[i, j, k, l] * u[i] * v[j] * z[k] * w[l]
+            total = np.zeros(len(frames))
+            for i, j, k, l in itertools.product(range(n), repeat=4):
+                total += comp[i, j, k, l] * u[:, i] * v[:, j] * z[:, k] * w[:, l]
             return total
 
-        e1, e2, e3, e4 = frame
+        e1, e2, e3, e4 = (frames[:, a] for a in range(4))
         return (
             r(e1, e3, e3, e1)
             + r(e1, e4, e4, e1)
@@ -253,9 +281,14 @@ def test_brute_force_oracle_agreement():
             - 2.0 * r(e1, e2, e3, e4)
         )
 
-    t = build_from_shape(0.3, (-1.2, 0.7, 0.7, 0.7))
-    for f in sample_frames(4, 100, seed=11):
-        assert abs(isotropic_component(t, f) - naive(t.comp, f.vectors)) <= 1e-12
+    t = ORACLE_TENSORS[kind](n)
+    assert kind == "gauss" or t.comp[0, 1, 2, 3] != 0.0
+    frames = np.array([f.vectors for f in sample_frames(n, n * n + 1, seed=11)])
+    expected = naive(t.comp, frames)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(t.comp))))
+    assert np.max(np.abs(_isotropic_batch(t.comp, frames) - expected)) <= tol
+    for f, value in zip(frames[:5], expected):
+        assert abs(isotropic_component(t, f) - value) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +384,27 @@ def test_cic_probe_rejects_nan_tensor():
 def test_non_finite_inputs_are_rejected(build, bad):
     with pytest.raises(ValueError, match=f"must be finite, got -?{bad}"):
         build()
+
+
+@pytest.mark.parametrize(
+    "huge,scale",
+    [
+        (build_product(ProductSpec((Factor("sphere", 3, 1e308), Factor("flat", 1, 0.0)))), "1.000000e+308"),
+        (build_constant_curvature(4, 4e307), "4.000000e+307"),  # values finite at 1.6e308, their mean is not
+    ],
+)
+def test_cic_probe_names_an_overflow(huge, scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"overflows .* max \|R_ijkl\| = {re.escape(scale)}"):
+            cic_probe(huge)
+
+
+def test_cic_probe_large_finite_tensor_stays_constant():
+    report = cic_probe(build_product(ProductSpec((Factor("sphere", 3, 1e200), Factor("flat", 1, 0.0)))))
+    assert report.is_constant
+    for value in (report.min, report.max, report.mean):
+        assert value == pytest.approx(2e200, rel=1e-12)
 
 
 def test_cic_probe_rejects_tiny_count():
