@@ -21,26 +21,24 @@ from . import profiles as pf
 from . import spectra as sp
 
 STRADDLE = 1e-6
+RK4_STEP = 1e-3           # step of the profile-ode integrations
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the CLI commands and the verification suites."""
+    """Seed, frame count and tolerance of the frame probes in the suites.
+
+    Profile grids use pf.DEFAULT_WINDOW and pf.DEFAULT_GRID, and the RK4
+    integrations step RK4_STEP.
+    """
 
     seed: int = cv.DEFAULT_SEED
     frames: int = cv.DEFAULT_FRAMES
-    window: tuple[float, float] = pf.DEFAULT_WINDOW
-    grid: int = pf.DEFAULT_GRID
-    step: float = 1e-3
     tol: float = cv.DEFAULT_PROBE_TOL
 
     def __post_init__(self):
         if self.frames < 2:
             raise ValueError(f"frames must be >= 2, got {self.frames}")
-        if self.grid < 2:
-            raise ValueError(f"grid must be >= 2, got {self.grid}")
-        if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
@@ -130,7 +128,7 @@ def check_flat_rotation_profile(config: RunConfig) -> str:
     worst_lam = worst_cic = 0.0
     for beta in (0.5, 1.0, 4.0):
         fam = pf.ParabolicProfile(beta=beta)
-        samples, deviation = pf.cic_along_profile(fam, ambient, config.window, config.grid)
+        samples, deviation = pf.cic_along_profile(fam, ambient)
         for p in samples:
             expected = -math.sqrt(beta) / (p.s * p.s + beta)
             worst_lam = max(worst_lam, abs(p.lam - expected), abs(p.mu + expected))
@@ -175,11 +173,11 @@ def _random_valid_family(rng: np.random.Generator) -> pf.ProfileFamily:
     return pf.QuadraticProfile(A=a, B=b)
 
 
-def _sup_error_vs_closed_form(fam: pf.ProfileFamily, window: tuple[float, float],
-                              step: float) -> tuple[float, float]:
+def _sup_error_vs_closed_form(fam: pf.ProfileFamily, step: float) -> tuple[float, float]:
     """(sup |x_rk - x_closed|, sup |x_closed|) on a thinned sample grid."""
     x0, v0, _ = fam.eval(0.0)
-    pts = pf.integrate_profile(fam.ode_constant, fam.ode_delta, x0, v0, s_max=window[1], step=step)
+    s_max = pf.DEFAULT_WINDOW[1]
+    pts = pf.integrate_profile(fam.ode_constant, fam.ode_delta, x0, v0, s_max=s_max, step=step)
     stride = max(1, len(pts) // 500)
     err = scale = 0.0
     for s, x, _ in pts[::stride]:
@@ -200,21 +198,21 @@ def check_profile_ode(config: RunConfig) -> str:
             resid = pf.ode_residual(fam, fam.ode_constant, fam.ode_delta, float(s), h)
             worst_resid = max(worst_resid, resid)
             assert resid <= 1e-6, f"{fam!r}: residual {resid:.3e} > 1e-6 at s={s}"
-        err, scale = _sup_error_vs_closed_form(fam, config.window, config.step)
+        err, scale = _sup_error_vs_closed_form(fam, RK4_STEP)
         rel = err / max(1.0, scale)
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-6, f"{fam!r}: RK error {err:.3e} (scale {scale:.1e}) > 1e-6"
 
     # named cases, absolute bounds
-    err, _ = _sup_error_vs_closed_form(pf.ParabolicProfile(beta=1.0), config.window, config.step)
+    err, _ = _sup_error_vs_closed_form(pf.ParabolicProfile(beta=1.0), RK4_STEP)
     assert err <= 1e-8, f"parabolic RK error {err:.3e} > 1e-8"
     trig = pf.TrigProfile(C=2.0, alpha=0.3)
-    err, _ = _sup_error_vs_closed_form(trig, config.window, config.step)
+    err, _ = _sup_error_vs_closed_form(trig, RK4_STEP)
     assert err <= 1e-6, f"trig RK error {err:.3e} > 1e-6"
 
     # fourth-order convergence on the trig case, in the truncation-dominated regime
-    coarse, _ = _sup_error_vs_closed_form(trig, config.window, 0.1)
-    fine, _ = _sup_error_vs_closed_form(trig, config.window, 0.05)
+    coarse, _ = _sup_error_vs_closed_form(trig, 0.1)
+    fine, _ = _sup_error_vs_closed_form(trig, 0.05)
     ratio = coarse / fine
     assert ratio >= 12.0, f"convergence ratio {ratio:.1f} < 12"
     return f"worst residual {worst_resid:.1e}, worst RK error {worst_rel:.1e}, order ratio {ratio:.1f}"
@@ -283,10 +281,10 @@ def check_classification_table(config: RunConfig) -> str:
                 continue
             fam = cls.witness(o, q)
             ambient = pf.AmbientSpec(c=c, delta=fam.ode_delta)
-            assert pf.domain_check(fam, ambient, config.window, config.grid) is None, (
+            assert pf.domain_check(fam, ambient) is None, (
                 f"witness {fam!r} fails domain check for ({n}, {c}, {C})"
             )
-            samples, deviation = pf.cic_along_profile(fam, ambient, config.window, config.grid)
+            samples, deviation = pf.cic_along_profile(fam, ambient)
             mean = sum(p.cic for p in samples) / len(samples)
             worst_dev = max(worst_dev, deviation)
             worst_mean = max(worst_mean, abs(mean - C))

@@ -131,9 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=cv.DEFAULT_FRAMES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=_tolerance, default=cv.DEFAULT_PROBE_TOL)
-    p.add_argument("--window", type=float, nargs=2, default=pf.DEFAULT_WINDOW, metavar=("LO", "HI"))
-    p.add_argument("--grid", type=int, default=pf.DEFAULT_GRID)
-    p.add_argument("--step", type=float, default=1e-3)
     return parser
 
 
@@ -221,15 +218,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_check(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    config = RunConfig(
-        seed=seed,
-        frames=args.frames,
-        window=tuple(args.window),
-        grid=args.grid,
-        step=args.step,
-        tol=args.tol,
-    )
-    results = run_all(config)
+    results = run_all(RunConfig(seed=seed, frames=args.frames, tol=args.tol))
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

@@ -11,8 +11,10 @@ Four closed-form profile families solve the reduced profile equation
 
 In the substitution u = x^2 the equation becomes linear, u'' = 2*delta - C*u,
 which the fixed-step RK4 integrator here solves as an independent check on
-the closed forms.  Principal curvatures of the generated hypersurface in an
-ambient space form of curvature c are
+the closed forms; on a linear system an RK4 step is exactly the affine map
+z <- M z + b, M = sum_{k<=4} (hL)^k/k!, so it runs as that map.  Principal
+curvatures of the generated hypersurface in an ambient space form of
+curvature c are
 
     lambda = -sqrt(delta - c*x^2 - x'^2) / x
     mu     = (x'' + c*x) / sqrt(delta - c*x^2 - x'^2)
@@ -358,39 +360,40 @@ def integrate_profile(
     """Integrate the profile equation outward from s = 0 over [-s_max, s_max].
 
     Works in the substitution u = x^2, where the equation is the linear
-    system u'' = 2*delta - C*u, using classical fixed-step RK4; recovers
-    (s, x, x') samples sorted by s.  Raises NonPositiveProfile (carrying
-    partial samples) as soon as u crosses the positivity threshold in
-    either sweep direction.
+    system z' = L z + g with z = (u, u'), L = [[0, 1], [-C, 0]], g = (0, 2*delta).
+    There one classical RK4 step of size h is exactly z <- z + (M - I) z + b,
+    M being the RK4 stability polynomial of hL: for q = C*h^2,
+    M00 = M11 = 1 - q/2 + q^2/24, M01 = h(1 - q/6), M10 = -C*M01 and
+    b = (delta*h^2*(1 - q/12), 2*delta*h*(1 - q/6)), built once per sweep.
+    The scheme, its order and its error are RK4's.  Returns (s, x, x')
+    samples sorted by s; raises NonPositiveProfile (carrying partial
+    samples) as soon as u crosses the positivity threshold in either sweep.
     """
+    for name, value in (("C", C), ("x0", x0), ("v0", v0), ("s_max", s_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if delta not in (-1, 0, 1):
+        raise ValueError(f"delta must be -1, 0 or 1, got {delta}")
     if not x0 > 0:
         raise ValueError(f"x0 must be positive, got {x0}")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    if s_max < step:
+        raise ValueError(f"s_max must be at least step = {step}, got {s_max}")
     nsteps = int(math.floor(s_max / step + 1e-9))
 
     def sweep(h: float) -> tuple[list[tuple[float, float, float]], float | None]:
+        q = C * h * h
+        m_diag = -q / 2.0 + q * q / 24.0  # M - I on the diagonal
+        m_uv = h * (1.0 - q / 6.0)
+        m_vu = -C * m_uv
+        b_u = delta * h * h * (1.0 - q / 12.0)
+        b_v = 2.0 * delta * h * (1.0 - q / 6.0)
         u = x0 * x0
         v = 2.0 * x0 * v0
         out = []
-        twodelta = 2.0 * delta
         for i in range(1, nsteps + 1):
-            k1u = v
-            k1v = twodelta - C * u
-            u2 = u + 0.5 * h * k1u
-            v2 = v + 0.5 * h * k1v
-            k2u = v2
-            k2v = twodelta - C * u2
-            u3 = u + 0.5 * h * k2u
-            v3 = v + 0.5 * h * k2v
-            k3u = v3
-            k3v = twodelta - C * u3
-            u4 = u + h * k3u
-            v4 = v + h * k3v
-            k4u = v4
-            k4v = twodelta - C * u4
-            u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            u, v = u + (m_diag * u + m_uv * v + b_u), v + (m_vu * u + m_diag * v + b_v)
             s = i * h
             if u <= EPS_DOM:
                 return out, s
@@ -398,15 +401,15 @@ def integrate_profile(
             out.append((s, rx, v / (2.0 * rx)))
         return out, None
 
+    origin = [(0.0, x0, v0)]
     forward, s_cross_f = sweep(step)
     if s_cross_f is not None:
-        partial = sorted(forward + [(0.0, x0, v0)])
-        raise NonPositiveProfile(s_cross_f, partial)
+        raise NonPositiveProfile(s_cross_f, origin + forward)
     backward, s_cross_b = sweep(-step)
+    backward.reverse()
     if s_cross_b is not None:
-        partial = sorted(backward + [(0.0, x0, v0)] + forward)
-        raise NonPositiveProfile(s_cross_b, partial)
-    return sorted(backward) + [(0.0, x0, v0)] + forward
+        raise NonPositiveProfile(s_cross_b, backward + origin + forward)
+    return backward + origin + forward
 
 
 def write_profile_csv(samples: Iterable[ProfileSample], out: TextIO) -> None:

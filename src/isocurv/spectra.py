@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Sequence
 
-DISTINCT_TOL = 1e-9        # principal curvatures closer than this are merged
+DISTINCT_TOL = 1e-9        # relative: values closer than this times max |lambda| merge
 CLIFFORD_REL_TOL = 1e-9    # relative tolerance on C - 8c/3 for Clifford detection
 BOUNDARY_TOL = 1e-12       # branch-boundary tolerance, relative to max(|c|, |C|)
 
@@ -69,14 +68,16 @@ class MinimalVerdict:
 
 
 def pairing_test(lambdas: Sequence[float], tol: float = DISTINCT_TOL) -> bool:
-    """Whether the three products-of-pairs sums of four values agree within tol.
+    """Whether the three products-of-pairs sums of four values agree within
+    tol * max |lambda_i|^2.
 
     For principal curvatures (a, b, c, d) the sums are a*b + c*d,
     a*c + b*d and a*d + b*c; frame constancy of the isotropic curvature
     forces all three to coincide on every 4-subset.
     """
-    p = _pairing_values([float(v) for v in lambdas])
-    return max(p) - min(p) <= tol
+    vals = [float(v) for v in lambdas]
+    p = _pairing_values(vals)
+    return max(p) - min(p) <= tol * max(abs(v) for v in vals) ** 2
 
 
 def _pairing_values(vals):
@@ -96,30 +97,34 @@ def _cluster(values: Sequence[float], tol: float) -> list[list[int]]:
     return groups
 
 
-def _violating_subset(lambdas: Sequence[float], tol: float):
-    """The 4-subset with the worst pairing disagreement, for diagnostics."""
-    worst, worst_idx = -1.0, None
-    for idx in combinations(range(len(lambdas)), 4):
-        p = _pairing_values([lambdas[i] for i in idx])
-        spread = max(p) - min(p)
-        if spread > worst:
-            worst, worst_idx = spread, idx
-    return worst_idx, worst
+def _violating_subset(lambdas: Sequence[float]) -> tuple[tuple[int, ...], float]:
+    """The 4-subset with the worst pairing disagreement, for diagnostics.
+
+    For sorted a <= b <= c <= d the pair sums order as
+    ab + cd >= ac + bd >= ad + bc, with spread (c - a)(d - b); the two
+    smallest and the two largest values maximise both factors.  Returns
+    the indices in ascending order and that spread.
+    """
+    order = sorted(range(len(lambdas)), key=lambda i: lambdas[i])
+    ends = order[:2] + order[-2:]
+    a, b, c, d = (lambdas[i] for i in ends)
+    return tuple(sorted(ends)), (c - a) * (d - b)
 
 
 def two_curvature_form(s: ShapeSpectrum, tol: float = DISTINCT_TOL) -> TwoCurvatureForm:
     """Reduce a spectrum to its (lambda, mu) form.
 
-    Accepts umbilical spectra (all values merge, lambda == mu) and spectra
-    with exactly two distinct values where one has multiplicity >= n-1.
+    Values within tol * max |lambda| of each other merge.  Accepts
+    umbilical spectra (all values merge, lambda == mu) and spectra with
+    exactly two distinct values where one has multiplicity >= n-1.
     Anything else is rejected with the worst-violating 4-subset named in
     the diagnostic.
     """
     lams = s.lambdas
-    groups = _cluster(lams, tol)
+    groups = _cluster(lams, tol * max(abs(v) for v in lams))
 
     def reject(why: str):
-        idx, spread = _violating_subset(lams, tol)
+        idx, spread = _violating_subset(lams)
         vals = tuple(lams[i] for i in idx)
         raise SpectrumError(
             f"{why}; pairing sums of 4-subset {idx} = {vals} disagree by {spread:.3e}"

@@ -378,6 +378,16 @@ def test_check_reports_failures(capsys, monkeypatch):
     assert "1/2 suites passed" in out
 
 
+@pytest.mark.parametrize("extra", [("--window", "0", "10"), ("--grid", "11"), ("--step", "1e-3")])
+def test_check_has_no_profile_knobs(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *extra])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert extra[0] in out.err
+
+
 def test_check_stdout_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "check", "--frames", "10")
     _, second, _ = run_cli(capsys, "check", "--frames", "10")

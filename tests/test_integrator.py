@@ -15,6 +15,54 @@ def sup_error(points, family):
     return max(abs(x - family.eval(s)[0]) for s, x, _ in points)
 
 
+def stage_rk4(C, delta, x0, v0, s_max, step):
+    """Literal four-stage RK4 on u'' = 2*delta - C*u, u = x^2: the oracle.
+
+    Assumes u stays positive; returns (s, x, x') rows sorted by s.
+    """
+    nsteps = int(math.floor(s_max / step + 1e-9))
+
+    def f(u, v):
+        return v, 2.0 * delta - C * u
+
+    def sweep(h):
+        u, v = x0 * x0, 2.0 * x0 * v0
+        out = []
+        for i in range(1, nsteps + 1):
+            k1u, k1v = f(u, v)
+            k2u, k2v = f(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
+            k3u, k3v = f(u + 0.5 * h * k2u, v + 0.5 * h * k2v)
+            k4u, k4v = f(u + h * k3u, v + h * k3v)
+            u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            assert u > 0, "oracle case leaves the valid domain"
+            out.append((i * h, math.sqrt(u), v / (2.0 * math.sqrt(u))))
+        return out
+
+    return sorted(sweep(-step)) + [(0.0, x0, v0)] + sweep(step)
+
+
+# (C, delta, s_max) with x0 = 1, v0 = 0.1: u stays positive on [-s_max, s_max]
+ORACLE_CASES = [
+    (2.0, 1, 10.0), (2.0, 0, 0.5), (2.0, -1, 0.5),
+    (0.0, 1, 10.0), (0.0, 0, 4.0), (0.0, -1, 0.5),
+    (-1.0, 1, 10.0), (-1.0, 0, 10.0), (-1.0, -1, 0.5),
+]
+
+
+@pytest.mark.parametrize("C,delta,s_max", ORACLE_CASES)
+def test_propagator_matches_stage_rk4(C, delta, s_max):
+    """The affine one-map step reproduces the four-stage step to rounding."""
+    got = integrate_profile(C, delta, 1.0, 0.1, s_max, 1e-3)
+    want = stage_rk4(C, delta, 1.0, 0.1, s_max, 1e-3)
+    assert len(got) == len(want) == 2 * round(s_max / 1e-3) + 1
+    assert [s for s, _, _ in got] == [s for s, _, _ in want]
+    assert got[0][0] < 0.0 < got[-1][0]  # both sweep directions are compared
+    for (_, x, xp), (_, xr, xpr) in zip(got, want):
+        assert abs(x - xr) <= 1e-11 * xr
+        assert abs(xp - xpr) <= 1e-11 * max(xr, abs(xpr))
+
+
 def test_equilibrium_profile_stays_constant():
     # u'' = 2 - 2u has the fixed point u = 1
     points = integrate_profile(2.0, 1, 1.0, 0.0, 10.0, 1e-3)
@@ -83,3 +131,33 @@ def test_input_validation():
         integrate_profile(0.0, 1, -1.0, 0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         integrate_profile(0.0, 1, 1.0, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((math.nan, 1, 1.0, 0.0, 1.0, 0.1), "C"),
+        ((math.inf, 1, 1.0, 0.0, 1.0, 0.1), "C"),
+        ((0.0, 1, math.nan, 0.0, 1.0, 0.1), "x0"),
+        ((0.0, 1, math.inf, 0.0, 1.0, 0.1), "x0"),
+        ((0.0, 1, 1.0, math.inf, 1.0, 0.1), "v0"),
+        ((0.0, 1, 1.0, math.nan, 1.0, 0.1), "v0"),
+        ((0.0, 1, 1.0, 0.0, math.inf, 0.1), "s_max"),
+        ((0.0, 1, 1.0, 0.0, math.nan, 0.1), "s_max"),
+        ((0.0, 1, 1.0, 0.0, -3.0, 0.1), "s_max"),
+        ((0.0, 1, 1.0, 0.0, 0.05, 0.1), "s_max"),
+        ((0.0, 7, 1.0, 0.0, 1.0, 0.1), "delta"),
+        ((0.0, 2, 1.0, 0.0, 1.0, 0.1), "delta"),
+    ],
+)
+def test_rejected_inputs_name_the_argument(args, name):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        integrate_profile(*args)
+
+
+def test_partial_samples_are_sorted_on_either_crossing():
+    for v0 in (-10.0, 10.0):
+        with pytest.raises(NonPositiveProfile) as info:
+            integrate_profile(0.0, 1, 1.0, v0, 5.0, 1e-3)
+        ss = [s for s, _, _ in info.value.samples]
+        assert ss == sorted(ss) and 0.0 in ss

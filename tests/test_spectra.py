@@ -17,6 +17,7 @@ from isocurv.spectra import (
     pairing_test,
     two_curvature_form,
 )
+from isocurv.spectra import _violating_subset
 
 moderate = st.floats(min_value=-3.0, max_value=3.0)
 
@@ -103,6 +104,80 @@ def test_reduction_consistent_with_pairing_subsets(base):
     except SpectrumError:
         reduced = False
     assert reduced == subsets_ok
+
+
+def test_small_scale_two_value_spectrum_is_not_umbilical():
+    form = two_curvature_form(ShapeSpectrum(0.0, (1e-10, 1e-10, 1e-10, 3e-10)))
+    assert form.lam == pytest.approx(1e-10, rel=1e-15)
+    assert form.mu == 3e-10
+
+
+def test_large_scale_rounding_does_not_split_a_value():
+    lams = (1e8, 1e8, math.nextafter(1e8, 2e8), 3e8)
+    assert pairing_test(lams)
+    form = two_curvature_form(ShapeSpectrum(0.0, lams))
+    assert form.lam == pytest.approx(1e8, rel=1e-15)
+    assert form.mu == 3e8
+
+
+def test_pairing_tolerance_is_relative():
+    # pairings (14, 11, 10) * 1e-20: far apart at their own scale
+    assert not pairing_test((1e-10, 2e-10, 3e-10, 4e-10))
+    assert pairing_test((1e-10, 1e-10, 1e-10, 2e-10))
+    assert pairing_test((1e10, 1e10, 1e10, 2e10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lam=moderate, mu=moderate, n=st.integers(4, 7),
+    t=st.floats(min_value=-10.0, max_value=10.0).map(lambda e: 10.0 ** e),
+)
+def test_scaled_two_value_spectrum_scales_the_form(lam, mu, n, t):
+    """Scaling a planted (lam, mu) spectrum by t in [1e-10, 1e10] scales the form by t."""
+    assume(abs(lam - mu) > 0.1)
+    form = two_curvature_form(ShapeSpectrum(0.0, (t * lam,) * (n - 1) + (t * mu,)))
+    scale = t * max(abs(lam), abs(mu))
+    assert abs(form.lam - t * lam) <= 1e-15 * scale
+    assert abs(form.mu - t * mu) <= 1e-15 * scale
+
+
+def _brute_force_worst_subset(values):
+    """Worst pairing spread over all C(n, 4) subsets."""
+    from itertools import combinations
+
+    def spread(idx):
+        a, b, c, d = (values[i] for i in idx)
+        p = (a * b + c * d, a * c + b * d, a * d + b * c)
+        return max(p) - min(p)
+
+    return max(spread(idx) for idx in combinations(range(len(values)), 4)), spread
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_violating_subset_matches_brute_force(seed):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    values = [float(v) for v in rng.uniform(-3.0, 3.0, size=int(rng.integers(4, 10)))]
+    if seed % 2:  # tied spectra: draw from a few levels
+        values = [round(v) for v in values]
+    worst, spread = _brute_force_worst_subset(values)
+    idx, got = _violating_subset(values)
+    tol = 1e-12 * max(1.0, max(abs(v) for v in values) ** 2)
+    assert list(idx) == sorted(set(idx)) and len(idx) == 4
+    assert abs(got - worst) <= tol
+    assert abs(spread(idx) - worst) <= tol
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 2.0, 2.0, 3.0), (2.0, 1.0, 2.0, 1.0, 3.0, 3.0), (0.0,) * 6 + (5.0,)],
+)
+def test_violating_subset_on_tied_values(values):
+    worst, spread = _brute_force_worst_subset(values)
+    idx, got = _violating_subset(values)
+    assert list(idx) == sorted(set(idx)) and len(idx) == 4
+    assert got == worst == spread(idx)
 
 
 # ---------------------------------------------------------------------------
