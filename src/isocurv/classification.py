@@ -309,11 +309,13 @@ def _empty_reason(q: ClassQuery) -> str | None:
 
 
 def nonexistence_witness(
-    q: ClassQuery, s_max: float = 10.0, grid_n: int = 2001
+    q: ClassQuery, s_max: float | None = None, grid_n: int = 2001
 ) -> NonexistenceEvidence:
     """Build the candidate profile an Empty query would need and show where
     it breaks down, scanning s in [0, s_max].
 
+    s_max defaults to 20 / sqrt(max(|c|, |C|)), the query's own length
+    scale, so scaling (c, C) scales the window with the failure point.
     Rejected with ValueError when classify(q) is non-empty.  For n >= 5 the
     obstruction is algebraic (no profile family is involved) and the
     evidence carries no candidate.
@@ -334,6 +336,8 @@ def nonexistence_witness(
             failure=None,
         )
 
+    if s_max is None:
+        s_max = 20.0 / math.sqrt(max(abs(cf), abs(Cf)))
     window = (0.0, s_max)
     ambient = AmbientSpec(c=cf, delta=1)
     tol = _boundary_tol(q)

@@ -172,14 +172,13 @@ def _cmd_classify(args) -> int:
                 entry["witness"] = {"symbolic": w}
                 continue
             ambient = pf.AmbientSpec(c=float(q.c), delta=w.ode_delta)
-            failure = pf.domain_check(w, ambient, window, args.grid)
             info = {"family": outcome.family, "params": dataclasses.asdict(w)}
-            if failure is None:
+            try:
                 samples, deviation = pf.cic_along_profile(w, ambient, window, args.grid)
                 info["cic_mean"] = sum(p.cic for p in samples) / len(samples)
                 info["cic_max_deviation"] = deviation
-            else:
-                info["domain_failure"] = {"s": failure.s, "reason": failure.reason}
+            except pf.DomainBreakdown as exc:
+                info["domain_failure"] = {"s": exc.s, "reason": exc.reason}
             entry["witness"] = info
     sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0

@@ -1,26 +1,31 @@
 """Rotation-hypersurface profile curves and their principal curvatures.
 
-Four closed-form profile families solve the reduced profile equation
-(x*x')' = delta - (C/2)*x^2, one per sign regime of the constant C:
-
-  * Trig         x(s) = sqrt(2/C)  * sqrt(1 - alpha*sin(sqrt(C)*s)),   C > 0
-  * Parabolic    x(s) = sqrt(s^2 + beta),                              C = 0
-  * Exponential  x(s) = sqrt(2/-C) * sqrt(A*e^(a*s) + B*e^(-a*s) - delta),
-                 a = sqrt(-C),                                         C < 0
-  * Quadratic    x(s) = sqrt(s^2 + A*s + B),                           C = 0
-
-In the substitution u = x^2 the equation becomes linear, u'' = 2*delta - C*u,
-which the fixed-step RK4 integrator here solves as an independent check on
-the closed forms; on a linear system an RK4 step is exactly the affine map
-z <- M z + b, M = sum_{k<=4} (hL)^k/k!, so it runs as that map.  Principal
-curvatures of the generated hypersurface in an ambient space form of
-curvature c are
+Four closed-form profile families (trig for C > 0, parabolic and quadratic
+for C = 0, exponential for C < 0) solve the reduced profile equation
+(x*x')' = delta - (C/2)*x^2.  Each is given by its square u = x^2, in which
+the equation is linear, u'' = 2*delta - C*u: a family gives its own
+(u, u', u'') and one shared `eval` derives x = sqrt(u), x' = u'/(2x) and
+x'' = (u'' - 2x'^2)/(2x).  `integrate_profile` solves the linear equation
+by RK4, as its exact affine step map, as an independent check on the closed
+forms.  Principal curvatures of the hypersurface in an ambient space form
+of curvature c are
 
     lambda = -sqrt(delta - c*x^2 - x'^2) / x
     mu     = (x'' + c*x) / sqrt(delta - c*x^2 - x'^2)
 
 and the radicand going non-positive is the computational witness that a
-candidate profile does not yield a complete hypersurface.
+candidate profile does not yield a complete hypersurface.  Along a family
+the radicand is N/(4u) with E = u'^2 - 4*delta_f*u + C*u^2, the first
+integral (taken at s = 0), and
+
+    N = (C - 4c)*u^2 + 4*(delta_a - delta_f)*u - E,
+
+delta_a being the ambient's rotation type and delta_f the family's; where
+the radicand decays (C = 4c) this keeps the digits the direct form loses.
+A grid point is valid when u > 0 and N > EPS_DOM * max(|(C - 4c)*u^2|,
+|4*(delta_a - delta_f)*u|, |E|), relative to the size of N's own terms.
+Grids are evaluated as arrays, BLOCK points at a time; a profile that
+overflows the float range before it leaves its domain raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,25 +34,29 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO, Union
 
+import numpy as np
+
 from .spectra import cic_from_spectrum
 
-EPS_DOM = 1e-9            # breakdown threshold for delta - c*x^2 - x'^2
+EPS_DOM = 1e-9            # breakdown threshold for delta - c*x^2 - x'^2 (relative on grids)
 DEFAULT_WINDOW = (-10.0, 10.0)
 DEFAULT_GRID = 2001
+BLOCK = 4096              # grid points evaluated per array operation
+RK4_STABLE_Q = 7.75       # |C|*step^2 bound: RK4's real-axis stability limit is 2.785^2
 
 
 class DomainBreakdown(Exception):
-    """delta - c*x^2 - x'^2 dropped to or below EPS_DOM.
+    """The profile left its domain: delta - c*x^2 - x'^2 (or x^2) too small.
 
-    Carries the offending radicand value and, when known, the arclength
-    parameter at which it happened.
+    Carries the offending value, the violated inequality as `reason` (by
+    default the radicand against EPS_DOM) and, when known, the arclength s.
     """
 
     def __init__(self, value: float, s: float | None = None, message: str | None = None):
         self.value = value
         self.s = s
-        where = "" if s is None else f" at s={s!r}"
-        super().__init__(message or f"delta - c*x^2 - x'^2 = {value:.6e} <= {EPS_DOM}{where}")
+        self.reason = message or f"delta - c*x^2 - x'^2 = {value:.6e} <= {EPS_DOM}"
+        super().__init__(self.reason + ("" if s is None else f" at s={s!r}"))
 
 
 class NonPositiveProfile(Exception):
@@ -83,18 +92,39 @@ class AmbientSpec:
             raise ValueError(f"delta must be 1 when c >= 0, got delta={self.delta}")
 
 
-def _sqrt_chain(scale: float, w: float, wp: float, wpp: float) -> tuple[float, float, float]:
-    """(x, x', x'') for x = scale * sqrt(w) given w and its derivatives."""
-    rw = math.sqrt(w)
-    x = scale * rw
-    xp = scale * wp / (2.0 * rw)
-    xpp = scale * (wpp / (2.0 * rw) - wp * wp / (4.0 * w * rw))
-    return x, xp, xpp
+def _sqrt_chain(u, up, upp):
+    """(x, x', x'') for x = sqrt(u) given u and its derivatives."""
+    x = np.sqrt(u)
+    xp = up / (2.0 * x)
+    return x, xp, (upp - 2.0 * xp * xp) / (2.0 * x)
+
+
+class _SquareProfile:
+    """A profile family given by its square: u(s) returns (u, u', u'') at an array s.
+
+    ode_constant and ode_delta, the (C, delta) of its profile equation, are
+    the family's fields C and delta, or 0 and 1 when it has none.
+    """
+
+    @property
+    def ode_constant(self) -> float:
+        return getattr(self, "C", 0.0)
+
+    @property
+    def ode_delta(self) -> int:
+        return getattr(self, "delta", 1)
+
+    def eval(self, s):
+        """(x, x', x'') at s, a float (giving floats) or an array."""
+        x, xp, xpp = _sqrt_chain(*self.u(np.asarray(s, dtype=float)))
+        if np.ndim(s) == 0:
+            return float(x), float(xp), float(xpp)
+        return x, xp, xpp
 
 
 @dataclass(frozen=True)
-class TrigProfile:
-    """x(s) = sqrt(2/C) * sqrt(1 - alpha*sin(sqrt(C)*s)) with C > 0, 0 <= alpha < 1."""
+class TrigProfile(_SquareProfile):
+    """u(s) = x(s)^2 = (2/C) * (1 - alpha*sin(sqrt(C)*s)) with C > 0, 0 <= alpha < 1."""
 
     C: float
     alpha: float
@@ -105,25 +135,16 @@ class TrigProfile:
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"Trig profile needs 0 <= alpha < 1, got {self.alpha}")
 
-    @property
-    def ode_constant(self) -> float:
-        return self.C
-
-    @property
-    def ode_delta(self) -> int:
-        return 1
-
-    def eval(self, s: float) -> tuple[float, float, float]:
-        a = math.sqrt(self.C)
-        w = 1.0 - self.alpha * math.sin(a * s)
-        wp = -self.alpha * a * math.cos(a * s)
-        wpp = self.alpha * a * a * math.sin(a * s)
-        return _sqrt_chain(math.sqrt(2.0 / self.C), w, wp, wpp)
+    def u(self, s):
+        a, k = math.sqrt(self.C), 2.0 / self.C
+        sn = np.sin(a * s)
+        ka = k * self.alpha * a
+        return k * (1.0 - self.alpha * sn), -ka * np.cos(a * s), ka * a * sn
 
 
 @dataclass(frozen=True)
-class ParabolicProfile:
-    """x(s) = sqrt(s^2 + beta) with beta > 0."""
+class ParabolicProfile(_SquareProfile):
+    """u(s) = x(s)^2 = s^2 + beta with beta > 0."""
 
     beta: float
 
@@ -131,24 +152,16 @@ class ParabolicProfile:
         if not self.beta > 0:
             raise ValueError(f"Parabolic profile needs beta > 0, got {self.beta}")
 
-    @property
-    def ode_constant(self) -> float:
-        return 0.0
-
-    @property
-    def ode_delta(self) -> int:
-        return 1
-
-    def eval(self, s: float) -> tuple[float, float, float]:
-        return _sqrt_chain(1.0, s * s + self.beta, 2.0 * s, 2.0)
+    def u(self, s):
+        return s * s + self.beta, 2.0 * s, np.full_like(s, 2.0)
 
 
 @dataclass(frozen=True)
-class ExponentialProfile:
-    """x(s) = sqrt(2/-C) * sqrt(A*e^(a*s) + B*e^(-a*s) - delta), a = sqrt(-C).
+class ExponentialProfile(_SquareProfile):
+    """u(s) = x(s)^2 = (2/-C) * (A*e^(a*s) + B*e^(-a*s) - delta), a = sqrt(-C).
 
     Requires C < 0, A >= 0, B >= 0 with A + B > delta and 4AB > delta^2,
-    which keeps the radicand positive on all of R.
+    which keeps u positive on all of R.
     """
 
     C: float
@@ -170,27 +183,15 @@ class ExponentialProfile:
                 f"Exponential profile needs 4AB > delta^2, got {4.0 * self.A * self.B} <= {self.delta * self.delta}"
             )
 
-    @property
-    def ode_constant(self) -> float:
-        return self.C
-
-    @property
-    def ode_delta(self) -> int:
-        return self.delta
-
-    def eval(self, s: float) -> tuple[float, float, float]:
-        a = math.sqrt(-self.C)
-        ep = self.A * math.exp(a * s)
-        em = self.B * math.exp(-a * s)
-        w = ep + em - self.delta
-        wp = a * (ep - em)
-        wpp = a * a * (ep + em)
-        return _sqrt_chain(math.sqrt(2.0 / -self.C), w, wp, wpp)
+    def u(self, s):
+        a, k = math.sqrt(-self.C), 2.0 / -self.C
+        ep, em = self.A * np.exp(a * s), self.B * np.exp(-a * s)
+        return k * (ep + em - self.delta), k * a * (ep - em), k * a * a * (ep + em)
 
 
 @dataclass(frozen=True)
-class QuadraticProfile:
-    """x(s) = sqrt(s^2 + A*s + B) with B > 0 and A^2/(4B) < 1."""
+class QuadraticProfile(_SquareProfile):
+    """u(s) = x(s)^2 = s^2 + A*s + B with B > 0 and A^2/(4B) < 1."""
 
     A: float
     B: float
@@ -203,16 +204,8 @@ class QuadraticProfile:
                 f"Quadratic profile needs A^2/(4B) < 1, got {self.A * self.A / (4.0 * self.B)}"
             )
 
-    @property
-    def ode_constant(self) -> float:
-        return 0.0
-
-    @property
-    def ode_delta(self) -> int:
-        return 1
-
-    def eval(self, s: float) -> tuple[float, float, float]:
-        return _sqrt_chain(1.0, s * s + self.A * s + self.B, 2.0 * s + self.A, 2.0)
+    def u(self, s):
+        return s * s + self.A * s + self.B, 2.0 * s + self.A, np.full_like(s, 2.0)
 
 
 ProfileFamily = Union[TrigProfile, ParabolicProfile, ExponentialProfile, QuadraticProfile]
@@ -239,32 +232,29 @@ class FirstFailure:
     reason: str
 
 
-def _radicand(ambient: AmbientSpec, x: float, xp: float) -> float:
-    """delta - c*x^2 - x'^2, which must stay above EPS_DOM for real curvatures."""
-    return ambient.delta - ambient.c * x * x - xp * xp
-
-
 def principal_curvatures(
     ambient: AmbientSpec, x: float, xp: float, xpp: float, s: float | None = None
 ) -> tuple[float, float]:
     """(lambda, mu) of the rotation hypersurface at a profile point.
 
     lambda carries the sign convention lambda <= 0.  Raises DomainBreakdown
-    when the radicand delta - c*x^2 - x'^2 is not safely positive.
+    when the radicand delta - c*x^2 - x'^2, computed directly from the
+    point, is not above EPS_DOM.
     """
     if not x > 0:
         raise ValueError(f"profile value must be positive, got x={x}")
-    d = _radicand(ambient, x, xp)
+    d = ambient.delta - ambient.c * x * x - xp * xp
     if d <= EPS_DOM:
         raise DomainBreakdown(d, s=s)
     rd = math.sqrt(d)
     return -rd / x, (xpp + ambient.c * x) / rd
 
 
-def ode_residual(f: ProfileFamily, C: float, delta: int, s: float, h: float) -> float:
+def ode_residual(f: ProfileFamily, C: float, delta: int, s, h: float):
     """|central difference of x*x' minus (delta - (C/2)*x^2)| at s, step h.
 
-    O(h^2) small when (C, delta) match the family; order one otherwise.
+    s is a float or an array.  O(h^2) small when (C, delta) match the
+    family; order one otherwise.
     """
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
@@ -276,14 +266,54 @@ def ode_residual(f: ProfileFamily, C: float, delta: int, s: float, h: float) -> 
     return abs(lhs - rhs)
 
 
-def _grid(window: tuple[float, float], n: int) -> list[float]:
+def _grid(window: tuple[float, float], n: int) -> Iterator[np.ndarray]:
+    """Blocks of the grid lo + i*step, i < n; the window is checked on the call."""
     lo, hi = window
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
     if not (hi > lo and math.isfinite(hi - lo)):
         raise ValueError(f"window must be finite with lo < hi, got {window}")
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return (lo + np.arange(i, min(i + BLOCK, n)) * step for i in range(0, n, BLOCK))
+
+
+def _evaluate(f: ProfileFamily, ambient: AmbientSpec, s: np.ndarray, window: tuple[float, float]):
+    """(k, columns, failure) at the grid points s, by the first-integral radicand.
+
+    k indexes the first invalid point (len(s) if none) and failure is its
+    DomainBreakdown (None if none); columns are x, x', x'', lambda, mu and
+    the isotropic value on all of s.  Raises ValueError when the profile
+    overflows the float range at or before its first invalid point.
+    """
+    C, c = f.ode_constant, ambient.c
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        (u0,), (v0,), _ = f.u(np.zeros(1))
+        e = v0 * v0 - 4.0 * f.ode_delta * u0 + C * u0 * u0
+        u, up, upp = f.u(s)
+        quad, lin = (C - 4.0 * c) * u * u, 4.0 * (ambient.delta - f.ode_delta) * u
+        n = quad + lin - e
+        bound = EPS_DOM * np.maximum(np.maximum(np.abs(quad), np.abs(lin)), abs(e))
+        d = n / (4.0 * u)
+        x, xp, xpp = _sqrt_chain(u, up, upp)
+        rd = np.sqrt(d)
+        lam, mu = -rd / x, (xpp + c * x) / rd
+        cic = cic_from_spectrum(c, lam, mu)
+    inside = (u > 0) & (n > bound)
+    bad = np.flatnonzero(~(inside & np.isfinite(cic)))
+    columns = (x, xp, xpp, lam, mu, cic)
+    if not bad.size:
+        return len(s), columns, None
+    k = int(bad[0])
+    at = float(s[k])
+    if inside[k] or not (np.isfinite(u[k]) and np.isfinite(n[k])):
+        raise ValueError(f"profile {f!r} overflows the float range at s={at!r} in the window {window}")
+    if not u[k] > 0:
+        return k, columns, DomainBreakdown(float(u[k]), at, f"x^2 = {u[k]:.6e} <= 0")
+    reason = (
+        f"delta - c*x^2 - x'^2 = {d[k]:.6e} <= {bound[k] / (4.0 * u[k]):.6e} "
+        f"(c*x^2 + x'^2 = {c * x[k] * x[k] + xp[k] * xp[k]:.6e} vs delta = {ambient.delta})"
+    )
+    return k, columns, DomainBreakdown(float(d[k]), at, reason)
 
 
 def domain_check(
@@ -298,24 +328,10 @@ def domain_check(
     point (scanning left to right) with the violated inequality.
     """
     for s in _grid(s_window, grid_n):
-        x, xp, _ = f.eval(s)
-        if not x > 0:
-            return FirstFailure(s, f"x = {x:.6e} <= 0")
-        d = _radicand(ambient, x, xp)
-        if d <= EPS_DOM:
-            return FirstFailure(
-                s,
-                f"delta - c*x^2 - x'^2 = {d:.6e} <= {EPS_DOM} "
-                f"(c*x^2 + x'^2 = {ambient.c * x * x + xp * xp:.6e} vs delta = {ambient.delta})",
-            )
+        failure = _evaluate(f, ambient, s, s_window)[2]
+        if failure is not None:
+            return FirstFailure(failure.s, failure.reason)
     return None
-
-
-def _sample(f: ProfileFamily, ambient: AmbientSpec, s: float) -> ProfileSample:
-    x, xp, xpp = f.eval(s)
-    lam, mu = principal_curvatures(ambient, x, xp, xpp, s=s)
-    cic = cic_from_spectrum(ambient.c, lam, mu)
-    return ProfileSample(s=s, x=x, xp=xp, xpp=xpp, lam=lam, mu=mu, cic=cic)
 
 
 def profile_samples(
@@ -327,9 +343,19 @@ def profile_samples(
     """Lazily sample lambda, mu and the isotropic value along the profile.
 
     The window and grid are validated by this call, before any sample is
-    produced; the iterator raises DomainBreakdown at the first invalid point.
+    produced; the iterator raises DomainBreakdown at the first invalid point,
+    or ValueError when the profile overflows the float range before it.
     """
-    return (_sample(f, ambient, s) for s in _grid(s_window, grid_n))
+    blocks = _grid(s_window, grid_n)
+
+    def samples() -> Iterator[ProfileSample]:
+        for s in blocks:
+            k, columns, failure = _evaluate(f, ambient, s, s_window)
+            yield from map(ProfileSample, *(col[:k].tolist() for col in (s, *columns)))
+            if failure is not None:
+                raise failure
+
+    return samples()
 
 
 def cic_along_profile(
@@ -365,7 +391,8 @@ def integrate_profile(
     M being the RK4 stability polynomial of hL: for q = C*h^2,
     M00 = M11 = 1 - q/2 + q^2/24, M01 = h(1 - q/6), M10 = -C*M01 and
     b = (delta*h^2*(1 - q/12), 2*delta*h*(1 - q/6)), built once per sweep.
-    The scheme, its order and its error are RK4's.  Returns (s, x, x')
+    The scheme, its order and its error are RK4's; |q| above RK4_STABLE_Q
+    is outside its stability range and rejected.  Returns (s, x, x')
     samples sorted by s; raises NonPositiveProfile (carrying partial
     samples) as soon as u crosses the positivity threshold in either sweep.
     """
@@ -380,6 +407,8 @@ def integrate_profile(
         raise ValueError(f"step must be positive, got {step}")
     if s_max < step:
         raise ValueError(f"s_max must be at least step = {step}, got {s_max}")
+    if not abs(C) * step * step <= RK4_STABLE_Q:
+        raise ValueError(f"RK4 is unstable for |C|*step^2 > {RK4_STABLE_Q}: C = {C}, step = {step}")
     nsteps = int(math.floor(s_max / step + 1e-9))
 
     def sweep(h: float) -> tuple[list[tuple[float, float, float]], float | None]:

@@ -248,20 +248,29 @@ def test_witness_soundness(n, c, C):
         assert abs(mean - C) <= 1e-8
 
 
-def test_witness_soundness_deep_hyperbolic_boundary_constant():
-    """At C = 4c the witness's curvature radicand decays like e^(-2a|s|)
-    (a = sqrt(-C)), so for c = -1 it drops below double-precision
-    cancellation noise near |s| ~ 9.6; the certificate window must stop
-    short of that."""
-    q = ClassQuery(4, -1.0, -4.0)
+def _boundary_witness_verifies(c):
+    q = ClassQuery(4, c, 4 * c)
     o = next(o for o in classify(q) if o.tag == ROTATION_FAMILY)
     fam = witness(o, q)
-    ambient = AmbientSpec(c=-1.0, delta=fam.ode_delta)
-    assert domain_check(fam, ambient, (-8.0, 8.0)) is None
-    samples, deviation = cic_along_profile(fam, ambient, (-8.0, 8.0))
+    ambient = AmbientSpec(c=float(c), delta=fam.ode_delta)
+    assert domain_check(fam, ambient) is None
+    samples, deviation = cic_along_profile(fam, ambient)
     mean = sum(p.cic for p in samples) / len(samples)
     assert deviation <= 1e-8
-    assert abs(mean + 4.0) <= 1e-8
+    assert abs(mean - 4.0 * float(c)) <= 1e-8
+
+
+def test_witness_soundness_deep_hyperbolic_boundary_constant():
+    """At C = 4c the witness's curvature radicand decays like e^(-2a|s|)
+    (a = sqrt(-C)); for c = -1 it falls below the rounding of the direct
+    form delta - c*x^2 - x'^2 near |s| ~ 9.6.  The first-integral radicand
+    keeps the witness valid on the whole default window."""
+    _boundary_witness_verifies(-1)
+
+
+@pytest.mark.parametrize("c", [Fraction(-9, 10), Fraction(-5, 4), -2])
+def test_boundary_witnesses_verify_deeper_in(c):
+    _boundary_witness_verifies(c)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +297,38 @@ def test_nonexistence_hyperbolic_below_4c():
     assert ev.mechanism == "asymptotic-negative"
     assert 0.0 < ev.failure.s <= 10.0
     assert "-c + C/4" in ev.detail
+
+
+EMPTY_N4_ROWS = [(c, C) for n, c, C, expected in _truth_table() if n == 4 and expected == {"Empty"}]
+
+
+@pytest.mark.parametrize("t", [1e-13, 1e-6, 1.0, 1e6, 1e13])
+@pytest.mark.parametrize("c,C", EMPTY_N4_ROWS)
+def test_nonexistence_window_scales_with_the_query(c, C, t):
+    """The default window is 20 / sqrt(max(|c|, |C|)); every n = 4 Empty
+    row fails inside it at every scale, without a float warning."""
+    assert len(EMPTY_N4_ROWS) == 5
+    q = ClassQuery(4, c * t, C * t)
+    ev = nonexistence_witness(q)
+    length = 1.0 / math.sqrt(max(abs(c), abs(C)) * t)
+    assert ev.failure is not None and 0.0 <= ev.failure.s <= 8.2 * length
+    assert ev.mechanism == nonexistence_witness(ClassQuery(4, c, C)).mechanism
+
+
+def test_nonexistence_far_failure_and_large_scale():
+    # the flat unit-speed failure of C = -1e-6 sits at s ~ 840, outside [0, 10]
+    ev = nonexistence_witness(ClassQuery(4, 0.0, -1e-6))
+    assert ev.mechanism == "unit-speed" and 830.0 < ev.failure.s < 850.0
+    # at |C| ~ 4e13 the old window [0, 10] overflowed the exponential
+    ev = nonexistence_witness(ClassQuery(4, -1e13, -4.000001e13))
+    assert ev.mechanism == "asymptotic-negative" and 0.0 < ev.failure.s < 2e-6
+
+
+def test_nonexistence_explicit_window_is_honoured():
+    ev = nonexistence_witness(ClassQuery(4, -1, -5), s_max=1.0, grid_n=101)
+    assert ev.failure.s == pytest.approx(0.69, abs=0.011)
+    with pytest.raises(AssertionError, match="unexpectedly valid"):
+        nonexistence_witness(ClassQuery(4, 0.0, -1e-6), s_max=10.0)
 
 
 def test_nonexistence_high_dimension_is_algebraic():

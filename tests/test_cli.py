@@ -222,6 +222,38 @@ def test_classify_witness_params(capsys, argv, params):
     assert list(entry["witness"]["params"].items()) == params
 
 
+@pytest.mark.parametrize(
+    "argv,C",
+    [(("4", "-1", "-4"), -4.0), (("--", "4", "-5/4", "-5"), -5.0), (("4", "-2", "-8"), -8.0)],
+)
+def test_classify_boundary_witness_verifies(capsys, argv, C):
+    code, out, _ = run_cli(capsys, "classify", "--witness", *argv)
+    assert code == 0
+    (entry,) = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
+    assert "domain_failure" not in entry["witness"]
+    assert entry["witness"]["cic_mean"] == pytest.approx(C, abs=1e-8)
+    assert entry["witness"]["cic_max_deviation"] <= 1e-8
+
+
+def test_classify_witness_domain_failure_is_reported(capsys):
+    # C sits 1e-13 (relative) below 4c: classify calls it the boundary, but the
+    # witness's radicand -c + C/4 - O(e^(-2a|s|)) really goes negative at |s| = 10
+    code, out, _ = run_cli(capsys, "classify", "4", "-1", "-4.0000000000004", "--witness")
+    assert code == 0
+    (entry,) = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
+    failure = entry["witness"]["domain_failure"]
+    assert failure["s"] == -10.0
+    assert failure["reason"].startswith("delta - c*x^2 - x'^2 = -2.42")
+    assert "cic_mean" not in entry["witness"]
+
+
+def test_classify_witness_overflow_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "classify", "4", "-1", "-2", "--witness", "--window", "-1000", "1000")
+    assert code == 2
+    assert out == ""
+    assert "overflows the float range at s=-1000.0" in err and "(-1000.0, 1000.0)" in err
+
+
 def test_classify_symbolic_witness(capsys):
     code, out, _ = run_cli(capsys, "classify", "5", "1", "4", "--witness")
     assert code == 0
@@ -341,6 +373,26 @@ def test_profile_exponential(capsys):
     assert code == 0
     for line in out.strip().split("\n")[1:]:
         assert abs(float(line.split(",")[5]) + 4.0) <= 1e-9
+
+
+def test_profile_exponential_at_the_boundary_on_the_default_window(capsys):
+    code, out, err = run_cli(
+        capsys, "profile", "exponential", "--C", "-4", "--A", "1", "--B", "1", "--delta", "1", "--c", "-1",
+    )
+    assert code == 0 and err == ""
+    lines = out.strip().split("\n")
+    assert len(lines) == 2002
+    assert all(abs(float(line.split(",")[5]) + 4.0) <= 1e-9 for line in lines[1:])
+
+
+def test_profile_overflow_is_a_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "profile", "exponential", "--C", "-2", "--A", "1", "--B", "1", "--c", "-1",
+        "--window", "-1000", "1000",
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "overflows the float range" in err
+    assert "Traceback" not in err
 
 
 def test_profile_determinism(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -161,3 +162,27 @@ def test_partial_samples_are_sorted_on_either_crossing():
             integrate_profile(0.0, 1, 1.0, v0, 5.0, 1e-3)
         ss = [s for s, _, _ in info.value.samples]
         assert ss == sorted(ss) and 0.0 in ss
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1e300, 1, 1.0, 0.0, 1.0, 0.1),   # q^2 overflowed: rows ended in (1.0, nan, nan)
+        (-1e300, 1, 1.0, 0.0, 1.0, 0.1),
+        (1e3, 1, 0.0447, 0.0, 10.0, 0.1),  # q = 10: the unstable scheme left the domain
+        (-1e3, 1, 1.0, 0.0, 10.0, 0.1),
+        (1.0, 1, 1.0, 0.0, 1e300, 1e200),  # |C|*step^2 overflows to inf
+    ],
+)
+def test_steps_outside_rk4_stability_are_rejected(args):
+    C, step = args[0], args[5]
+    with pytest.raises(ValueError, match="unstable.*" + re.escape(f"C = {C!r}, step = {step!r}")):
+        integrate_profile(*args)
+
+
+def test_steps_inside_rk4_stability_run():
+    """q = C*h^2 = 7 < 7.75: the equilibrium sqrt(2/C) stays put."""
+    x0 = math.sqrt(2.0 / 700.0)
+    pts = integrate_profile(700.0, 1, x0, 0.0, 1.0, 0.1)
+    assert len(pts) == 21
+    assert all(abs(x - x0) <= 1e-12 * x0 and math.isfinite(v) for _, x, v in pts)

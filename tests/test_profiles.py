@@ -1,10 +1,14 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocurv.profiles import (
+    BLOCK,
     AmbientSpec,
     DomainBreakdown,
     ExponentialProfile,
@@ -15,6 +19,7 @@ from isocurv.profiles import (
     domain_check,
     ode_residual,
     principal_curvatures,
+    profile_samples,
     write_profile_csv,
 )
 
@@ -280,3 +285,169 @@ def test_csv_round_trip():
     for line, p in zip(lines[1:], samples):
         s, x, xp, lam, mu, cic = (float(tok) for tok in line.split(","))
         assert (s, x, xp, lam, mu, cic) == (p.s, p.x, p.xp, p.lam, p.mu, p.cic)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation and the first-integral radicand
+
+
+@pytest.mark.parametrize("fam,C,delta", FAMILY_GRID)
+def test_array_eval_is_the_scalar_eval(fam, C, delta):
+    s = np.linspace(-6.0, 6.0, 37)
+    got = fam.eval(s)
+    for i, si in enumerate(s):
+        assert tuple(col[i] for col in got) == fam.eval(float(si))
+    assert all(type(v) is float for v in fam.eval(0.5))
+
+
+def test_ode_residual_accepts_arrays():
+    fam = TrigProfile(C=2.0, alpha=0.5)
+    s = np.array([-1.0, 0.25, 1.0])
+    got = ode_residual(fam, 2.0, 1, s, 1e-4)
+    assert got.shape == (3,)
+    assert list(got) == [ode_residual(fam, 2.0, 1, float(v), 1e-4) for v in s]
+
+
+def test_samples_are_python_floats_on_the_exact_grid():
+    lo, hi, n = -1.0, 2.0, 7
+    samples, _ = cic_along_profile(TrigProfile(C=2.0, alpha=0.3), FLAT, (lo, hi), n)
+    step = (hi - lo) / (n - 1)
+    assert [p.s for p in samples] == [lo + i * step for i in range(n)]
+    assert all(type(v) is float for p in samples for v in vars(p).values())
+    failure = domain_check(TrigProfile(C=1.5, alpha=0.2), AmbientSpec(1.0, 1), (0.0, 10.0), 2001)
+    assert type(failure.s) is float
+
+
+def test_grid_spans_several_blocks():
+    """Blocks join without gaps, and a failure in a later block is found."""
+    n = 2 * BLOCK + 3
+    samples, dev = cic_along_profile(ParabolicProfile(beta=1.0), FLAT, (-3.0, 3.0), n)
+    step = 6.0 / (n - 1)
+    assert [p.s for p in samples] == [-3.0 + i * step for i in range(n)]
+    assert dev <= 1e-10
+    # 1 - c*w - (w - 1)/w with w = s^2 + 1 vanishes at w = 1/sqrt(c): s = 2 for c = 1/25
+    failure = domain_check(ParabolicProfile(beta=1.0), AmbientSpec(0.04, 1), (0.0, 3.0), n)
+    assert failure is not None and 2.0 < failure.s < 2.01
+    assert round(failure.s / (3.0 / (n - 1))) > BLOCK
+
+
+def _exact_boundary_radicand(c: float, s: float) -> mpmath.mpf:
+    """delta - c x^2 - x'^2 of ExponentialProfile(C=4c, A=B=1), 50 digits."""
+    with mpmath.workdps(50):
+        C = 4 * mpmath.mpf(c)
+        a, k = mpmath.sqrt(-C), 2 / -C
+        ep, em = mpmath.exp(a * mpmath.mpf(s)), mpmath.exp(-a * mpmath.mpf(s))
+        u, up = k * (ep + em - 1), k * a * (ep - em)
+        return 1 - mpmath.mpf(c) * u - up * up / (4 * u)
+
+
+@pytest.mark.parametrize("c", [-0.9, -1.0, -1.25, -2.0])
+def test_boundary_radicand_matches_a_50_digit_reference(c):
+    """At C = 4c the radicand decays like e^(-2a|s|); the first integral
+    keeps its digits on the whole default grid, the direct form does not."""
+    fam = ExponentialProfile(C=4.0 * c, A=1.0, B=1.0, delta=1)
+    ambient = AmbientSpec(c, 1)
+    assert domain_check(fam, ambient) is None
+    samples, deviation = cic_along_profile(fam, ambient)
+    assert len(samples) == 2001
+    for p in samples:
+        exact = _exact_boundary_radicand(c, p.s)
+        assert abs((p.lam * p.x) ** 2 - exact) <= 1e-12 * exact
+    mean = sum(p.cic for p in samples) / len(samples)
+    assert deviation <= 1e-8
+    assert abs(mean - 4.0 * c) <= 1e-8
+
+
+def test_direct_radicand_loses_the_boundary():
+    """The direct form at c = -5/4, s = 10 reads -1.4e-6; the truth is +2.9e-10."""
+    fam = ExponentialProfile(C=-5.0, A=1.0, B=1.0, delta=1)
+    x, xp, xpp = fam.eval(10.0)
+    assert float(_exact_boundary_radicand(-1.25, 10.0)) == pytest.approx(2.917e-10, rel=1e-3)
+    with pytest.raises(DomainBreakdown) as info:
+        principal_curvatures(AmbientSpec(-1.25, 1), x, xp, xpp)
+    assert info.value.value < -1e-7
+    samples, _ = cic_along_profile(fam, AmbientSpec(-1.25, 1), (9.0, 10.0), 11)
+    assert (samples[-1].lam * samples[-1].x) ** 2 == pytest.approx(2.917e-10, rel=1e-3)
+
+
+def test_relative_threshold_scales_with_the_family():
+    """Scaling (c, C) by t scales u by 1/t: the verdicts stay the same."""
+    for t in (1e-13, 1e-6, 1.0, 1e6, 1e13):
+        scale = 1.0 / math.sqrt(t)
+        window = (-10.0 * scale, 10.0 * scale)
+        fam = ExponentialProfile(C=-5.0 * t, A=1.0, B=1.0, delta=1)
+        assert domain_check(fam, AmbientSpec(-1.25 * t, 1), window) is None  # C = 4c
+        failure = domain_check(fam, AmbientSpec(-t, 1), (0.0, 10.0 * scale))  # C < 4c
+        assert failure is not None and 0.6 < failure.s / scale < 0.8
+
+
+@pytest.mark.parametrize("window", [(-1000.0, 1000.0), (0.0, 1000.0)])
+def test_overflow_is_a_value_error_naming_s_and_window(window):
+    fam = ExponentialProfile(C=-2.0, A=1.0, B=1.0, delta=1)
+    ambient = AmbientSpec(-1.0, 1)
+    pattern = r"overflows the float range at s=.* in the window \(" + repr(window[0])
+    with pytest.raises(ValueError, match=pattern):
+        domain_check(fam, ambient, window)
+    with pytest.raises(ValueError, match=pattern):
+        cic_along_profile(fam, ambient, window)
+
+
+def test_overflow_after_the_first_failure_does_not_count():
+    """Only points up to the first invalid one count: a unit-speed failure
+    at s ~ 0.6 is reported although e^(sqrt(2) s) overflows further out."""
+    fam = ExponentialProfile(C=-2.0, A=1.0, B=1.0, delta=1)
+    failure = domain_check(fam, FLAT, (0.0, 1000.0), 100001)
+    assert failure is not None and 0.5 < failure.s < 0.7
+    with pytest.raises(DomainBreakdown) as info:
+        cic_along_profile(fam, FLAT, (0.0, 1000.0), 100001)
+    assert info.value.s == failure.s
+
+
+def test_square_rounding_to_zero_is_a_domain_failure():
+    """A + B one ulp above delta = 1: u = x^2 rounds to 0 next to s = 0."""
+    fam = ExponentialProfile(C=-1.0, A=0.5, B=0.5 + 2.0**-52, delta=1)
+    failure = domain_check(fam, FLAT, (-1e-15, 1e-15), 21)
+    assert failure is not None and failure.reason == "x^2 = 0.000000e+00 <= 0"
+    with pytest.raises(DomainBreakdown, match=r"x\^2 = 0\.000000e\+00 <= 0 at s="):
+        cic_along_profile(fam, FLAT, (-1e-15, 1e-15), 21)
+
+
+@st.composite
+def _family_and_ambient(draw):
+    kind = draw(st.sampled_from(["trig", "parabolic", "exponential", "quadratic"]))
+    unit = st.floats(0.0, 1.0)
+    if kind == "trig":
+        fam = TrigProfile(C=0.2 + 4.8 * draw(unit), alpha=0.9 * draw(unit))
+    elif kind == "parabolic":
+        fam = ParabolicProfile(beta=0.3 + 3.7 * draw(unit))
+    elif kind == "exponential":
+        fam = ExponentialProfile(
+            C=-0.2 - 2.8 * draw(unit), A=0.6 + 1.4 * draw(unit), B=0.6 + 1.4 * draw(unit),
+            delta=draw(st.sampled_from([-1, 0, 1])),
+        )
+    else:
+        b = 0.5 + 2.5 * draw(unit)
+        fam = QuadraticProfile(A=(1.6 * draw(unit) - 0.8) * 2.0 * math.sqrt(b), B=b)
+    c = 4.0 * draw(unit) - 2.0
+    delta = draw(st.sampled_from([-1, 0, 1])) if c < 0 else 1
+    return fam, AmbientSpec(c, delta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_and_ambient())
+def test_grid_curvatures_match_the_direct_radicand(case):
+    """Away from the boundary, the first-integral lambda and mu equal the
+    direct principal_curvatures to 1e-10 relative, including when the
+    ambient's rotation type differs from the family's."""
+    fam, ambient = case
+    try:
+        for p in profile_samples(fam, ambient, (-3.0, 3.0), 121):
+            d = ambient.delta - ambient.c * p.x * p.x - p.xp * p.xp
+            if d <= 1e-4 * (1.0 + abs(ambient.c) * p.x * p.x + p.xp * p.xp):
+                continue
+            lam, mu = principal_curvatures(ambient, p.x, p.xp, p.xpp)
+            assert abs(p.lam - lam) <= 1e-10 * abs(lam)
+            assert abs(p.mu - mu) <= 1e-10 * abs(mu)
+    except DomainBreakdown as exc:
+        d = ambient.delta - ambient.c * fam.eval(exc.s)[0] ** 2 - fam.eval(exc.s)[1] ** 2
+        assert d <= 1e-6 * (1.0 + abs(ambient.c) * fam.eval(exc.s)[0] ** 2)
