@@ -275,12 +275,11 @@ def check_classification_table(config: RunConfig) -> str:
         for o in outcomes:
             if o.tag != cls.ROTATION_FAMILY:
                 continue
-            fam = cls.witness(o, q)
-            ambient = pf.AmbientSpec(c=c, delta=fam.ode_delta)
-            assert pf.domain_check(fam, ambient) is None, (
-                f"witness {fam!r} fails domain check for ({n}, {c}, {C})"
-            )
-            samples, deviation = pf.cic_along_profile(fam, ambient)
+            fam = o.profile
+            try:
+                samples, deviation = pf.cic_along_profile(fam, pf.AmbientSpec(c, fam.ode_delta))
+            except pf.DomainBreakdown as exc:
+                raise AssertionError(f"witness {fam!r} fails domain check for ({n}, {c}, {C}): {exc}")
             mean = sum(p.cic for p in samples) / len(samples)
             worst_dev = max(worst_dev, deviation)
             worst_mean = max(worst_mean, abs(mean - C))

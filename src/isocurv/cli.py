@@ -167,10 +167,10 @@ def _cmd_classify(args) -> int:
     if args.witness:
         window = tuple(args.window)
         for outcome, entry in zip(outcomes, payload["outcomes"]):
-            w = cls.witness(outcome, q)
-            if isinstance(w, str):
-                entry["witness"] = {"symbolic": w}
+            if outcome.tag != cls.ROTATION_FAMILY:
+                entry["witness"] = {"symbolic": outcome.tag}
                 continue
+            w = outcome.profile
             ambient = pf.AmbientSpec(c=float(q.c), delta=w.ode_delta)
             info = {"family": outcome.family, "params": dataclasses.asdict(w)}
             try:

@@ -43,6 +43,9 @@ DEFAULT_WINDOW = (-10.0, 10.0)
 DEFAULT_GRID = 2001
 BLOCK = 4096              # grid points evaluated per array operation
 RK4_STABLE_Q = 7.75       # |C|*step^2 bound: RK4's real-axis stability limit is 2.785^2
+# steps per integrate_profile sweep; each keeps a 144-byte (s, x, x') tuple, so a
+# call at the bound holds 290 MB; the checks and the benchmark take 10**4
+MAX_STEPS = 10**6
 
 
 class DomainBreakdown(Exception):
@@ -392,9 +395,10 @@ def integrate_profile(
     M00 = M11 = 1 - q/2 + q^2/24, M01 = h(1 - q/6), M10 = -C*M01 and
     b = (delta*h^2*(1 - q/12), 2*delta*h*(1 - q/6)), built once per sweep.
     The scheme, its order and its error are RK4's; |q| above RK4_STABLE_Q
-    is outside its stability range and rejected.  Returns (s, x, x')
-    samples sorted by s; raises NonPositiveProfile (carrying partial
-    samples) as soon as u crosses the positivity threshold in either sweep.
+    is outside its stability range and rejected, and so is s_max / step
+    above MAX_STEPS.  Returns (s, x, x') samples sorted by s; raises
+    NonPositiveProfile (carrying partial samples) as soon as u crosses the
+    positivity threshold in either sweep.
     """
     for name, value in (("C", C), ("x0", x0), ("v0", v0), ("s_max", s_max)):
         if not math.isfinite(value):
@@ -409,7 +413,10 @@ def integrate_profile(
         raise ValueError(f"s_max must be at least step = {step}, got {s_max}")
     if not abs(C) * step * step <= RK4_STABLE_Q:
         raise ValueError(f"RK4 is unstable for |C|*step^2 > {RK4_STABLE_Q}: C = {C}, step = {step}")
-    nsteps = int(math.floor(s_max / step + 1e-9))
+    ratio = s_max / step + 1e-9  # its floor is the step count of a sweep
+    if not ratio < MAX_STEPS + 1:
+        raise ValueError(f"s_max / step exceeds MAX_STEPS = {MAX_STEPS}: s_max = {s_max}, step = {step}")
+    nsteps = int(ratio)
 
     def sweep(h: float) -> tuple[list[tuple[float, float, float]], float | None]:
         q = C * h * h

@@ -13,11 +13,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 DISTINCT_TOL = 1e-9        # relative: values closer than this times max |lambda| merge
 CLIFFORD_REL_TOL = 1e-9    # relative tolerance on C - 8c/3 for Clifford detection
 BOUNDARY_TOL = 1e-12       # branch-boundary tolerance, relative to max(|c|, |C|)
+
+
+def _is_exact(v) -> bool:
+    return isinstance(v, Rational) and not isinstance(v, bool)
+
+
+def _boundary_tol(c, C) -> float:
+    """Float boundary tolerance at the scale of (c, C)."""
+    return BOUNDARY_TOL * max(abs(float(c)), abs(float(C)))
+
+
+def _cmp(lhs, rhs, tol: float) -> int:
+    """-1, 0 or +1 for lhs vs rhs; exact when both sides are rational."""
+    if _is_exact(lhs) and _is_exact(rhs):
+        diff = Fraction(lhs) - Fraction(rhs)
+        return (diff > 0) - (diff < 0)
+    diff = float(lhs) - float(rhs)
+    if abs(diff) <= tol:
+        return 0
+    return 1 if diff > 0 else -1
 
 
 class SpectrumError(ValueError):
@@ -194,14 +216,15 @@ def minimal_classify(n: int, c: float, C: float) -> MinimalVerdict:
     At C = 4c the shape operator vanishes (totally geodesic).  Below 4c
     the only surviving case is n = 4, c > 0 with C = 8c/3: the Clifford
     product of a 3-sphere and a circle, of constant profile sqrt(3/(4c)).
+    C is compared with 4c as `classify` compares them: exactly for exact
+    (int / Fraction) inputs, else within BOUNDARY_TOL * max(|c|, |C|).
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    gap = C - 4.0 * c
-    tol = BOUNDARY_TOL * max(abs(C), abs(4.0 * c))
-    if gap > tol:
+    vs4c = _cmp(C, 4 * c, _boundary_tol(c, C))
+    if vs4c > 0:
         return MinimalVerdict(MinimalKind.NONE)
-    if abs(gap) <= tol:
+    if vs4c == 0:
         return MinimalVerdict(MinimalKind.TOTALLY_GEODESIC, lam=0.0, mu=0.0)
     # C < 4c from here on
     if n == 4 and c > 0:

@@ -6,6 +6,7 @@ so renaming a parameter or an entry point breaks the benchmark without
 breaking any other test.  These tests keep that surface fixed.
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -27,6 +28,7 @@ def params(fn):
         (pf.cic_along_profile, ["f", "ambient", "s_window", "grid_n"]),
         (cls.nonexistence_witness, ["q", "s_max", "grid_n"]),
         (pf.integrate_profile, ["C", "delta", "x0", "v0", "s_max", "step"]),
+        (cls.witness, ["outcome", "q"]),
     ],
 )
 def test_parameter_names(fn, names):
@@ -67,3 +69,18 @@ def test_integrate_profile_returns_s_x_xp_rows():
     rows = pf.integrate_profile(C=2.0, delta=1, x0=1.0, v0=0.0, s_max=1.0, step=0.5)
     assert [len(r) for r in rows] == [3] * 5
     assert [r[0] for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+def test_classification_outcomes_as_the_benchmark_builds_and_reads_them():
+    # perfbench stubs classify with this Empty outcome and reads .family
+    assert cls.ClassificationOutcome(tag=cls.EMPTY, reason="-").tag == cls.EMPTY
+    q = cls.ClassQuery(4, 0, 0)
+    (rotation,) = [o for o in cls.classify(q) if o.tag == cls.ROTATION_FAMILY]
+    assert rotation.family == "parabolic"
+
+
+def test_nonexistence_evidence_and_failure_take_dataclasses_replace():
+    ev = cls.nonexistence_witness(cls.ClassQuery(4, 0.0, -1.0))
+    moved = dataclasses.replace(ev.failure, s=ev.failure.s + 0.5)
+    assert isinstance(moved, pf.FirstFailure) and moved.s == ev.failure.s + 0.5
+    assert dataclasses.replace(ev, failure=moved).failure is moved

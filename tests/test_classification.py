@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +221,43 @@ def test_witness_symbolic_for_non_rotation():
     assert witness(classify(q)[0], q) == "TotallyGeodesic"
 
 
+@pytest.mark.parametrize("n,c,C,expected", _truth_table())
+def test_outcomes_carry_their_profile_and_obstruction(n, c, C, expected):
+    """Rotation outcomes carry their witness, Empty outcomes their obstruction
+    and, at n = 4, a candidate; witness hands out exactly that profile."""
+    q = ClassQuery(n, c, C)
+    for o in classify(q):
+        if o.tag == ROTATION_FAMILY:
+            assert o.profile is not None and witness(o, q) is o.profile
+        elif o.tag == EMPTY:
+            assert o.mechanism and o.detail
+            assert (o.profile is None) == (n >= 5)
+        else:
+            assert o.profile is None and witness(o, q) == o.tag
+
+
+@pytest.mark.parametrize(
+    "c,C,tag",
+    [
+        (-1.0, -4.0000000000004, "ConstantCurvature"),
+        (-1.0, -3.9999999999996, "ConstantCurvature"),
+        (1.0, 4.0000000000004, "TotallyGeodesic"),
+        (1.0, 3.9999999999996, "TotallyGeodesic"),
+    ],
+)
+def test_tolerance_matched_boundary_takes_c_equal_4c(c, C, tag):
+    """A float C within the boundary tolerance of 4c is the boundary: the
+    rotation family and its witness take C = 4c exactly, and verify."""
+    q = ClassQuery(4, c, C)
+    outcomes = classify(q)
+    assert tags(outcomes) == sorted([tag, "RotationFamily"])
+    o = next(o for o in outcomes if o.tag == ROTATION_FAMILY)
+    assert o.profile.C == 4.0 * c and o.to_json()["ode_constant"] == 4.0 * c
+    samples, deviation = cic_along_profile(o.profile, AmbientSpec(c=c))
+    assert deviation <= 1e-8
+    assert abs(sum(p.cic for p in samples) / len(samples) - 4.0 * c) <= 1e-8
+
+
 @pytest.mark.parametrize(
     "n,c,C",
     [
@@ -331,6 +370,33 @@ def test_nonexistence_explicit_window_is_honoured():
         nonexistence_witness(ClassQuery(4, 0.0, -1e-6), s_max=10.0)
 
 
+@pytest.mark.parametrize(
+    "C,mechanism,kind",
+    [(0, "unbounded-growth", ParabolicProfile), (-1, "unit-speed", ExponentialProfile)],
+)
+def test_nonexistence_spherical_nonpositive_constant(C, mechanism, kind):
+    ev = nonexistence_witness(ClassQuery(4, 1, C))
+    assert ev.mechanism == mechanism and isinstance(ev.candidate, kind)
+    assert ev.failure.s == 0.0
+
+
+EVIDENCE = json.loads((Path(__file__).parent / "data" / "nonexistence_evidence.json").read_text())
+
+
+def test_nonexistence_evidence_matches_the_record():
+    """Over the Empty rows of the check table at five scales t, the
+    mechanism, detail, candidate type and failure point and reason are the
+    recorded ones (recorded before classify carried its obstructions)."""
+    rows = {(n, c, C) for n, c, C, expected in _truth_table() if expected == {"Empty"}}
+    assert {(n, c, C) for n, c, C, *_ in EVIDENCE} == rows
+    assert len(EVIDENCE) == 5 * len(rows) == 90
+    for n, c, C, t, mechanism, detail, kind, failure in EVIDENCE:
+        ev = nonexistence_witness(ClassQuery(n, t * c, t * C))
+        got_failure = None if ev.failure is None else [ev.failure.s, ev.failure.reason]
+        got = (ev.mechanism, ev.detail, type(ev.candidate).__name__, got_failure)
+        assert got == (mechanism, detail, kind or "NoneType", failure), (n, c, C, t)
+
+
 def test_nonexistence_high_dimension_is_algebraic():
     ev = nonexistence_witness(ClassQuery(6, 1, 0))
     assert ev.mechanism == "algebraic"
@@ -392,6 +458,14 @@ def test_minimal_crosscheck_with_classification(c):
     assert abs(3.0 * lam + mu) <= 1e-12  # minimal
     assert lam == pytest.approx(verdict.lam, abs=1e-13)
     assert mu == pytest.approx(verdict.mu, abs=1e-13)
+
+
+def test_minimal_and_classify_compare_exact_boundaries_alike():
+    """Exact C just above 4c: no geodesic (nor any minimal) hypersurface."""
+    c, C = Fraction(1, 3), Fraction(4, 3) + Fraction(1, 10**15)
+    assert tags(classify(ClassQuery(4, c, C))) == ["RotationFamily", "UmbilicalNonTG"]
+    assert minimal_classify(4, c, C).kind is MinimalKind.NONE
+    assert minimal_classify(4, c, 4 * c).kind is MinimalKind.TOTALLY_GEODESIC
 
 
 @pytest.mark.parametrize("c,C", [(1.0, 3.0), (1.0, 3.5), (0.5, 1.8)])

@@ -236,15 +236,28 @@ def test_classify_boundary_witness_verifies(capsys, argv, C):
 
 
 def test_classify_witness_domain_failure_is_reported(capsys):
-    # C sits 1e-13 (relative) below 4c: classify calls it the boundary, but the
-    # witness's radicand -c + C/4 - O(e^(-2a|s|)) really goes negative at |s| = 10
-    code, out, _ = run_cli(capsys, "classify", "4", "-1", "-4.0000000000004", "--witness")
+    # C sits 1e-10 above 2c: the alpha range is (0, 1e-10), and the midpoint
+    # witness's radicand 5.0e-11 at s = -10 is below its relative bound 5.0e-10
+    code, out, _ = run_cli(capsys, "classify", "4", "1", "2.0000000002", "--witness")
     assert code == 0
     (entry,) = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
     failure = entry["witness"]["domain_failure"]
     assert failure["s"] == -10.0
-    assert failure["reason"].startswith("delta - c*x^2 - x'^2 = -2.42")
+    assert failure["reason"].startswith("delta - c*x^2 - x'^2 = 5.000067e-11 <= 5.000000e-10")
     assert "cic_mean" not in entry["witness"]
+
+
+def test_classify_tolerance_matched_boundary_takes_c_equal_4c(capsys):
+    # C sits 1e-13 (relative) below 4c: classify calls it the boundary, so the
+    # exponential family and its witness take C = 4c exactly, not the query's C
+    code, out, _ = run_cli(capsys, "classify", "4", "-1", "-4.0000000000004", "--witness")
+    assert code == 0
+    (entry,) = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
+    assert entry["ode_constant"] == -4.0
+    assert entry["witness"]["params"]["C"] == -4.0
+    assert "domain_failure" not in entry["witness"]
+    assert entry["witness"]["cic_mean"] == pytest.approx(-4.0, abs=1e-8)
+    assert entry["witness"]["cic_max_deviation"] <= 1e-8
 
 
 def test_classify_witness_overflow_is_a_usage_error(capsys):

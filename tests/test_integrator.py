@@ -4,6 +4,7 @@ import re
 import pytest
 
 from isocurv.profiles import (
+    MAX_STEPS,
     ExponentialProfile,
     NonPositiveProfile,
     ParabolicProfile,
@@ -186,3 +187,24 @@ def test_steps_inside_rk4_stability_run():
     pts = integrate_profile(700.0, 1, x0, 0.0, 1.0, 0.1)
     assert len(pts) == 21
     assert all(abs(x - x0) <= 1e-12 * x0 and math.isfinite(v) for _, x, v in pts)
+
+
+@pytest.mark.parametrize(
+    "s_max,step",
+    [
+        ((MAX_STEPS + 1) * 0.5, 0.5),  # one step over the bound
+        (1e300, 1.0),                   # used to run without end while its samples grew
+        (1e300, 1e-300),                # s_max / step overflows to inf
+    ],
+)
+def test_step_count_above_the_bound_is_rejected(s_max, step):
+    with pytest.raises(ValueError, match=re.escape(f"s_max = {s_max!r}, step = {step!r}")):
+        integrate_profile(0.0, 1, 1.0, 0.0, s_max, step)
+
+
+def test_step_count_at_the_bound_is_accepted():
+    """MAX_STEPS steps pass the bound; u leaves its domain on the first step,
+    so nothing large is built."""
+    with pytest.raises(NonPositiveProfile) as info:
+        integrate_profile(0.0, 1, 1.0, -10.0, MAX_STEPS * 0.5, 0.5)
+    assert info.value.s == 0.5 and len(info.value.samples) == 1
