@@ -49,6 +49,7 @@ from .profiles import (
     cic_along_profile,
     domain_check,
     integrate_profile,
+    integrate_profile_arrays,
     ode_residual,
     principal_curvatures,
     profile_samples,

@@ -176,8 +176,9 @@ def _sup_error_vs_closed_form(fam: pf.ProfileFamily, step: float) -> tuple[float
     """(sup |x_rk - x_closed|, sup |x_closed|) on a thinned sample grid."""
     x0, v0, _ = fam.eval(0.0)
     s_max = pf.DEFAULT_WINDOW[1]
-    pts = pf.integrate_profile(fam.ode_constant, fam.ode_delta, x0, v0, s_max=s_max, step=step)
-    s, x, _ = np.array(pts[:: max(1, len(pts) // 500)]).T
+    s, x, _ = pf.integrate_profile_arrays(fam.ode_constant, fam.ode_delta, x0, v0, s_max=s_max, step=step)
+    every = max(1, len(s) // 500)
+    s, x = s[::every], x[::every]
     xc, _, _ = fam.eval(s)
     return float(np.max(np.abs(x - xc))), float(np.max(np.abs(xc)))
 

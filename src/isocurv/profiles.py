@@ -5,9 +5,12 @@ for C = 0, exponential for C < 0) solve the reduced profile equation
 (x*x')' = delta - (C/2)*x^2.  Each is given by its square u = x^2, in which
 the equation is linear, u'' = 2*delta - C*u: a family gives its own
 (u, u', u'') and one shared `eval` derives x = sqrt(u), x' = u'/(2x) and
-x'' = (u'' - 2x'^2)/(2x).  `integrate_profile` solves the linear equation
-by RK4, as its exact affine step map, as an independent check on the closed
-forms.  Principal curvatures of the hypersurface in an ambient space form
+x'' = (u'' - 2x'^2)/(2x).  `integrate_profile_arrays` solves the linear
+equation by RK4 as an independent check on the closed forms: one step is
+an exact affine map, and a sweep of n steps is filled in ceil(log2(n + 1))
+array steps by composing that map with itself (doubling), measured from
+its fixed point so that an equilibrium stays put; `integrate_profile` is
+its row view.  Principal curvatures of the hypersurface in an ambient space form
 of curvature c are
 
     lambda = -sqrt(delta - c*x^2 - x'^2) / x
@@ -43,8 +46,9 @@ DEFAULT_WINDOW = (-10.0, 10.0)
 DEFAULT_GRID = 2001
 BLOCK = 4096              # grid points evaluated per array operation
 RK4_STABLE_Q = 7.75       # |C|*step^2 bound: RK4's real-axis stability limit is 2.785^2
-# steps per integrate_profile sweep; each keeps a 144-byte (s, x, x') tuple, so a
-# call at the bound holds 290 MB; the checks and the benchmark take 10**4
+# steps per integrate_profile sweep: at the bound the array core peaks near 64 MB
+# (16 MB per 2*10**6-float column), and the row view's 144-byte (s, x, x')
+# tuples hold 290 MB more; the checks and the benchmark take 10**4
 MAX_STEPS = 10**6
 
 
@@ -378,27 +382,94 @@ def cic_along_profile(
     return samples, deviation
 
 
-def integrate_profile(
+def _sweep(w: np.ndarray, C: float, delta: int, z_eq: float, h: float) -> int | None:
+    """Fill w[:, 1:] with steps of size h from w[:, 0], w = (u - z_eq, u').
+
+    The rows are filled by doubling: with the k-step map
+    w <- w + (D_k w + t_k), D_k = M^k - I, rows [k, 2k) are rows [0, k)
+    mapped at once, then (D, t) <- (D^2 + 2D, D t + 2t); when the composed
+    map is no longer finite the stride stays at k.  Returns the index of
+    the first row where u reaches EPS_DOM (None if none), leaving the rows
+    after it unfilled; raises ValueError at the first row where u or u'
+    is not finite.
+    """
+    q = C * h * h
+    d00 = d11 = -q / 2.0 + q * q / 24.0
+    d01 = h * (1.0 - q / 6.0)
+    d10 = -C * d01
+    if z_eq:  # the map fixes (z_eq, 0), so w has no affine term
+        t0 = t1 = 0.0
+    else:
+        t0, t1 = delta * h * h * (1.0 - q / 12.0), 2.0 * delta * h * (1.0 - q / 6.0)
+    nsteps = w.shape[1] - 1
+    filled = k = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while filled <= nsteps:
+            m = min(k, nsteps + 1 - filled)
+            u, v = w[:, filled - k : filled - k + m]
+            bu, bv = w[:, filled : filled + m]
+            np.add(u, (d00 * u + d01 * v) + t0, out=bu)
+            np.add(v, (d10 * u + d11 * v) + t1, out=bv)
+            # min and max propagate NaN, so only a block of good rows passes
+            if not (EPS_DOM < bu.min() + z_eq and bu.max() + z_eq < math.inf and abs(bv).max() < math.inf):
+                uz = bu + z_eq
+                i = int(np.flatnonzero(~((uz > EPS_DOM) & (uz < math.inf) & np.isfinite(bv)))[0])
+                if not (math.isfinite(uz[i]) and math.isfinite(bv[i])):
+                    raise ValueError(
+                        f"integrated profile overflows the float range at s={(filled + i) * h!r}: "
+                        f"C = {C!r}, step = {abs(h)!r}"
+                    )
+                return filled + i
+            filled += m
+            if filled == 2 * k:
+                nxt = (
+                    d00 * d00 + d01 * d10 + 2.0 * d00, d00 * d01 + d01 * d11 + 2.0 * d01,
+                    d10 * d00 + d11 * d10 + 2.0 * d10, d10 * d01 + d11 * d11 + 2.0 * d11,
+                    d00 * t0 + d01 * t1 + 2.0 * t0, d10 * t0 + d11 * t1 + 2.0 * t1,
+                )
+                if all(map(math.isfinite, nxt)):
+                    d00, d01, d10, d11, t0, t1 = nxt
+                    k *= 2
+    return None
+
+
+def integrate_profile_arrays(
     C: float,
     delta: int,
     x0: float,
     v0: float,
     s_max: float,
     step: float,
-) -> list[tuple[float, float, float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the profile equation outward from s = 0 over [-s_max, s_max].
 
     Works in the substitution u = x^2, where the equation is the linear
     system z' = L z + g with z = (u, u'), L = [[0, 1], [-C, 0]], g = (0, 2*delta).
-    There one classical RK4 step of size h is exactly z <- z + (M - I) z + b,
-    M being the RK4 stability polynomial of hL: for q = C*h^2,
-    M00 = M11 = 1 - q/2 + q^2/24, M01 = h(1 - q/6), M10 = -C*M01 and
-    b = (delta*h^2*(1 - q/12), 2*delta*h*(1 - q/6)), built once per sweep.
-    The scheme, its order and its error are RK4's; |q| above RK4_STABLE_Q
-    is outside its stability range and rejected, and so is s_max / step
-    above MAX_STEPS.  Returns (s, x, x') samples sorted by s; raises
-    NonPositiveProfile (carrying partial samples) as soon as u crosses the
-    positivity threshold in either sweep.
+    There one classical RK4 step of size h is exactly z <- z + (D z + b),
+    D = M - I, M being the RK4 stability polynomial of hL: for q = C*h^2,
+    D00 = D11 = -q/2 + q^2/24, D01 = h(1 - q/6), D10 = -C*D01 and
+    b = (delta*h^2*(1 - q/12), 2*delta*h*(1 - q/6)).  The scheme, its order
+    and its error are RK4's; |q| above RK4_STABLE_Q is outside its
+    stability range and rejected, and so is s_max / step above MAX_STEPS.
+
+    A sweep of n steps is filled in ceil(log2(n + 1)) array steps by
+    composing the step map (doubling, as in a parallel prefix): rows
+    [k, 2k) are rows [0, k) under the k-step map, kept as M^k - I so that
+    its small entries keep their digits.  For C != 0 the iterate is
+    z - (2*delta/C, 0), measured from the fixed point that RK4 keeps exactly,
+    so an equilibrium stays put to the last bit; the affine term is carried
+    only when C = 0 or the fixed point is far outside the sweep's range.
+    Each row is reached through at most log2(n) composed maps, each as
+    rounded as the squarings that built it, so the error grows about like
+    n*eps of the sweep's size of (u, u'), as with n single steps.  It is
+    absolute at that size: where u falls far below it, near a crossing, x
+    keeps fewer digits than a step loop gives (1e-11 relative at x = 0.1
+    after u fell from 9, against 1e-15).
+
+    Returns arrays (s, x, x') sorted by s.  Raises NonPositiveProfile
+    (carrying the partial samples before it) at the first step where u
+    reaches EPS_DOM, forward sweep first, and ValueError naming s and the
+    step at the first step where u or u' overflows the float range.
     """
     for name, value in (("C", C), ("x0", x0), ("v0", v0), ("s_max", s_max)):
         if not math.isfinite(value):
@@ -418,34 +489,53 @@ def integrate_profile(
         raise ValueError(f"s_max / step exceeds MAX_STEPS = {MAX_STEPS}: s_max = {s_max}, step = {step}")
     nsteps = int(ratio)
 
-    def sweep(h: float) -> tuple[list[tuple[float, float, float]], float | None]:
-        q = C * h * h
-        m_diag = -q / 2.0 + q * q / 24.0  # M - I on the diagonal
-        m_uv = h * (1.0 - q / 6.0)
-        m_vu = -C * m_uv
-        b_u = delta * h * h * (1.0 - q / 12.0)
-        b_v = 2.0 * delta * h * (1.0 - q / 6.0)
-        u = x0 * x0
-        v = 2.0 * x0 * v0
-        out = []
-        for i in range(1, nsteps + 1):
-            u, v = u + (m_diag * u + m_uv * v + b_u), v + (m_vu * u + m_diag * v + b_v)
-            s = i * h
-            if u <= EPS_DOM:
-                return out, s
-            rx = math.sqrt(u)
-            out.append((s, rx, v / (2.0 * rx)))
-        return out, None
+    # Measure u from the fixed point (2*delta/C, 0) unless it is large against
+    # the sweep (|C|*span^2 < 1, or C = 0), where u would be a small
+    # difference of large terms; the affine term then carries delta.
+    span = nsteps * step
+    z_eq = 2.0 * delta / C if 1.0 <= abs(C) * span * span < math.inf else 0.0
+    z = np.empty((2, 2 * nsteps + 1))  # (u - z_eq, u') at s = -span .. span
+    z[:, nsteps] = x0 * x0 - z_eq, 2.0 * x0 * v0
+    lo, hi = 0, 2 * nsteps + 1
+    for h, w in ((step, z[:, nsteps:]), (-step, z[:, nsteps::-1])):
+        stop = _sweep(w, C, delta, z_eq, h)
+        if stop is not None:
+            lo, hi = (nsteps, nsteps + stop) if h > 0 else (nsteps - stop + 1, hi)
+            break
+    s = np.arange(lo - nsteps, hi - nsteps, dtype=float)
+    s *= step
+    x, xp = z[:, lo:hi]  # converted in place: (u - z_eq, u') -> (x, x')
+    x += z_eq
+    np.sqrt(x, out=x)
+    np.divide(xp, 2.0 * x, out=xp)
+    x[nsteps - lo], xp[nsteps - lo] = x0, v0  # the origin row is the input itself
+    if stop is not None:
+        raise NonPositiveProfile(stop * h, _rows(s, x, xp))
+    return s, x, xp
 
-    origin = [(0.0, x0, v0)]
-    forward, s_cross_f = sweep(step)
-    if s_cross_f is not None:
-        raise NonPositiveProfile(s_cross_f, origin + forward)
-    backward, s_cross_b = sweep(-step)
-    backward.reverse()
-    if s_cross_b is not None:
-        raise NonPositiveProfile(s_cross_b, backward + origin + forward)
-    return backward + origin + forward
+
+def _rows(s: np.ndarray, x: np.ndarray, xp: np.ndarray) -> list[tuple[float, float, float]]:
+    """The (s, x, x') tuples of three equal-length columns."""
+    return list(zip(s.tolist(), x.tolist(), xp.tolist()))
+
+
+def integrate_profile(
+    C: float,
+    delta: int,
+    x0: float,
+    v0: float,
+    s_max: float,
+    step: float,
+) -> list[tuple[float, float, float]]:
+    """The row view of `integrate_profile_arrays`: (s, x, x') tuples sorted by s.
+
+    Same arguments, validation and exceptions.  Each sweep is filled by
+    doubling the RK4 step map, measured from its fixed point unless that
+    point is far outside the sweep's range, so each row carries the rounding of at most log2(n) composed maps (see
+    `integrate_profile_arrays`); the tuples are built from those arrays and
+    match them bitwise.
+    """
+    return _rows(*integrate_profile_arrays(C, delta, x0, v0, s_max, step))
 
 
 def write_profile_csv(samples: Iterable[ProfileSample], out: TextIO) -> None:

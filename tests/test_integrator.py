@@ -1,15 +1,18 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from isocurv.profiles import (
+    EPS_DOM,
     MAX_STEPS,
     ExponentialProfile,
     NonPositiveProfile,
     ParabolicProfile,
     TrigProfile,
     integrate_profile,
+    integrate_profile_arrays,
 )
 
 
@@ -17,10 +20,13 @@ def sup_error(points, family):
     return max(abs(x - family.eval(s)[0]) for s, x, _ in points)
 
 
-def stage_rk4(C, delta, x0, v0, s_max, step):
+def stage_rk4(C, delta, x0, v0, s_max, step, stop=False):
     """Literal four-stage RK4 on u'' = 2*delta - C*u, u = x^2: the oracle.
 
-    Assumes u stays positive; returns (s, x, x') rows sorted by s.
+    Returns (s, x, x') rows sorted by s; u must stay above EPS_DOM.  With
+    stop=True a sweep instead ends at its first step where u <= EPS_DOM,
+    the forward sweep first, and the result is (rows before that step, its
+    s), or (rows, None) when neither sweep crosses.
     """
     nsteps = int(math.floor(s_max / step + 1e-9))
 
@@ -37,11 +43,35 @@ def stage_rk4(C, delta, x0, v0, s_max, step):
             k4u, k4v = f(u + h * k3u, v + h * k3v)
             u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
             v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            assert u > 0, "oracle case leaves the valid domain"
+            if u <= EPS_DOM:
+                assert stop, "oracle case leaves the valid domain"
+                return out, i * h
             out.append((i * h, math.sqrt(u), v / (2.0 * math.sqrt(u))))
-        return out
+        return out, None
 
-    return sorted(sweep(-step)) + [(0.0, x0, v0)] + sweep(step)
+    origin = [(0.0, x0, v0)]
+    forward, s_end = sweep(step)
+    if s_end is not None:
+        return origin + forward, s_end
+    backward, s_end = sweep(-step)
+    rows = backward[::-1] + origin + forward
+    return (rows, s_end) if stop else rows
+
+
+def step_map_overflow_s(C, delta, x0, v0, s_max, step):
+    """First s at which u or u' is not finite when the one-step affine RK4
+    map is applied step by step, forward sweep first (None if never)."""
+    nsteps = int(math.floor(s_max / step + 1e-9))
+    for h in (step, -step):
+        q = C * h * h
+        d, duv, b = -q / 2.0 + q * q / 24.0, h * (1.0 - q / 6.0), delta * h * h * (1.0 - q / 12.0)
+        u, v = x0 * x0, 2.0 * x0 * v0
+        for i in range(1, nsteps + 1):
+            u, v = u + (d * u + duv * v + b), v + (-C * duv * u + d * v + 2.0 * delta * h * (1.0 - q / 6.0))
+            if not (math.isfinite(u) and math.isfinite(v)):
+                return i * h
+            assert u > EPS_DOM, "overflow case crosses first"
+    return None
 
 
 # (C, delta, s_max) with x0 = 1, v0 = 0.1: u stays positive on [-s_max, s_max]
@@ -63,6 +93,107 @@ def test_propagator_matches_stage_rk4(C, delta, s_max):
     for (_, x, xp), (_, xr, xpr) in zip(got, want):
         assert abs(x - xr) <= 1e-11 * xr
         assert abs(xp - xpr) <= 1e-11 * max(xr, abs(xpr))
+
+
+# Step counts on both sides of the doubling edges: the sweep fills rows
+# [k, 2k) from rows [0, k), so 2^j - 1, 2^j and 2^j + 1 end a level short,
+# exactly or with one row into the next.
+EDGE_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025]
+# (C, delta, step), x0 = 1, v0 = 0.1, u positive over 1025 steps either way;
+# at step 0.1 and C != 0 the longer sweeps are measured from the fixed point
+EDGE_CASES = [(C, delta, 5e-4) for C in (2.0, 0.0, -1.0) for delta in (-1, 0, 1)] + [
+    (2.0, 1, 0.1), (-1.0, 1, 0.1), (-1.0, 0, 0.1),
+]
+
+
+@pytest.mark.parametrize("nsteps", EDGE_COUNTS)
+@pytest.mark.parametrize("C,delta,step", EDGE_CASES)
+def test_doubling_edges_match_stage_rk4(C, delta, step, nsteps):
+    got = integrate_profile(C, delta, 1.0, 0.1, nsteps * step, step)
+    want = stage_rk4(C, delta, 1.0, 0.1, nsteps * step, step)
+    assert len(got) == len(want) == 2 * nsteps + 1
+    assert [s for s, _, _ in got] == [s for s, _, _ in want]
+    for (_, x, xp), (_, xr, xpr) in zip(got, want):
+        assert abs(x - xr) <= 1e-11 * xr
+        assert abs(xp - xpr) <= 1e-11 * max(xr, abs(xpr))
+
+
+@pytest.mark.parametrize(
+    "C,delta,x0,v0,s_max",
+    [
+        (0.0, 1, 1.0, -10.0, 5.0),    # u = s^2 - 20s + 1 crosses forward on step 51
+        (0.0, 1, 1.0, 10.0, 5.0),     # ... and backward
+        (0.0, 1, 1.0, -250.0, 5.0),   # on step 3, in the first block of a composed map
+        (0.0, 1, 1.0, -1.5, 5.0),     # on step 382, inside the block [256, 512)
+        (0.0, 1, 1.0, 1.0, 5.0),      # u = (1 + s)^2 touches zero on backward step 1000
+        (0.0, 0, 1.0, -0.4998, 5.0),  # u = 1 - 0.9996 s, through zero on step 1001
+        (2.0, 1, 1.0, 1.0, 5.0),      # trig, measured from the fixed point u = 1: step 2777
+        (2.0, 1, 1.0, -1.0, 5.0),     # step 556
+        (-1.0, 1, 0.5, -2.0, 5.0),    # exponential falling through zero on step 135
+    ],
+)
+def test_crossings_match_stage_rk4(C, delta, x0, v0, s_max):
+    rows, s_end = stage_rk4(C, delta, x0, v0, s_max, 1e-3, stop=True)
+    assert s_end is not None
+    with pytest.raises(NonPositiveProfile) as info:
+        integrate_profile_arrays(C, delta, x0, v0, s_max, 1e-3)
+    assert info.value.s == s_end
+    assert [s for s, _, _ in info.value.samples] == [s for s, _, _ in rows]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2.0, 1, 1.0, 0.1, 10.0, 1e-3),
+        (0.0, -1, 1.0, 0.1, 0.5, 1e-3),
+        (-1.0, 0, 0.7, -0.2, 3.0, 0.01),
+        (700.0, 1, math.sqrt(2.0 / 700.0), 0.0, 1.0, 0.1),
+    ],
+)
+def test_rows_are_the_arrays_bitwise(args):
+    s, x, xp = integrate_profile_arrays(*args)
+    assert s.shape == x.shape == xp.shape and list(s) == sorted(s)
+    rows = [tuple(map(float.hex, r)) for r in integrate_profile(*args)]
+    assert rows == [tuple(map(float.hex, r)) for r in zip(s.tolist(), x.tolist(), xp.tolist())]
+
+
+def test_small_C_keeps_its_digits():
+    """|C|*s_max^2 < 1: u is not measured from the far fixed point 2*delta/C."""
+    for C in (1e-9, -1e-9, 1e-300):
+        got = integrate_profile(C, 1, 1.0, 0.3, 10.0, 1e-2)
+        want = stage_rk4(C, 1, 1.0, 0.3, 10.0, 1e-2)
+        assert max(abs(x - xr) / xr for (_, x, _), (_, xr, _) in zip(got, want)) <= 1e-11
+
+
+def _overflow_s(exc: ValueError) -> float:
+    return float(re.search(r"overflows the float range at s=(\S+):", str(exc)).group(1))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (-3.0, 1, 1.0, 0.0, 1000.0, 0.01),   # u ~ e^(sqrt(3) s) overflows near s = 409.6
+        (-7e6, 1, 1.0, 0.0, 1.0, 1e-3),      # q = -7, growth 13x per step
+        (-1e-200, 0, 1.0, 0.0, 8e102, 8e98),  # the 8192-step map overflows before u does
+    ],
+)
+def test_overflow_raises_value_error_not_a_crossing(args):
+    s_end = step_map_overflow_s(*args)
+    assert s_end is not None
+    with pytest.raises(ValueError, match="overflows the float range") as info:
+        integrate_profile_arrays(*args)
+    assert not isinstance(info.value, NonPositiveProfile)
+    assert f"step = {args[5]!r}" in str(info.value)
+    assert abs(_overflow_s(info.value) - s_end) <= 2 * args[5]
+
+
+def test_overflow_of_the_known_exponential_profile():
+    with pytest.raises(ValueError, match="overflows the float range") as info:
+        integrate_profile(-3.0, 1, 1.0, 0.0, 1000.0, 0.01)
+    assert 409.0 < _overflow_s(info.value) < 410.0
+    s, x, xp = integrate_profile_arrays(-3.0, 1, 1.0, 0.0, 300.0, 0.01)
+    assert len(s) == 60001
+    assert np.isfinite(x).all() and np.isfinite(xp).all()
 
 
 def test_equilibrium_profile_stays_constant():
