@@ -159,14 +159,22 @@ def _empty(reason: str, mechanism: str, detail: str, candidate: ProfileFamily | 
     return [ClassificationOutcome(EMPTY, reason, mechanism=mechanism, detail=detail, profile=candidate)]
 
 
-def _unit_speed(reason: str, C: float) -> list[ClassificationOutcome]:
-    """Empty outcome for C < 0 in a flat or spherical ambient."""
-    return _empty(
-        reason,
-        "unit-speed",
-        "the profile slope reaches |x'| >= 1 at moderate |s|, violating unit speed",
-        ExponentialProfile(C=C, A=1.0, B=1.0, delta=1),
+def _at_origin(candidate: str, bound: str, value: float) -> str:
+    """Detail of a candidate with x'(0) = 0 whose c*x(0)^2 already reaches 1."""
+    return (
+        f"{candidate}: c*x(0)^2 = {bound} = {value:.6f} >= 1, "
+        "so the curvature radicand is non-positive already at s = 0"
     )
+
+
+def _unit_speed(reason: str, c, C) -> list[ClassificationOutcome]:
+    """Empty outcome for C < 0 in a flat or spherical ambient.  The candidate
+    has x(0)^2 = 2/|C| and x'(0) = 0, so it fails at s = 0 when 2c >= |C|."""
+    if 2 * c >= -C:
+        detail = _at_origin("candidate x(0) = sqrt(2/|C|), x'(0) = 0", "2c/|C|", 2.0 * float(c) / -float(C))
+    else:
+        detail = "the profile slope reaches |x'| >= 1 at moderate |s|, violating unit speed"
+    return _empty(reason, "unit-speed", detail, ExponentialProfile(C=float(C), A=1.0, B=1.0, delta=1))
 
 
 def classify(q: ClassQuery) -> list[ClassificationOutcome]:
@@ -204,7 +212,7 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
 
     if vs0_c == 0:  # flat ambient
         if vs0_C < 0:
-            return _unit_speed("C < 0 is impossible in a flat ambient", Cf)
+            return _unit_speed("C < 0 is impossible in a flat ambient", c, C)
         if vs0_C == 0:
             return [
                 ClassificationOutcome(tag=FLAT_LOCAL),
@@ -232,18 +240,16 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
                 return _empty(
                     reason,
                     "positive-bound-at-origin",
-                    f"constant candidate x = sqrt(2/C): c*x(0)^2 = 2c/C = {2.0 * cf / Cf:.6f} >= 1, "
-                    "so the curvature radicand is non-positive already at s = 0",
+                    _at_origin("constant candidate x = sqrt(2/C)", "2c/C", 2.0 * cf / Cf),
                     TrigProfile(C=Cf, alpha=0.0),
                 )
             if vs0_C == 0:
-                return _empty(
-                    reason,
-                    "unbounded-growth",
-                    "c*x^2 = c*(s^2 + beta) exceeds 1 for large |s|, killing the curvature radicand",
-                    ParabolicProfile(beta=1.0),
+                detail = (
+                    _at_origin("candidate x = sqrt(s^2 + 1)", "c", cf) if c >= 1
+                    else "c*x^2 = c*(s^2 + beta) exceeds 1 for large |s|, killing the curvature radicand"
                 )
-            return _unit_speed(reason, Cf)
+                return _empty(reason, "unbounded-growth", detail, ParabolicProfile(beta=1.0))
+            return _unit_speed(reason, c, C)
         if vs4c < 0:
             return [_trig_outcome(Cf, Interval(0.0, Cf / (2.0 * cf) - 1.0))]
         if vs4c == 0:

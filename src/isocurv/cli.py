@@ -153,6 +153,8 @@ def _cmd_probe(args) -> int:
             "samples": report.samples,
             "min": report.min,
             "max": report.max,
+            "argmin": report.argmin,
+            "argmax": report.argmax,
             "mean": report.mean,
             "is_constant": report.is_constant,
         }

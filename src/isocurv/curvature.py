@@ -22,6 +22,7 @@ span(X, Y) is R(X, Y, Y, X) / area^2, positive on round spheres.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -140,11 +141,15 @@ class ProbeReport:
     max: float
     mean: float
     is_constant: bool
+    argmin: int   # index of the minimising frame in sample_frames(n, samples, seed)
+    argmax: int   # index of the maximising frame
 
     def __post_init__(self):
         slack = 1e-15 * max(1.0, abs(self.min), abs(self.max))
         if not (self.min <= self.mean + slack and self.mean <= self.max + slack):
             raise ValueError("probe report requires min <= mean <= max")
+        if not (0 <= self.argmin < self.samples and 0 <= self.argmax < self.samples):
+            raise ValueError("probe report requires frame indices in [0, samples)")
 
 
 @dataclass(frozen=True)
@@ -313,14 +318,18 @@ def _orthonormalize(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def _frame_array(n: int, count: int, seed: int) -> np.ndarray:
+    """The read-only (count, 4, n) batch; the last one is kept for the next call."""
     if n < 4:
         raise ValueError(f"4-frames need dimension >= 4, got {n}")
     if count < 1:
         raise ValueError(f"frame count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, 4, n))
-    return _orthonormalize(raw, rng)
+    frames = _orthonormalize(raw, rng)
+    frames.setflags(write=False)
+    return frames
 
 
 def sample_frames(n: int, count: int, seed: int = DEFAULT_SEED) -> list[OrthoFrame4]:
@@ -328,7 +337,9 @@ def sample_frames(n: int, count: int, seed: int = DEFAULT_SEED) -> list[OrthoFra
 
     Frames are obtained by Gram-Schmidt on seeded standard-Gaussian vectors,
     which makes the distribution rotation invariant.  The result depends
-    only on (n, count, seed).
+    only on (n, count, seed), and it is the batch cic_probe evaluates.  The
+    last batch is kept read-only and shared by consecutive calls with the
+    same (n, count, seed); each OrthoFrame4 holds its own copy.
     """
     return [OrthoFrame4(v) for v in _frame_array(n, count, seed)]
 
@@ -340,6 +351,11 @@ def cic_probe(
     tol: float = DEFAULT_PROBE_TOL,
 ) -> ProbeReport:
     """Sample the frame functional and report its spread.
+
+    The frames are sample_frames(t.dim, count, seed); argmin and argmax
+    index the frames where the extremes fall.  The last frame batch is kept
+    read-only and shared by consecutive probes with the same
+    (t.dim, count, seed), so a run of probes samples it once.
 
     is_constant is True exactly when max - min <= tol * max(1, max |R_ijkl|)
     over the sampled frames, so the verdict does not change when the tensor
@@ -358,14 +374,16 @@ def cic_probe(
         raise ValueError(
             f"isotropic curvature overflows the float range: max |R_ijkl| = {scale:.6e} is too large"
         )
-    vmin = float(vals.min())
-    vmax = float(vals.max())
+    argmin, argmax = int(vals.argmin()), int(vals.argmax())
+    vmin, vmax = float(vals[argmin]), float(vals[argmax])
     return ProbeReport(
         samples=count,
         min=vmin,
         max=vmax,
         mean=mean,
         is_constant=bool(vmax - vmin <= tol * max(1.0, scale)),
+        argmin=argmin,
+        argmax=argmax,
     )
 
 

@@ -47,6 +47,24 @@ def test_traced_entry_points_exist():
             assert callable(getattr(module, name)), f"{module.__name__}.{name}"
 
 
+def test_cic_probe_samples_through_the_module_global(monkeypatch):
+    """The tracer times frame sampling by replacing `cv._frame_array`, so
+    cic_probe must look it up at call time, once per probe, kept batch or
+    not."""
+    calls = []
+    original = cv._frame_array
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cv, "_frame_array", counting)
+    t = cv.build_constant_curvature(4, 1.0)
+    for seed in (1, 1, 2, 1):
+        cv.cic_probe(t, count=10, seed=seed)
+    assert calls == [(4, 10, 1), (4, 10, 1), (4, 10, 2), (4, 10, 1)]
+
+
 def test_cic_along_profile_returns_rows_and_deviation():
     rows, deviation = pf.cic_along_profile(
         pf.ParabolicProfile(beta=1.0), pf.AmbientSpec(0.0), s_window=(-1.0, 1.0), grid_n=5

@@ -386,7 +386,9 @@ EVIDENCE = json.loads((Path(__file__).parent / "data" / "nonexistence_evidence.j
 def test_nonexistence_evidence_matches_the_record():
     """Over the Empty rows of the check table at five scales t, the
     mechanism, detail, candidate type and failure point and reason are the
-    recorded ones (recorded before classify carried its obstructions)."""
+    recorded ones (recorded before classify carried its obstructions; the
+    details of the spherical unit-speed rows were since corrected to their
+    failure at s = 0)."""
     rows = {(n, c, C) for n, c, C, expected in _truth_table() if expected == {"Empty"}}
     assert {(n, c, C) for n, c, C, *_ in EVIDENCE} == rows
     assert len(EVIDENCE) == 5 * len(rows) == 90
@@ -395,6 +397,30 @@ def test_nonexistence_evidence_matches_the_record():
         got_failure = None if ev.failure is None else [ev.failure.s, ev.failure.reason]
         got = (ev.mechanism, ev.detail, type(ev.candidate).__name__, got_failure)
         assert got == (mechanism, detail, kind or "NoneType", failure), (n, c, C, t)
+
+
+def test_recorded_details_name_s0_exactly_when_the_failure_is_there():
+    for n, c, C, t, mechanism, detail, kind, failure in EVIDENCE:
+        assert ("s = 0" in detail) == (failure is not None and failure[0] == 0.0), (n, c, C, t)
+
+
+@pytest.mark.parametrize(
+    "c,C,bound",
+    [(1, -1, "c*x(0)^2 = 2c/|C| = 2.000000 >= 1"), (1, 0, "c*x(0)^2 = c = 1.000000 >= 1"),
+     (1, -2, "c*x(0)^2 = 2c/|C| = 1.000000 >= 1"), (3, Fraction(-1, 2), "c*x(0)^2 = 2c/|C| = 12.000000 >= 1")],
+)
+def test_spherical_candidates_failing_at_the_origin_say_so(c, C, bound):
+    ev = nonexistence_witness(ClassQuery(4, c, C))
+    assert ev.failure.s == 0.0
+    assert bound in ev.detail and "already at s = 0" in ev.detail
+
+
+@pytest.mark.parametrize("c,C", [(0, -1), (1, -3), (1, -2.5), (Fraction(1, 2), 0)])
+def test_candidates_failing_away_from_the_origin_keep_their_account(c, C):
+    ev = nonexistence_witness(ClassQuery(4, c, C))
+    assert ev.failure.s > 0.0
+    assert "s = 0" not in ev.detail
+    assert "moderate |s|" in ev.detail or "large |s|" in ev.detail
 
 
 def test_nonexistence_high_dimension_is_algebraic():

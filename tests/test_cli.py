@@ -87,6 +87,20 @@ def test_probe_detects_nonconstant(capsys):
     assert payload["max"] <= 4.0 + 1e-10
 
 
+def test_probe_names_its_extreme_frames(capsys):
+    from isocurv import curvature as cv
+
+    code, out, _ = run_cli(capsys, "probe", "--product", "S5:1 x R1", "--frames", "200", "--seed", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[6:10] == ["max", "argmin", "argmax", "mean"]
+    t = cv.build_product(parse_product("S5:1 x R1"))
+    frames = cv.sample_frames(6, 200, seed=5)
+    for key, value in (("argmin", "min"), ("argmax", "max")):
+        assert type(payload[key]) is int and 0 <= payload[key] < 200
+        assert cv.isotropic_component(t, frames[payload[key]]) == pytest.approx(payload[value], rel=1e-13)
+
+
 def test_probe_csv_format(capsys):
     code, out, _ = run_cli(capsys, "probe", "--product", "S3:1 x R1", "--format", "csv")
     assert code == 0

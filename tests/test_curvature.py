@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocurv import curvature as cv
 from isocurv.curvature import (
     CurvatureTensor,
     Factor,
@@ -314,6 +315,70 @@ def test_sample_frames_seed_sensitivity():
 def test_sample_frames_single_frame():
     (f,) = sample_frames(4, 1, seed=42)
     assert np.max(np.abs(f.vectors @ f.vectors.T - np.eye(4))) <= 1e-12
+
+
+def test_frame_array_is_read_only():
+    frames = cv._frame_array(4, 10, 3)
+    assert frames.shape == (10, 4, 4) and not frames.flags.writeable
+    with pytest.raises(ValueError):
+        frames[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n,count,seed", [(4, 1, 0), (4, 500, 42), (5, 7, 3), (6, 1000, 42), (8, 20, 101)])
+def test_frame_array_memo_is_bit_identical_to_a_fresh_draw(n, count, seed):
+    fresh = cv._frame_array.__wrapped__(n, count, seed)
+    kept = cv._frame_array(n, count, seed)
+    assert cv._frame_array(n, count, seed) is kept
+    assert np.array_equal(kept, fresh)
+
+
+def test_frame_array_keeps_one_batch():
+    cv._frame_array.cache_clear()
+    cv._frame_array(4, 5, 1)
+    cv._frame_array(4, 5, 2)
+    cv._frame_array(4, 5, 1)
+    info = cv._frame_array.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1 and info.hits == 0
+    with pytest.raises(TypeError):  # a float seed is its own key, rejected as before
+        cv._frame_array(4, 5, 1.0)
+
+
+def test_probes_with_alternating_keys_match_a_cold_cache():
+    t4 = build_from_shape(0.5, (1.0, -0.5, 2.0, 0.3))
+    t6 = sphere_line(sphere_dim=5)
+    keys = [(t4, 500, 1), (t4, 500, 2), (t4, 500, 1), (t4, 500, 1), (t4, 1000, 1),
+            (t6, 1000, 1), (t6, 1000, 1), (t4, 500, 1)]
+    warm = [cic_probe(t, count=m, seed=s) for t, m, s in keys]
+    cold = []
+    for t, m, s in keys:
+        cv._frame_array.cache_clear()
+        cold.append(cic_probe(t, count=m, seed=s))
+    assert warm == cold
+
+
+def test_sample_frames_are_independent_of_the_kept_batch():
+    frames = sample_frames(4, 3, seed=9)
+    again = sample_frames(4, 3, seed=9)
+    kept = cv._frame_array(4, 3, 9)
+    for k, (f, g) in enumerate(zip(frames, again)):
+        assert f is not g and np.array_equal(f.vectors, g.vectors)
+        assert np.array_equal(f.vectors, kept[k])
+        assert not np.shares_memory(f.vectors, kept) and not np.shares_memory(f.vectors, g.vectors)
+
+
+@pytest.mark.parametrize(
+    "tensor,n",
+    [(sphere_line(sphere_dim=5), 6), (build_from_shape(-0.3, (1.0, -0.5, 2.0, 0.3, 0.7)), 5)],
+)
+def test_cic_probe_names_its_extreme_frames(tensor, n):
+    report = cic_probe(tensor, count=300, seed=11)
+    frames = sample_frames(n, 300, seed=11)
+    assert 0 <= report.argmin < 300 and 0 <= report.argmax < 300
+    assert isotropic_component(tensor, frames[report.argmax]) == pytest.approx(report.max, rel=1e-13)
+    assert isotropic_component(tensor, frames[report.argmin]) == pytest.approx(report.min, rel=1e-13)
+    values = [isotropic_component(tensor, f) for f in frames]
+    assert max(values) == pytest.approx(report.max, rel=1e-13)
+    assert min(values) == pytest.approx(report.min, rel=1e-13)
 
 
 def test_cic_probe_constant_cases():
