@@ -159,11 +159,14 @@ def _empty(reason: str, mechanism: str, detail: str, candidate: ProfileFamily | 
     return [ClassificationOutcome(EMPTY, reason, mechanism=mechanism, detail=detail, profile=candidate)]
 
 
+_ORIGIN = "already at s = 0"
+
+
 def _at_origin(candidate: str, bound: str, value: float) -> str:
     """Detail of a candidate with x'(0) = 0 whose c*x(0)^2 already reaches 1."""
     return (
         f"{candidate}: c*x(0)^2 = {bound} = {value:.6f} >= 1, "
-        "so the curvature radicand is non-positive already at s = 0"
+        f"so the curvature radicand is non-positive {_ORIGIN}"
     )
 
 
@@ -318,6 +321,11 @@ def nonexistence_witness(
     Rejected with ValueError when classify(q) is non-empty.  For n >= 5 the
     obstruction is algebraic (no profile family is involved) and the
     evidence carries no candidate.
+
+    When the scan fails at the window's start but classify's detail
+    accounts for a failure further out (c*x(0)^2 or 2c/|C| just below 1,
+    inside the radicand's tolerance), the detail says so instead, with the
+    radicand and its threshold.
     """
     empty = classify(q)[0]
     if empty.tag != EMPTY:
@@ -334,7 +342,10 @@ def nonexistence_witness(
         raise AssertionError(
             f"candidate {candidate!r} unexpectedly valid on {window}; obstruction not reproduced"
         )
-    return NonexistenceEvidence(empty.mechanism, empty.detail, candidate, ambient, failure)
+    detail = empty.detail
+    if failure.s == window[0] and _ORIGIN not in detail:
+        detail = f"the candidate fails within tolerance {_ORIGIN}, the window's start: {failure.reason}"
+    return NonexistenceEvidence(empty.mechanism, detail, candidate, ambient, failure)
 
 
 def query_to_json(q: ClassQuery, outcomes: list[ClassificationOutcome]) -> dict:

@@ -10,11 +10,24 @@ frame functional
 evaluated on orthonormal 4-frames, and a seeded random-frame probe that
 tests whether the functional is constant over frames.
 
-Evaluation views the components as the (n^2, n^2) pair matrix
-P[(i,j), (k,l)] = R_ijkl, so R(a, b, c, d) = (a (x) b)^T P (c (x) d).  A
-batch of m frames costs one matrix product (m, n^2) @ (n^2, n^2) per term
-of the functional: O(m n^4) flops and O(m n^2) temporary memory, for every
-tensor and every frame count.
+Every builder here yields a tensor of sectional form,
+R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl), and the tensor keeps
+its sectional matrix K.  For those tensors the functional has the closed
+form
+
+    A.K.B - P.K.P - Q.K.Q,   A = e1*e1 + e2*e2,  B = e3*e3 + e4*e4,
+                             P = e1*e3 - e2*e4,  Q = e1*e4 + e2*e3
+
+(* entrywise, x.K.y row by row), which follows from
+(a^2 + b^2)(c^2 + d^2) = (ac - bd)^2 + (ad + bc)^2.  A batch of m frames
+costs one (3m, n) @ (n, n) matrix product: O(m n^2) flops.
+
+Any other tensor (tensor_from_json output, a hand-built
+CurvatureTensor(dim, comp)) is evaluated densely through the (n^2, n^2)
+pair matrix M[(i,j), (k,l)] = R_ijkl, so R(a, b, c, d) =
+(a (x) b)^T M (c (x) d): one (m, n^2) @ (n^2, n^2) product per term of the
+functional, O(m n^4) flops.  The dense path is also the tests' oracle for
+the sectional one.
 
 Sign convention: components are stored so that the sectional curvature of
 span(X, Y) is R(X, Y, Y, X) / area^2, positive on round spheres.
@@ -25,7 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -52,10 +65,17 @@ class CurvatureTensor:
     pairs, symmetry under pair exchange, and the first Bianchi identity.
     Components must be finite.  The component array is read-only; tensors
     are safe to share.
+
+    sectional_matrix is the read-only symmetric K, with zero diagonal, that
+    comp was derived from (R_ijkl = K_ij (delta_il delta_jk - delta_ik
+    delta_jl)).  Only the builders set it, so it never disagrees with comp;
+    a tensor given its components directly has None and is evaluated
+    densely.
     """
 
     dim: int
     comp: np.ndarray
+    sectional_matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -176,13 +196,24 @@ def _from_sectional(kmat: np.ndarray) -> CurvatureTensor:
     """R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl) for a symmetric K.
 
     K_ij (i != j) is the sectional curvature of span(e_i, e_j); the diagonal
-    of K does not enter.  Every builder here yields a tensor of this form.
+    of K does not enter.  Every builder here yields a tensor of this form,
+    and the tensor keeps K, its diagonal zeroed, as its sectional_matrix.
     """
-    if not np.isfinite(kmat).all():
-        raise ValueError(f"sectional curvatures must be finite, got {kmat[~np.isfinite(kmat)][0]}")
-    d = np.eye(kmat.shape[0])
-    delta = d[:, None, None, :] * d[None, :, :, None] - d[:, None, :, None] * d[None, :, None, :]
-    return CurvatureTensor(d.shape[0], kmat[:, :, None, None] * delta)
+    k = np.array(kmat, dtype=float, copy=True)
+    if not np.isfinite(k).all():
+        raise ValueError(f"sectional curvatures must be finite, got {k[~np.isfinite(k)][0]}")
+    n = k.shape[0]
+    if k.shape != (n, n) or not np.array_equal(k, k.T):
+        raise ValueError(f"sectional matrix must be square and symmetric, got shape {k.shape}")
+    np.fill_diagonal(k, 0.0)
+    k.setflags(write=False)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    comp = np.zeros((n, n, n, n))
+    comp[i, j, j, i] = k[i, j]
+    comp[i, j, i, j] = -k[i, j]
+    t = CurvatureTensor(n, comp)
+    object.__setattr__(t, "sectional_matrix", k)
+    return t
 
 
 def build_constant_curvature(n: int, k: float) -> CurvatureTensor:
@@ -234,7 +265,7 @@ def build_from_shape(c: float, lambdas: Sequence[float]) -> CurvatureTensor:
 def _contract(comp: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """R(a_m, b_m, c_m, d_m) for (m, n) batches of vectors.
 
-    Row m is (a_m (x) b_m) . P . (c_m (x) d_m), with P the (n^2, n^2) pair
+    Row m is (a_m (x) b_m) . M . (c_m (x) d_m), with M the (n^2, n^2) pair
     matrix view of the components: one gemm and two (m, n^2) outer products,
     at most two of the three (m, n^2) arrays alive at once.
     """
@@ -267,22 +298,34 @@ def _as_frame_array(frame, dim: int) -> np.ndarray:
     return arr
 
 
-def _isotropic_batch(comp: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Frame functional for a batch of frames of shape (m, 4, n)."""
+def _isotropic_batch(t: CurvatureTensor, frames: np.ndarray) -> np.ndarray:
+    """Frame functional of t for a batch of frames of shape (m, 4, n).
+
+    A tensor with a sectional matrix K takes the closed form
+    A.K.B - P.K.P - Q.K.Q (module docstring): one (3m, n) @ (n, n) product.
+    Any other tensor is contracted densely, term by term.
+    """
     e1, e2, e3, e4 = (frames[:, k] for k in range(4))
-    return (
-        _contract(comp, e1, e3, e3, e1)
-        + _contract(comp, e1, e4, e4, e1)
-        + _contract(comp, e2, e3, e3, e2)
-        + _contract(comp, e2, e4, e4, e2)
-        - 2.0 * _contract(comp, e1, e2, e3, e4)
-    )
+    k = t.sectional_matrix
+    if k is None:
+        comp = t.comp
+        return (
+            _contract(comp, e1, e3, e3, e1)
+            + _contract(comp, e1, e4, e4, e1)
+            + _contract(comp, e2, e3, e3, e2)
+            + _contract(comp, e2, e4, e4, e2)
+            - 2.0 * _contract(comp, e1, e2, e3, e4)
+        )
+    m, n = e1.shape
+    left = np.stack((e1 * e1 + e2 * e2, e1 * e3 - e2 * e4, e1 * e4 + e2 * e3))
+    right = np.stack((e3 * e3 + e4 * e4, -left[1], -left[2]))
+    return np.einsum("kmi,kmi->m", (left.reshape(3 * m, n) @ k).reshape(3, m, n), right)
 
 
 def isotropic_component(t: CurvatureTensor, frame) -> float:
     """K13 + K14 + K23 + K24 - 2 R(e1,e2,e3,e4) on an orthonormal 4-frame."""
     arr = _as_frame_array(frame, t.dim)
-    return float(_isotropic_batch(t.comp, arr[None, :, :])[0])
+    return float(_isotropic_batch(t, arr[None, :, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +409,10 @@ def cic_probe(
     if count < 2:
         raise ValueError(f"probe needs at least 2 frames, got {count}")
     frames = _frame_array(t.dim, count, seed)
-    scale = float(np.max(np.abs(t.comp)))
+    # max |R_ijkl| = max_{i != j} |K_ij| for a tensor of sectional form
+    scale = float(np.max(np.abs(t.comp if t.sectional_matrix is None else t.sectional_matrix)))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _isotropic_batch(t.comp, frames)
+        vals = _isotropic_batch(t, frames)
         mean = float(vals.mean())
     if not (np.isfinite(vals).all() and math.isfinite(mean)):
         raise ValueError(

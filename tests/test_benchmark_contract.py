@@ -29,6 +29,8 @@ def params(fn):
         (cls.nonexistence_witness, ["q", "s_max", "grid_n"]),
         (pf.integrate_profile, ["C", "delta", "x0", "v0", "s_max", "step"]),
         (cls.witness, ["outcome", "q"]),
+        # the tracer reads the frame batch as args[1] for its per-dimension eval metrics
+        (cv._isotropic_batch, ["t", "frames"]),
     ],
 )
 def test_parameter_names(fn, names):

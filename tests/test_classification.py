@@ -423,6 +423,21 @@ def test_candidates_failing_away_from_the_origin_keep_their_account(c, C):
     assert "moderate |s|" in ev.detail or "large |s|" in ev.detail
 
 
+@pytest.mark.parametrize(
+    "c,C,threshold",
+    [(0.9999999999, 0, "1.000000e-10 <= 1.000000e-09"), (0.5, -1.0000000001, "1.000000e-10 <= 1.500000e-09")],
+)
+def test_candidates_failing_at_the_origin_within_tolerance_say_so(c, C, threshold):
+    """Just inside the exact bound (c < 1, 2c < |C|) classify's detail
+    accounts for a failure further out, but the radicand at s = 0 is already
+    below its threshold; the evidence's detail names s = 0 and both numbers."""
+    assert "s = 0" not in classify(ClassQuery(4, c, C))[0].detail
+    ev = nonexistence_witness(ClassQuery(4, c, C))
+    assert ev.failure.s == 0.0
+    assert "already at s = 0" in ev.detail and threshold in ev.detail
+    assert "large |s|" not in ev.detail and "moderate |s|" not in ev.detail
+
+
 def test_nonexistence_high_dimension_is_algebraic():
     ev = nonexistence_witness(ClassQuery(6, 1, 0))
     assert ev.mechanism == "algebraic"

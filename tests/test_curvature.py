@@ -284,12 +284,105 @@ def test_brute_force_oracle_agreement(kind, n):
 
     t = ORACLE_TENSORS[kind](n)
     assert kind == "gauss" or t.comp[0, 1, 2, 3] != 0.0
+    assert (t.sectional_matrix is not None) == (kind == "gauss")  # which path is checked
     frames = np.array([f.vectors for f in sample_frames(n, n * n + 1, seed=11)])
     expected = naive(t.comp, frames)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(t.comp))))
-    assert np.max(np.abs(_isotropic_batch(t.comp, frames) - expected)) <= tol
+    assert np.max(np.abs(_isotropic_batch(t, frames) - expected)) <= tol
     for f, value in zip(frames[:5], expected):
         assert abs(isotropic_component(t, f) - value) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**31),
+    size=st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_sectional_path_matches_the_dense_path(n, seed, size):
+    """The closed form A.K.B - P.K.P - Q.K.Q against the pair-matrix
+    contraction of the same components, for a random symmetric K whose
+    diagonal is nonzero and must not enter."""
+    rng = np.random.default_rng(seed)
+    k = size * rng.standard_normal((n, n))
+    k = k + k.T + np.diag(size * rng.uniform(1.0, 5.0, n))
+    t = cv._from_sectional(k)
+    assert np.all(np.diag(t.sectional_matrix) == 0.0) and not t.sectional_matrix.flags.writeable
+    dense = CurvatureTensor(n, t.comp)
+    assert dense.sectional_matrix is None
+    frames = cv._frame_array(n, 64, seed % 1000)
+    got = _isotropic_batch(t, frames)
+    assert np.max(np.abs(got - _isotropic_batch(dense, frames))) <= 1e-12 * float(np.max(np.abs(k)))
+    off_diagonal = k * (1.0 - np.eye(n))
+    assert np.array_equal(got, _isotropic_batch(cv._from_sectional(off_diagonal), frames))
+
+
+def test_built_tensors_skip_the_pair_matrix(monkeypatch):
+    def dense(*args):
+        raise AssertionError("pair-matrix contraction reached")
+
+    monkeypatch.setattr(cv, "_contract", dense)
+    assert cic_probe(build_from_shape(0.2, (0.9, -1.3, 0.4, 2.2, -0.7, 0.1, 1.1, -2.5)), count=50).samples == 50
+    with pytest.raises(AssertionError, match="pair-matrix"):
+        cic_probe(json_tensor(8), count=50)
+
+
+def test_from_sectional_rejects_an_asymmetric_matrix():
+    k = np.ones((4, 4))
+    k[0, 1] = 2.0
+    with pytest.raises(ValueError, match="symmetric"):
+        cv._from_sectional(k)
+
+
+def test_sectional_matrix_is_never_given_by_hand():
+    t = build_constant_curvature(4, 1.0)
+    with pytest.raises(TypeError):
+        CurvatureTensor(4, t.comp, t.sectional_matrix)
+    with pytest.raises(ValueError):
+        t.sectional_matrix[0, 1] = 5.0
+
+
+def sectional_dense_form(k):
+    """R_ijji = K_ij and R_ijij = -K_ij for i != j, one component at a time; zero elsewhere."""
+    n = k.shape[0]
+    comp = np.zeros((n, n, n, n))
+    for i, j in itertools.product(range(n), repeat=2):
+        if i != j:
+            comp[i, j, j, i] = k[i, j]
+            comp[i, j, i, j] = -k[i, j]
+    return comp
+
+
+BUILT = {
+    "constant n=4": lambda: build_constant_curvature(4, 1.75),
+    "constant n=8": lambda: build_constant_curvature(8, -0.6),
+    "S3 x R1": sphere_line,
+    "S5 x R1": lambda: sphere_line(sphere_dim=5),
+    "S2 x H2": lambda: split_product(1.0),
+    "Gauss Clifford": lambda: build_from_shape(0.75, (-0.5, -0.5, -0.5, 1.5)),
+    "Gauss lambda != mu": lambda: build_from_shape(-0.3, (1.0, -0.5, 2.0, 0.3, 0.7)),
+    "Gauss n=8": lambda: build_from_shape(0.2, (0.9, -1.3, 0.4, 2.2, -0.7, 0.1, 1.1, -2.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_builders_keep_the_sectional_matrix_of_their_components(name):
+    """The kept K's dense form is comp bit for bit, and the JSON round trip
+    (which keeps no K, so it probes densely) gives the same verdict; where
+    the functional varies, the same extreme frames and values within 1e-12
+    relative."""
+    t = BUILT[name]()
+    k = t.sectional_matrix
+    assert k is not None and np.all(np.diag(k) == 0.0)
+    assert sectional_dense_form(k).tobytes() == t.comp.tobytes()
+    back = tensor_from_json(tensor_to_json(t))
+    assert back.sectional_matrix is None
+    fast, dense = cic_probe(t, count=300, seed=13), cic_probe(back, count=300, seed=13)
+    assert fast.is_constant == dense.is_constant
+    if not fast.is_constant:
+        assert (fast.argmin, fast.argmax) == (dense.argmin, dense.argmax)
+        for field in ("min", "max", "mean"):
+            assert getattr(fast, field) == pytest.approx(getattr(dense, field), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
