@@ -9,11 +9,14 @@ Subcommands:
 
 Numeric arguments accept decimals or simple fractions (`8/3`) so branch
 boundaries can be hit exactly; non-finite numbers (nan, inf) are usage
-errors, and so are integers or fractions too large for a float.  `--tol`
-must be positive and finite; the probe tolerance is relative: values count
-as constant when their spread is at most tol * max(1, max |R_ijkl|).  The
-environment variable CIC_SEED overrides the default seed 42.  Exit codes:
-0 success, 1 verification/domain failure, 2 usage error.
+errors, and so are integers or fractions too large for a float.  `--seed`
+(default 42) is a non-negative integer, and the same command and seed give
+byte-identical stdout.  `probe --tol` must be positive and finite; the
+probe tolerance is relative: values count as constant when their spread is
+at most tol * max(1, max |R_ijkl|).  `check` takes only `--seed`: its
+suites probe at the library's frame count and tolerance.  Exit codes:
+0 success, 1 verification/domain failure, 2 usage error (also when an
+array is too large to allocate).
 """
 
 from __future__ import annotations
@@ -70,6 +73,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    if not re.fullmatch(r"\+?\d+", text.strip()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def parse_product(text: str) -> cv.ProductSpec:
     """ProductSpec from the grammar `<S|H|R><dim>[:curvature]` joined by ` x `."""
     factors = []
@@ -92,10 +102,6 @@ def parse_product(text: str) -> cv.ProductSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("CIC_SEED", cv.DEFAULT_SEED))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="isocurv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -103,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="probe a product manifold for constant isotropic curvature")
     p.add_argument("--product", required=True, help="e.g. 'S3:1 x R1' or 'S2:1 x H2:-1'")
     p.add_argument("--frames", type=int, default=cv.DEFAULT_FRAMES)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=cv.DEFAULT_SEED)
     p.add_argument("--tol", type=_tolerance, default=cv.DEFAULT_PROBE_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -128,17 +134,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=pf.DEFAULT_GRID)
 
     p = sub.add_parser("check", help="run the verification suites")
-    p.add_argument("--frames", type=int, default=cv.DEFAULT_FRAMES)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=_tolerance, default=cv.DEFAULT_PROBE_TOL)
+    p.add_argument("--seed", type=_seed, default=cv.DEFAULT_SEED)
     return parser
 
 
 def _cmd_probe(args) -> int:
     spec = parse_product(args.product)
     tensor = cv.build_product(spec)
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = cv.cic_probe(tensor, count=args.frames, seed=seed, tol=args.tol)
+    report = cv.cic_probe(tensor, count=args.frames, seed=args.seed, tol=args.tol)
     if args.format == "csv":
         sys.stdout.write("samples,min,max,mean,is_constant\n")
         sys.stdout.write(
@@ -148,7 +151,7 @@ def _cmd_probe(args) -> int:
         payload = {
             "product": args.product,
             "dim": spec.total_dim,
-            "seed": seed,
+            "seed": args.seed,
             "tol": args.tol,
             "samples": report.samples,
             "min": report.min,
@@ -218,8 +221,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    results = run_all(RunConfig(seed=seed, frames=args.frames, tol=args.tol))
+    results = run_all(RunConfig(seed=args.seed))
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -245,7 +247,7 @@ def main(argv=None) -> int:
         if args.command == "profile":
             return _cmd_profile(args)
         return _cmd_check(args)
-    except ValueError as exc:  # UsageError, FrameError and rejected parameters
+    except (ValueError, MemoryError) as exc:  # bad input, or an array too large to allocate
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BrokenPipeError:

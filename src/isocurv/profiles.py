@@ -8,10 +8,10 @@ the equation is linear, u'' = 2*delta - C*u: a family gives its own
 x'' = (u'' - 2x'^2)/(2x).  `integrate_profile_arrays` solves the linear
 equation by RK4 as an independent check on the closed forms: one step is
 an exact affine map, and a sweep of n steps is filled in ceil(log2(n + 1))
-array steps by composing that map with itself (doubling), measured from
-its fixed point so that an equilibrium stays put; `integrate_profile` is
-its row view.  Principal curvatures of the hypersurface in an ambient space form
-of curvature c are
+array steps by composing that map with itself (doubling), which holds an
+equilibrium to about an ulp; `integrate_profile` is its row view.
+Principal curvatures of the hypersurface in an ambient space form of
+curvature c are
 
     lambda = -sqrt(delta - c*x^2 - x'^2) / x
     mu     = (x'' + c*x) / sqrt(delta - c*x^2 - x'^2)
@@ -382,8 +382,8 @@ def cic_along_profile(
     return samples, deviation
 
 
-def _sweep(w: np.ndarray, C: float, delta: int, z_eq: float, h: float) -> int | None:
-    """Fill w[:, 1:] with steps of size h from w[:, 0], w = (u - z_eq, u').
+def _sweep(w: np.ndarray, C: float, delta: int, h: float) -> int | None:
+    """Fill w[:, 1:] with steps of size h from w[:, 0], w = (u, u').
 
     The rows are filled by doubling: with the k-step map
     w <- w + (D_k w + t_k), D_k = M^k - I, rows [k, 2k) are rows [0, k)
@@ -397,10 +397,7 @@ def _sweep(w: np.ndarray, C: float, delta: int, z_eq: float, h: float) -> int | 
     d00 = d11 = -q / 2.0 + q * q / 24.0
     d01 = h * (1.0 - q / 6.0)
     d10 = -C * d01
-    if z_eq:  # the map fixes (z_eq, 0), so w has no affine term
-        t0 = t1 = 0.0
-    else:
-        t0, t1 = delta * h * h * (1.0 - q / 12.0), 2.0 * delta * h * (1.0 - q / 6.0)
+    t0, t1 = delta * h * h * (1.0 - q / 12.0), 2.0 * delta * h * (1.0 - q / 6.0)
     nsteps = w.shape[1] - 1
     filled = k = 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -411,10 +408,9 @@ def _sweep(w: np.ndarray, C: float, delta: int, z_eq: float, h: float) -> int | 
             np.add(u, (d00 * u + d01 * v) + t0, out=bu)
             np.add(v, (d10 * u + d11 * v) + t1, out=bv)
             # min and max propagate NaN, so only a block of good rows passes
-            if not (EPS_DOM < bu.min() + z_eq and bu.max() + z_eq < math.inf and abs(bv).max() < math.inf):
-                uz = bu + z_eq
-                i = int(np.flatnonzero(~((uz > EPS_DOM) & (uz < math.inf) & np.isfinite(bv)))[0])
-                if not (math.isfinite(uz[i]) and math.isfinite(bv[i])):
+            if not (EPS_DOM < bu.min() and bu.max() < math.inf and abs(bv).max() < math.inf):
+                i = int(np.flatnonzero(~((bu > EPS_DOM) & (bu < math.inf) & np.isfinite(bv)))[0])
+                if not (math.isfinite(bu[i]) and math.isfinite(bv[i])):
                     raise ValueError(
                         f"integrated profile overflows the float range at s={(filled + i) * h!r}: "
                         f"C = {C!r}, step = {abs(h)!r}"
@@ -455,16 +451,14 @@ def integrate_profile_arrays(
     A sweep of n steps is filled in ceil(log2(n + 1)) array steps by
     composing the step map (doubling, as in a parallel prefix): rows
     [k, 2k) are rows [0, k) under the k-step map, kept as M^k - I so that
-    its small entries keep their digits.  For C != 0 the iterate is
-    z - (2*delta/C, 0), measured from the fixed point that RK4 keeps exactly,
-    so an equilibrium stays put to the last bit; the affine term is carried
-    only when C = 0 or the fixed point is far outside the sweep's range.
-    Each row is reached through at most log2(n) composed maps, each as
-    rounded as the squarings that built it, so the error grows about like
-    n*eps of the sweep's size of (u, u'), as with n single steps.  It is
-    absolute at that size: where u falls far below it, near a crossing, x
-    keeps fewer digits than a step loop gives (1e-11 relative at x = 0.1
-    after u fell from 9, against 1e-15).
+    its small entries keep their digits.  Each row is reached through at
+    most log2(n) composed maps, each as rounded as the squarings that built
+    it, so the error grows about like n*eps of the sweep's size of (u, u'),
+    as with n single steps.  It is absolute at that size: where u falls far
+    below it, near a crossing, x keeps fewer digits than a step loop gives
+    (1e-11 relative at x = 0.1 after u fell from 9, against 1e-15), and an
+    equilibrium u = 2*delta/C, which RK4 keeps exactly, drifts by about an
+    ulp.
 
     Returns arrays (s, x, x') sorted by s.  Raises NonPositiveProfile
     (carrying the partial samples before it) at the first step where u
@@ -488,24 +482,17 @@ def integrate_profile_arrays(
     if not ratio < MAX_STEPS + 1:
         raise ValueError(f"s_max / step exceeds MAX_STEPS = {MAX_STEPS}: s_max = {s_max}, step = {step}")
     nsteps = int(ratio)
-
-    # Measure u from the fixed point (2*delta/C, 0) unless it is large against
-    # the sweep (|C|*span^2 < 1, or C = 0), where u would be a small
-    # difference of large terms; the affine term then carries delta.
-    span = nsteps * step
-    z_eq = 2.0 * delta / C if 1.0 <= abs(C) * span * span < math.inf else 0.0
-    z = np.empty((2, 2 * nsteps + 1))  # (u - z_eq, u') at s = -span .. span
-    z[:, nsteps] = x0 * x0 - z_eq, 2.0 * x0 * v0
+    z = np.empty((2, 2 * nsteps + 1))  # (u, u') at s = -nsteps*step .. nsteps*step
+    z[:, nsteps] = x0 * x0, 2.0 * x0 * v0
     lo, hi = 0, 2 * nsteps + 1
     for h, w in ((step, z[:, nsteps:]), (-step, z[:, nsteps::-1])):
-        stop = _sweep(w, C, delta, z_eq, h)
+        stop = _sweep(w, C, delta, h)
         if stop is not None:
             lo, hi = (nsteps, nsteps + stop) if h > 0 else (nsteps - stop + 1, hi)
             break
     s = np.arange(lo - nsteps, hi - nsteps, dtype=float)
     s *= step
-    x, xp = z[:, lo:hi]  # converted in place: (u - z_eq, u') -> (x, x')
-    x += z_eq
+    x, xp = z[:, lo:hi]  # converted in place: (u, u') -> (x, x')
     np.sqrt(x, out=x)
     np.divide(xp, 2.0 * x, out=xp)
     x[nsteps - lo], xp[nsteps - lo] = x0, v0  # the origin row is the input itself
@@ -530,10 +517,10 @@ def integrate_profile(
     """The row view of `integrate_profile_arrays`: (s, x, x') tuples sorted by s.
 
     Same arguments, validation and exceptions.  Each sweep is filled by
-    doubling the RK4 step map, measured from its fixed point unless that
-    point is far outside the sweep's range, so each row carries the rounding of at most log2(n) composed maps (see
-    `integrate_profile_arrays`); the tuples are built from those arrays and
-    match them bitwise.
+    doubling the RK4 step map, so each row carries the rounding of at most
+    log2(n) composed maps and an equilibrium holds to about an ulp, not
+    exactly (see `integrate_profile_arrays`); the tuples are built from
+    those arrays and match them bitwise.
     """
     return _rows(*integrate_profile_arrays(C, delta, x0, v0, s_max, step))
 

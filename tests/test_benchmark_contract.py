@@ -11,6 +11,7 @@ import inspect
 
 import pytest
 
+from isocurv import checks
 from isocurv import classification as cls
 from isocurv import cli
 from isocurv import curvature as cv
@@ -35,6 +36,15 @@ def params(fn):
 )
 def test_parameter_names(fn, names):
     assert params(fn) == names
+
+
+def test_check_workload_builds_its_config_and_results():
+    # perfbench builds checks.RunConfig(seed=seed), runs checks.run_all(config)
+    # and, in its own tests, builds CheckResult positionally
+    assert params(checks.RunConfig) == ["seed"]
+    assert params(checks.run_all) == ["config"]
+    result = checks.CheckResult("suite", True, "detail", 0.5)
+    assert (result.name, result.passed, result.detail, result.seconds) == ("suite", True, "detail", 0.5)
 
 
 def test_traced_entry_points_exist():

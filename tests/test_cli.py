@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -115,16 +116,35 @@ def test_probe_usage_error(capsys):
     assert "bad factor" in err
 
 
-@pytest.mark.parametrize("command", ["probe", "check"])
+@pytest.mark.parametrize("command", ["probe"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8", "x"])
 def test_bad_tolerance_is_a_usage_error(capsys, command, tol):
-    argv = [command, "--tol", tol] + (["--product", "S3:1 x R1"] if command == "probe" else [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tol", tol, "--product", "S3:1 x R1"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "--tol" in out.err
+
+
+@pytest.mark.parametrize("command", ["probe", "check"])
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_bad_seed_is_a_usage_error_naming_the_flag(capsys, command, seed):
+    argv = [command, "--seed", seed] + (["--product", "S3:1 x R1"] if command == "probe" else [])
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out = capsys.readouterr()
     assert exc.value.code == 2
     assert out.out == ""
-    assert "--tol" in out.err
+    assert "--seed" in out.err and "non-negative integer" in out.err
+
+
+def test_unallocatable_frame_count_is_a_usage_error(capsys):
+    # 10**15 frames of dimension 4 would take 114 PiB; numpy refuses at once
+    code, out, err = run_cli(capsys, "probe", "--product", "S3:1 x R1", "--frames", "1000000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -146,14 +166,14 @@ def test_probe_large_finite_curvature_is_constant(capsys):
         assert float(value) == pytest.approx(2e200, rel=1e-12)
 
 
-def test_probe_seed_env_override(capsys, monkeypatch):
+def test_probe_output_does_not_depend_on_the_environment(capsys, monkeypatch):
+    monkeypatch.delenv("CIC_SEED", raising=False)
     _, baseline, _ = run_cli(capsys, "probe", "--product", "S5:1 x R1")
     monkeypatch.setenv("CIC_SEED", "7")
     code, out, _ = run_cli(capsys, "probe", "--product", "S5:1 x R1")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["seed"] == 7
-    assert out != baseline  # different frames, different extremes
+    assert json.loads(out)["seed"] == 42
+    assert out == baseline
 
 
 def test_probe_determinism(capsys):
@@ -434,7 +454,7 @@ def test_profile_determinism(capsys):
 
 
 def test_check_fast_config_passes(capsys):
-    code, out, err = run_cli(capsys, "check", "--frames", "10")
+    code, out, err = run_cli(capsys, "check")
     assert code == 0
     lines = out.strip().split("\n")
     assert all("PASS" in line for line in lines[:-1])
@@ -451,13 +471,16 @@ def test_check_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(
         checks_mod, "ALL_CHECKS", (("broken-suite", broken),) + checks_mod.ALL_CHECKS[:1]
     )
-    code, out, _ = run_cli(capsys, "check", "--frames", "10")
+    code, out, _ = run_cli(capsys, "check")
     assert code == 1
     assert "FAIL  planted failure" in out
     assert "1/2 suites passed" in out
 
 
-@pytest.mark.parametrize("extra", [("--window", "0", "10"), ("--grid", "11"), ("--step", "1e-3")])
+@pytest.mark.parametrize(
+    "extra",
+    [("--window", "0", "10"), ("--grid", "11"), ("--step", "1e-3"), ("--frames", "10"), ("--tol", "1e-8")],
+)
 def test_check_has_no_profile_knobs(capsys, extra):
     with pytest.raises(SystemExit) as exc:
         main(["check", *extra])
@@ -467,9 +490,27 @@ def test_check_has_no_profile_knobs(capsys, extra):
     assert extra[0] in out.err
 
 
+@pytest.mark.parametrize("name", ["product-sphere-line", "product-family"])
+def test_wrong_constancy_verdict_is_named(monkeypatch, name):
+    from isocurv import checks as checks_mod
+    from isocurv import curvature as cv
+
+    probe = cv.cic_probe
+
+    def flipped(*args, **kwargs):
+        report = probe(*args, **kwargs)
+        return dataclasses.replace(report, is_constant=not report.is_constant)
+
+    monkeypatch.setattr(cv, "cic_probe", flipped)
+    monkeypatch.setattr(checks_mod, "ALL_CHECKS", tuple(c for c in checks_mod.ALL_CHECKS if c[0] == name))
+    (result,) = checks_mod.run_all()
+    assert not result.passed
+    assert "is_constant" in result.detail and "spread" in result.detail and "1e-08" in result.detail
+
+
 def test_check_stdout_is_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "check", "--frames", "10")
-    _, second, _ = run_cli(capsys, "check", "--frames", "10")
+    _, first, _ = run_cli(capsys, "check")
+    _, second, _ = run_cli(capsys, "check")
     assert first == second
 
 

@@ -100,7 +100,7 @@ def test_propagator_matches_stage_rk4(C, delta, s_max):
 # exactly or with one row into the next.
 EDGE_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025]
 # (C, delta, step), x0 = 1, v0 = 0.1, u positive over 1025 steps either way;
-# at step 0.1 and C != 0 the longer sweeps are measured from the fixed point
+# at step 0.1 the longer sweeps run over many periods (C = 2) or e-foldings (C = -1)
 EDGE_CASES = [(C, delta, 5e-4) for C in (2.0, 0.0, -1.0) for delta in (-1, 0, 1)] + [
     (2.0, 1, 0.1), (-1.0, 1, 0.1), (-1.0, 0, 0.1),
 ]
@@ -127,7 +127,7 @@ def test_doubling_edges_match_stage_rk4(C, delta, step, nsteps):
         (0.0, 1, 1.0, -1.5, 5.0),     # on step 382, inside the block [256, 512)
         (0.0, 1, 1.0, 1.0, 5.0),      # u = (1 + s)^2 touches zero on backward step 1000
         (0.0, 0, 1.0, -0.4998, 5.0),  # u = 1 - 0.9996 s, through zero on step 1001
-        (2.0, 1, 1.0, 1.0, 5.0),      # trig, measured from the fixed point u = 1: step 2777
+        (2.0, 1, 1.0, 1.0, 5.0),      # trig about its equilibrium u = 1: step 2777
         (2.0, 1, 1.0, -1.0, 5.0),     # step 556
         (-1.0, 1, 0.5, -2.0, 5.0),    # exponential falling through zero on step 135
     ],
@@ -158,7 +158,8 @@ def test_rows_are_the_arrays_bitwise(args):
 
 
 def test_small_C_keeps_its_digits():
-    """|C|*s_max^2 < 1: u is not measured from the far fixed point 2*delta/C."""
+    """A tiny |C| keeps x's digits: its equilibrium 2*delta/C lies far outside
+    the sweep, and u is carried directly."""
     for C in (1e-9, -1e-9, 1e-300):
         got = integrate_profile(C, 1, 1.0, 0.3, 10.0, 1e-2)
         want = stage_rk4(C, 1, 1.0, 0.3, 10.0, 1e-2)
@@ -197,7 +198,7 @@ def test_overflow_of_the_known_exponential_profile():
 
 
 def test_equilibrium_profile_stays_constant():
-    # u'' = 2 - 2u has the fixed point u = 1
+    # u'' = 2 - 2u has the equilibrium u = 1, which the sweep keeps to about an ulp
     points = integrate_profile(2.0, 1, 1.0, 0.0, 10.0, 1e-3)
     assert len(points) == 20001
     assert max(abs(x - 1.0) for _, x, _ in points) <= 1e-14
