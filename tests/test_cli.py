@@ -116,11 +116,13 @@ def test_probe_usage_error(capsys):
     assert "bad factor" in err
 
 
-@pytest.mark.parametrize("command", ["probe"])
+@pytest.mark.parametrize("command", ["probe", "check"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8", "x"])
 def test_bad_tolerance_is_a_usage_error(capsys, command, tol):
+    # probe rejects the value; check has no --tol at all and rejects the flag
+    argv = [command, "--tol", tol] + (["--product", "S3:1 x R1"] if command == "probe" else [])
     with pytest.raises(SystemExit) as exc:
-        main([command, "--tol", tol, "--product", "S3:1 x R1"])
+        main(argv)
     out = capsys.readouterr()
     assert exc.value.code == 2
     assert out.out == ""
