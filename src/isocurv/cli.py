@@ -11,10 +11,9 @@ Numeric arguments accept decimals or simple fractions (`8/3`) so branch
 boundaries can be hit exactly; non-finite numbers (nan, inf) are usage
 errors, and so are integers or fractions too large for a float.  `--seed`
 (default 42) is a non-negative integer, and the same command and seed give
-byte-identical stdout.  `probe --tol` must be positive and finite; the
-probe tolerance is relative: values count as constant when their spread is
-at most tol * max(1, max |R_ijkl|).  `check` takes only `--seed`: its
-suites probe at the library's frame count and tolerance.  Exit codes:
+byte-identical stdout.  `probe` and `check` judge constancy at the
+library's tolerance, relative to the tensor (README), and `check` takes
+only `--seed`.  Exit codes:
 0 success, 1 verification/domain failure, 2 usage error (also when an
 array is too large to allocate).
 """
@@ -65,14 +64,6 @@ def parse_number(text: str):
     return value
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of --tol: a positive finite float."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
-
-
 def _seed(text: str) -> int:
     """argparse type of --seed: a non-negative integer."""
     if not re.fullmatch(r"\+?\d+", text.strip()):
@@ -110,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", required=True, help="e.g. 'S3:1 x R1' or 'S2:1 x H2:-1'")
     p.add_argument("--frames", type=int, default=cv.DEFAULT_FRAMES)
     p.add_argument("--seed", type=_seed, default=cv.DEFAULT_SEED)
-    p.add_argument("--tol", type=_tolerance, default=cv.DEFAULT_PROBE_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("classify", help="classify (n, c, C)")
@@ -141,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_probe(args) -> int:
     spec = parse_product(args.product)
     tensor = cv.build_product(spec)
-    report = cv.cic_probe(tensor, count=args.frames, seed=args.seed, tol=args.tol)
+    report = cv.cic_probe(tensor, count=args.frames, seed=args.seed)
     if args.format == "csv":
         sys.stdout.write("samples,min,max,mean,is_constant\n")
         sys.stdout.write(
@@ -152,7 +142,7 @@ def _cmd_probe(args) -> int:
             "product": args.product,
             "dim": spec.total_dim,
             "seed": args.seed,
-            "tol": args.tol,
+            "tol": cv.DEFAULT_PROBE_TOL,
             "samples": report.samples,
             "min": report.min,
             "max": report.max,
@@ -178,10 +168,18 @@ def _cmd_classify(args) -> int:
             w = outcome.profile
             ambient = pf.AmbientSpec(c=float(q.c), delta=w.ode_delta)
             info = {"family": outcome.family, "params": dataclasses.asdict(w)}
+            count, lo, hi = 0, math.inf, -math.inf
+
+            def cics(samples):  # streamed, so a large --grid is never held in memory
+                nonlocal count, lo, hi
+                for p in samples:
+                    count, lo, hi = count + 1, min(lo, p.cic), max(hi, p.cic)
+                    yield p.cic
+
             try:
-                samples, deviation = pf.cic_along_profile(w, ambient, window, args.grid)
-                info["cic_mean"] = sum(p.cic for p in samples) / len(samples)
-                info["cic_max_deviation"] = deviation
+                mean = sum(cics(pf.profile_samples(w, ambient, window, args.grid))) / count
+                # rounding is monotone, so this is max |cic - mean| over the grid, bitwise
+                info["cic_mean"], info["cic_max_deviation"] = mean, max(hi - mean, mean - lo)
             except pf.DomainBreakdown as exc:
                 info["domain_failure"] = {"s": exc.s, "reason": exc.reason}
             entry["witness"] = info

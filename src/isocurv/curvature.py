@@ -45,7 +45,7 @@ import numpy as np
 
 ORTHO_TOL = 1e-12        # frame acceptance: |<e_a, e_b> - delta_ab|
 REDRAW_RESIDUAL = 1e-8   # Gram-Schmidt residual below which a vector is re-drawn
-DEGENERATE_PLANE = 1e-14
+DEGENERATE_PLANE = 1e-14  # sin^2 of the angle between x and y below which a plane is rejected
 DEFAULT_FRAMES = 1000
 DEFAULT_PROBE_TOL = 1e-8
 DEFAULT_SEED = 42
@@ -61,10 +61,10 @@ class FrameError(ValueError):
 class CurvatureTensor:
     """Dense components R[i,j,k,l] of a curvature tensor in an orthonormal basis.
 
-    Invariant under construction: antisymmetry in the first and second index
-    pairs, symmetry under pair exchange, and the first Bianchi identity.
-    Components must be finite.  The component array is read-only; tensors
-    are safe to share.
+    Only the shape and finiteness are checked: a hand-built array may break
+    the curvature symmetries (check_symmetries measures them), while the
+    builders and tensor_from_json keep them.  The component array is
+    read-only; tensors are safe to share.
 
     sectional_matrix is the read-only symmetric K, with zero diagonal, that
     comp was derived from (R_ijkl = K_ij (delta_il delta_jk - delta_ik
@@ -184,9 +184,6 @@ class SymmetryReport:
     def max_residual(self) -> float:
         return max(self.antisymmetry, self.pair_symmetry, self.bianchi)
 
-    def ok(self, tol: float = 1e-12) -> bool:
-        return self.max_residual <= tol
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -277,14 +274,15 @@ def _contract(comp: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: 
 def sectional(t: CurvatureTensor, x: Sequence[float], y: Sequence[float]) -> float:
     """Sectional curvature of the plane spanned by x and y.
 
-    Rejects (numerically) dependent spans: the Gram determinant of (x, y)
-    must exceed 1e-14.
+    Rejects (numerically) dependent spans: sin^2 of the angle between x
+    and y must exceed 1e-14, so scaling x or y does not change the answer.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
-    area2 = float(xv @ xv) * float(yv @ yv) - float(xv @ yv) ** 2
-    if area2 < DEGENERATE_PLANE:
-        raise ValueError(f"degenerate plane: Gram determinant {area2:.3e} < {DEGENERATE_PLANE}")
+    xx, yy = float(xv @ xv), float(yv @ yv)
+    area2 = xx * yy - float(xv @ yv) ** 2
+    if not area2 > DEGENERATE_PLANE * xx * yy:  # `not >` also rejects zero vectors
+        raise ValueError(f"degenerate plane: Gram determinant {area2:.3e} <= {DEGENERATE_PLANE} |x|^2 |y|^2")
     return float(_contract(t.comp, xv[None], yv[None], yv[None], xv[None])[0]) / area2
 
 
@@ -400,17 +398,20 @@ def cic_probe(
     read-only and shared by consecutive probes with the same
     (t.dim, count, seed), so a run of probes samples it once.
 
-    is_constant is True exactly when max - min <= tol * max(1, max |R_ijkl|)
-    over the sampled frames, so the verdict does not change when the tensor
-    is scaled; for the tensors built here, constant and non-constant cases
-    separate by many orders of magnitude.  Raises ValueError when the
-    values or their mean overflow the float range.
+    is_constant is True exactly when max - min <= tol * max |R_ijkl| over
+    the sampled frames, so the verdict does not change when the tensor is
+    scaled (the zero tensor's spread is 0); for the tensors built here,
+    constant and non-constant cases separate by many orders of magnitude.
+    Raises ValueError when max |R_ijkl| is subnormal, too few digits to
+    judge, and when the values or their mean overflow the float range.
     """
     if count < 2:
         raise ValueError(f"probe needs at least 2 frames, got {count}")
-    frames = _frame_array(t.dim, count, seed)
     # max |R_ijkl| = max_{i != j} |K_ij| for a tensor of sectional form
     scale = float(np.max(np.abs(t.comp if t.sectional_matrix is None else t.sectional_matrix)))
+    if 0.0 < scale < np.finfo(float).tiny:
+        raise ValueError(f"curvature is subnormal: max |R_ijkl| = {scale:.6e} has too few digits to judge")
+    frames = _frame_array(t.dim, count, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _isotropic_batch(t, frames)
         mean = float(vals.mean())
@@ -425,7 +426,7 @@ def cic_probe(
         min=vmin,
         max=vmax,
         mean=mean,
-        is_constant=bool(vmax - vmin <= tol * max(1.0, scale)),
+        is_constant=bool(vmax - vmin <= tol * scale),
         argmin=argmin,
         argmax=argmax,
     )
@@ -466,11 +467,16 @@ def tensor_to_json(t: CurvatureTensor) -> str:
 
 
 def tensor_from_json(text: str) -> CurvatureTensor:
-    """Rebuild a tensor from its canonical JSON form by unfolding symmetries."""
+    """Rebuild a tensor from its canonical JSON form by unfolding symmetries;
+    entries outside that form, or a Bianchi residual above 1e-12 * max |R_ijkl|, raise ValueError."""
     data = json.loads(text)
     n = int(data["dim"])
     comp = np.zeros((n, n, n, n))
     for i, j, k, l, v in data["components"]:
+        in_range = all(type(a) is int and 0 <= a < n for a in (i, j, k, l))
+        if not (in_range and i < j and k < l and (i, j) <= (k, l)):
+            need = f"integers 0 <= i < j < {n}, k < l and (i, j) <= (k, l)"
+            raise ValueError(f"component {(i, j, k, l)} is not canonical: need {need}")
         for (a, b, c, d), sign in (
             ((i, j, k, l), 1.0),
             ((j, i, k, l), -1.0),
@@ -479,4 +485,7 @@ def tensor_from_json(text: str) -> CurvatureTensor:
         ):
             comp[a, b, c, d] = sign * v
             comp[c, d, a, b] = sign * v
-    return CurvatureTensor(n, comp)
+    t = CurvatureTensor(n, comp)
+    if (bianchi := check_symmetries(t).bianchi) > 1e-12 * np.max(np.abs(comp)):
+        raise ValueError(f"components break the first Bianchi identity by {bianchi:.3e}")
+    return t

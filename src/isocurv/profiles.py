@@ -41,7 +41,7 @@ import numpy as np
 
 from .spectra import cic_from_spectrum
 
-EPS_DOM = 1e-9            # breakdown threshold for delta - c*x^2 - x'^2 (relative on grids)
+EPS_DOM = 1e-9            # breakdown threshold: the radicand (relative on grids), RK4's x^2 / x0^2
 DEFAULT_WINDOW = (-10.0, 10.0)
 DEFAULT_GRID = 2001
 BLOCK = 4096              # grid points evaluated per array operation
@@ -76,7 +76,7 @@ class NonPositiveProfile(Exception):
     def __init__(self, s: float, samples: list[tuple[float, float, float]]):
         self.s = s
         self.samples = samples
-        super().__init__(f"profile square u = x^2 reached {EPS_DOM} at s={s!r}")
+        super().__init__(f"profile square u = x^2 reached {EPS_DOM} of x0^2 at s={s!r}")
 
 
 @dataclass(frozen=True)
@@ -389,16 +389,16 @@ def _sweep(w: np.ndarray, C: float, delta: int, h: float) -> int | None:
     w <- w + (D_k w + t_k), D_k = M^k - I, rows [k, 2k) are rows [0, k)
     mapped at once, then (D, t) <- (D^2 + 2D, D t + 2t); when the composed
     map is no longer finite the stride stays at k.  Returns the index of
-    the first row where u reaches EPS_DOM (None if none), leaving the rows
-    after it unfilled; raises ValueError at the first row where u or u'
-    is not finite.
+    the first row where x^2 reaches 1e-9 of x0^2 (None if none), leaving
+    the rows after it unfilled; raises ValueError at the first row where u
+    or u' is not finite.
     """
     q = C * h * h
     d00 = d11 = -q / 2.0 + q * q / 24.0
     d01 = h * (1.0 - q / 6.0)
     d10 = -C * d01
     t0, t1 = delta * h * h * (1.0 - q / 12.0), 2.0 * delta * h * (1.0 - q / 6.0)
-    nsteps = w.shape[1] - 1
+    nsteps, floor = w.shape[1] - 1, EPS_DOM * w[0, 0]
     filled = k = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while filled <= nsteps:
@@ -408,8 +408,8 @@ def _sweep(w: np.ndarray, C: float, delta: int, h: float) -> int | None:
             np.add(u, (d00 * u + d01 * v) + t0, out=bu)
             np.add(v, (d10 * u + d11 * v) + t1, out=bv)
             # min and max propagate NaN, so only a block of good rows passes
-            if not (EPS_DOM < bu.min() and bu.max() < math.inf and abs(bv).max() < math.inf):
-                i = int(np.flatnonzero(~((bu > EPS_DOM) & (bu < math.inf) & np.isfinite(bv)))[0])
+            if not (floor < bu.min() and bu.max() < math.inf and abs(bv).max() < math.inf):
+                i = int(np.flatnonzero(~((bu > floor) & (bu < math.inf) & np.isfinite(bv)))[0])
                 if not (math.isfinite(bu[i]) and math.isfinite(bv[i])):
                     raise ValueError(
                         f"integrated profile overflows the float range at s={(filled + i) * h!r}: "
@@ -461,9 +461,9 @@ def integrate_profile_arrays(
     ulp.
 
     Returns arrays (s, x, x') sorted by s.  Raises NonPositiveProfile
-    (carrying the partial samples before it) at the first step where u
-    reaches EPS_DOM, forward sweep first, and ValueError naming s and the
-    step at the first step where u or u' overflows the float range.
+    (carrying the partial samples before it) at the first step where x^2
+    reaches 1e-9 of x0^2, forward sweep first, and ValueError naming s and
+    the step at the first step where u or u' overflows the float range.
     """
     for name, value in (("C", C), ("x0", x0), ("v0", v0), ("s_max", s_max)):
         if not math.isfinite(value):

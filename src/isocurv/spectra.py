@@ -18,7 +18,6 @@ from numbers import Rational
 from typing import Sequence
 
 DISTINCT_TOL = 1e-9        # relative: values closer than this times max |lambda| merge
-CLIFFORD_REL_TOL = 1e-9    # relative tolerance on C - 8c/3 for Clifford detection
 BOUNDARY_TOL = 1e-12       # branch-boundary tolerance, relative to max(|c|, |C|)
 
 
@@ -216,8 +215,8 @@ def minimal_classify(n: int, c: float, C: float) -> MinimalVerdict:
     At C = 4c the shape operator vanishes (totally geodesic).  Below 4c
     the only surviving case is n = 4, c > 0 with C = 8c/3: the Clifford
     product of a 3-sphere and a circle, of constant profile sqrt(3/(4c)).
-    C is compared with 4c as `classify` compares them: exactly for exact
-    (int / Fraction) inputs, else within BOUNDARY_TOL * max(|c|, |C|).
+    C is compared with 4c and with 8c/3 as `classify` compares boundaries:
+    exactly for exact inputs, else within BOUNDARY_TOL * max(|c|, |C|).
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -227,14 +226,7 @@ def minimal_classify(n: int, c: float, C: float) -> MinimalVerdict:
     if vs4c == 0:
         return MinimalVerdict(MinimalKind.TOTALLY_GEODESIC, lam=0.0, mu=0.0)
     # C < 4c from here on
-    if n == 4 and c > 0:
-        target = 8.0 * c / 3.0
-        if abs(C - target) <= CLIFFORD_REL_TOL * max(abs(C), abs(target)):
-            lam = -math.sqrt(c / 3.0)
-            return MinimalVerdict(
-                MinimalKind.CLIFFORD,
-                lam=lam,
-                mu=-3.0 * lam,
-                x0=math.sqrt(3.0 / (4.0 * c)),
-            )
+    if n == 4 and c > 0 and _cmp(C, Fraction(8, 3) * c, _boundary_tol(c, C)) == 0:
+        lam = -math.sqrt(c / 3.0)
+        return MinimalVerdict(MinimalKind.CLIFFORD, lam=lam, mu=-3.0 * lam, x0=math.sqrt(3.0 / (4.0 * c)))
     return MinimalVerdict(MinimalKind.NONE)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -119,7 +120,7 @@ def test_probe_usage_error(capsys):
 @pytest.mark.parametrize("command", ["probe", "check"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8", "x"])
 def test_bad_tolerance_is_a_usage_error(capsys, command, tol):
-    # probe rejects the value; check has no --tol at all and rejects the flag
+    # neither command has a --tol flag: argparse rejects it, naming it
     argv = [command, "--tol", tol] + (["--product", "S3:1 x R1"] if command == "probe" else [])
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -168,6 +169,23 @@ def test_probe_large_finite_curvature_is_constant(capsys):
         assert float(value) == pytest.approx(2e200, rel=1e-12)
 
 
+@pytest.mark.parametrize("curvature", ["1e-12", "1", "1e12", "1e-300"])
+def test_probe_verdict_does_not_depend_on_the_scale(capsys, curvature):
+    for sphere, constant in (("S3", True), ("S5", False)):
+        code, out, _ = run_cli(capsys, "probe", "--product", f"{sphere}:{curvature} x R1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["is_constant"] is constant and payload["tol"] == 1e-8
+
+
+@pytest.mark.parametrize("product", ["S3:1e-318 x R1", "S5:1e-318 x R1"])
+def test_probe_subnormal_curvature_is_a_usage_error(capsys, product):
+    code, out, err = run_cli(capsys, "probe", "--product", product)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: curvature is subnormal: max |R_ijkl| = ")
+
+
 def test_probe_output_does_not_depend_on_the_environment(capsys, monkeypatch):
     monkeypatch.delenv("CIC_SEED", raising=False)
     _, baseline, _ = run_cli(capsys, "probe", "--product", "S5:1 x R1")
@@ -197,6 +215,22 @@ def test_classify_with_witness(capsys):
     assert entry["witness"]["params"]["alpha"] == 0.25
     assert entry["witness"]["cic_mean"] == pytest.approx(3.0, abs=1e-8)
     assert entry["witness"]["cic_max_deviation"] <= 1e-8
+
+
+def test_classify_witness_memory_does_not_grow_with_the_grid(capsys):
+    """The witness grid is streamed: five times the points, the same traced peak."""
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "classify", "4", "1", "3", "--witness", "--grid", str(grid))
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (small_code, small), (big_code, big) = peak(8193), peak(40961)
+    assert small_code == big_code == 0
+    assert big <= 1.2 * small
 
 
 def test_classify_totally_geodesic(capsys):

@@ -23,10 +23,10 @@ def sup_error(points, family):
 def stage_rk4(C, delta, x0, v0, s_max, step, stop=False):
     """Literal four-stage RK4 on u'' = 2*delta - C*u, u = x^2: the oracle.
 
-    Returns (s, x, x') rows sorted by s; u must stay above EPS_DOM.  With
-    stop=True a sweep instead ends at its first step where u <= EPS_DOM,
-    the forward sweep first, and the result is (rows before that step, its
-    s), or (rows, None) when neither sweep crosses.
+    Returns (s, x, x') rows sorted by s; u must stay above EPS_DOM * x0^2.
+    With stop=True a sweep instead ends at its first step where
+    u <= EPS_DOM * x0^2, the forward sweep first, and the result is (rows
+    before that step, its s), or (rows, None) when neither sweep crosses.
     """
     nsteps = int(math.floor(s_max / step + 1e-9))
 
@@ -43,7 +43,7 @@ def stage_rk4(C, delta, x0, v0, s_max, step, stop=False):
             k4u, k4v = f(u + h * k3u, v + h * k3v)
             u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
             v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if u <= EPS_DOM:
+            if u <= EPS_DOM * x0 * x0:
                 assert stop, "oracle case leaves the valid domain"
                 return out, i * h
             out.append((i * h, math.sqrt(u), v / (2.0 * math.sqrt(u))))
@@ -70,7 +70,7 @@ def step_map_overflow_s(C, delta, x0, v0, s_max, step):
             u, v = u + (d * u + duv * v + b), v + (-C * duv * u + d * v + 2.0 * delta * h * (1.0 - q / 6.0))
             if not (math.isfinite(u) and math.isfinite(v)):
                 return i * h
-            assert u > EPS_DOM, "overflow case crosses first"
+            assert u > EPS_DOM * x0 * x0, "overflow case crosses first"
     return None
 
 
@@ -139,6 +139,23 @@ def test_crossings_match_stage_rk4(C, delta, x0, v0, s_max):
         integrate_profile_arrays(C, delta, x0, v0, s_max, 1e-3)
     assert info.value.s == s_end
     assert [s for s, _, _ in info.value.samples] == [s for s, _, _ in rows]
+
+
+# (C, x0, s_max, step) -> (t*C, x0/sqrt(t), s_max/sqrt(t), step/sqrt(t)) maps
+# solutions to solutions with x scaled by 1/sqrt(t); t = 4^k scales exactly
+@pytest.mark.parametrize("t", [4.0**-20, 4.0**-5, 4.0**5, 4.0**20, 1e-10, 1e10])
+@pytest.mark.parametrize(
+    "C,delta,x0,v0",
+    [(2.0, 1, 1.0, 1.0), (0.0, 1, 1.0, -1.5), (0.0, 0, 1.0, -0.4998), (-1.0, 1, 0.5, -2.0)],
+)
+def test_crossings_move_with_the_scaling(C, delta, x0, v0, t):
+    with pytest.raises(NonPositiveProfile) as ref:
+        integrate_profile_arrays(C, delta, x0, v0, 5.0, 1e-3)
+    r = math.sqrt(t)
+    with pytest.raises(NonPositiveProfile) as info:
+        integrate_profile_arrays(t * C, delta, x0 / r, v0, 5.0 / r, 1e-3 / r)
+    assert info.value.s == pytest.approx(ref.value.s / r, rel=1e-12)
+    assert len(info.value.samples) == len(ref.value.samples)
 
 
 @pytest.mark.parametrize(

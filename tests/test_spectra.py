@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -293,9 +294,25 @@ def test_minimal_branches(n, c, C, kind):
 
 
 def test_minimal_clifford_tolerance_is_relative():
-    c = 1.0
-    assert minimal_classify(4, c, 8.0 * c / 3.0 * (1 + 1e-10)).kind is MinimalKind.CLIFFORD
-    assert minimal_classify(4, c, 8.0 * c / 3.0 + 1e-3).kind is MinimalKind.NONE
+    """A float C matches 8c/3 within 1e-12 * max(|c|, |C|), as it matches 4c."""
+    for c in (1e-6, 1.0, 1e6):
+        assert minimal_classify(4, c, 8.0 * c / 3.0 * (1 + 1e-13)).kind is MinimalKind.CLIFFORD
+        assert minimal_classify(4, c, 8.0 * c / 3.0 * (1 + 1e-10)).kind is MinimalKind.NONE
+        assert minimal_classify(4, c, 8.0 * c / 3.0 * (1 - 1e-10)).kind is MinimalKind.NONE
+        assert minimal_classify(4, c, 8.0 * c / 3.0 + 1e-3 * c).kind is MinimalKind.NONE
+
+
+@pytest.mark.parametrize(
+    "c,C,kind",
+    [
+        (1, Fraction(8, 3), MinimalKind.CLIFFORD),
+        (Fraction(3, 4), 2, MinimalKind.CLIFFORD),
+        (1, Fraction(8, 3) + Fraction(1, 10**12), MinimalKind.NONE),
+        (1, Fraction(8, 3) - Fraction(1, 10**30), MinimalKind.NONE),
+    ],
+)
+def test_minimal_clifford_is_exact_for_exact_inputs(c, C, kind):
+    assert minimal_classify(4, c, C).kind is kind
 
 
 # ---------------------------------------------------------------------------
