@@ -168,18 +168,9 @@ def _cmd_classify(args) -> int:
             w = outcome.profile
             ambient = pf.AmbientSpec(c=float(q.c), delta=w.ode_delta)
             info = {"family": outcome.family, "params": dataclasses.asdict(w)}
-            count, lo, hi = 0, math.inf, -math.inf
-
-            def cics(samples):  # streamed, so a large --grid is never held in memory
-                nonlocal count, lo, hi
-                for p in samples:
-                    count, lo, hi = count + 1, min(lo, p.cic), max(hi, p.cic)
-                    yield p.cic
-
-            try:
-                mean = sum(cics(pf.profile_samples(w, ambient, window, args.grid))) / count
-                # rounding is monotone, so this is max |cic - mean| over the grid, bitwise
-                info["cic_mean"], info["cic_max_deviation"] = mean, max(hi - mean, mean - lo)
+            try:  # streamed, so a large --grid is never held in memory
+                samples = pf.profile_samples(w, ambient, window, args.grid)
+                info["cic_mean"], info["cic_max_deviation"] = pf.cic_mean_deviation(samples)
             except pf.DomainBreakdown as exc:
                 info["domain_failure"] = {"s": exc.s, "reason": exc.reason}
             entry["witness"] = info

@@ -274,15 +274,20 @@ def _contract(comp: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: 
 def sectional(t: CurvatureTensor, x: Sequence[float], y: Sequence[float]) -> float:
     """Sectional curvature of the plane spanned by x and y.
 
-    Rejects (numerically) dependent spans: sin^2 of the angle between x
-    and y must exceed 1e-14, so scaling x or y does not change the answer.
+    x and y are first divided by their largest |component|, so no square
+    overflows or underflows and scaling either does not change the answer
+    at any finite size.  Rejects a zero or non-finite vector and
+    (numerically) dependent spans: sin^2 of their angle must exceed 1e-14.
     """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
+    xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    tops = (float(np.max(np.abs(xv))), float(np.max(np.abs(yv))))
+    if not all(0.0 < top < math.inf for top in tops):
+        raise ValueError(f"degenerate plane: max |component| of x and y is {tops}")
+    xv, yv = xv / tops[0], yv / tops[1]  # |x|^2 and |y|^2 now lie in [1, dim]
     xx, yy = float(xv @ xv), float(yv @ yv)
     area2 = xx * yy - float(xv @ yv) ** 2
-    if not area2 > DEGENERATE_PLANE * xx * yy:  # `not >` also rejects zero vectors
-        raise ValueError(f"degenerate plane: Gram determinant {area2:.3e} <= {DEGENERATE_PLANE} |x|^2 |y|^2")
+    if not area2 > DEGENERATE_PLANE * xx * yy:
+        raise ValueError(f"degenerate plane: sin^2 of the angle {area2 / (xx * yy):.3e} <= {DEGENERATE_PLANE}")
     return float(_contract(t.comp, xv[None], yv[None], yv[None], xv[None])[0]) / area2
 
 
@@ -389,7 +394,6 @@ def cic_probe(
     t: CurvatureTensor,
     count: int = DEFAULT_FRAMES,
     seed: int = DEFAULT_SEED,
-    tol: float = DEFAULT_PROBE_TOL,
 ) -> ProbeReport:
     """Sample the frame functional and report its spread.
 
@@ -398,10 +402,11 @@ def cic_probe(
     read-only and shared by consecutive probes with the same
     (t.dim, count, seed), so a run of probes samples it once.
 
-    is_constant is True exactly when max - min <= tol * max |R_ijkl| over
-    the sampled frames, so the verdict does not change when the tensor is
-    scaled (the zero tensor's spread is 0); for the tensors built here,
-    constant and non-constant cases separate by many orders of magnitude.
+    is_constant is True exactly when max - min <= DEFAULT_PROBE_TOL *
+    max |R_ijkl| over the sampled frames, so the verdict does not change
+    when the tensor is scaled (the zero tensor's spread is 0); for the
+    tensors built here, constant and non-constant cases separate by many
+    orders of magnitude.
     Raises ValueError when max |R_ijkl| is subnormal, too few digits to
     judge, and when the values or their mean overflow the float range.
     """
@@ -426,7 +431,7 @@ def cic_probe(
         min=vmin,
         max=vmax,
         mean=mean,
-        is_constant=bool(vmax - vmin <= tol * scale),
+        is_constant=bool(vmax - vmin <= DEFAULT_PROBE_TOL * scale),
         argmin=argmin,
         argmax=argmax,
     )

@@ -377,9 +377,32 @@ def cic_along_profile(
     from its grid mean.  Propagates DomainBreakdown from invalid points.
     """
     samples = list(profile_samples(f, ambient, s_window, grid_n))
-    mean = sum(p.cic for p in samples) / len(samples)
-    deviation = max(abs(p.cic - mean) for p in samples)
-    return samples, deviation
+    return samples, cic_mean_deviation(samples)[1]
+
+
+def cic_mean_deviation(samples: Iterable[ProfileSample]) -> tuple[float, float]:
+    """Mean of the isotropic value over samples and its maximum deviation from it.
+
+    Reads the samples once, keeping their count, their sum (one sum() in
+    sample order) and the least and greatest value, so a stream of any
+    length takes constant memory.  Rounding is monotone, so the deviation
+    max(hi - mean, mean - lo) is max |cic - mean| over the samples, bitwise.
+    """
+    count, lo, hi = 0, math.inf, -math.inf
+
+    def cics() -> Iterator[float]:
+        nonlocal count, lo, hi
+        for p in samples:
+            cic = p.cic
+            count += 1
+            if cic < lo:
+                lo = cic
+            if cic > hi:
+                hi = cic
+            yield cic
+
+    mean = sum(cics()) / count
+    return mean, max(hi - mean, mean - lo)
 
 
 def _sweep(w: np.ndarray, C: float, delta: int, h: float) -> int | None:
@@ -470,8 +493,8 @@ def integrate_profile_arrays(
             raise ValueError(f"{name} must be finite, got {value}")
     if delta not in (-1, 0, 1):
         raise ValueError(f"delta must be -1, 0 or 1, got {delta}")
-    if not x0 > 0:
-        raise ValueError(f"x0 must be positive, got {x0}")
+    if not (x0 > 0 and x0 * x0 >= np.finfo(float).tiny):  # a subnormal x0^2 has too few digits
+        raise ValueError(f"x0 must be positive with x0^2 a normal float, got {x0!r}")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     if s_max < step:

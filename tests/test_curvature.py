@@ -211,16 +211,26 @@ def test_sectional_rejects_a_zero_vector():
         sectional(t, np.zeros(4), np.eye(4)[1])
 
 
-def test_sectional_of_a_small_orthogonal_plane():
-    """The degeneracy test is on sin^2 of the angle, not on the Gram determinant."""
+@pytest.mark.parametrize("size", [1e-4, 1e-160, 5e-324, 1e160, 1e308])
+def test_sectional_of_an_orthogonal_plane_at_any_size(size):
+    """The degeneracy test is on sin^2 of the angle, not on the Gram determinant,
+    and no square of a component overflows or underflows."""
     t = build_constant_curvature(4, 1.0)
-    assert sectional(t, [1e-4, 0.0, 0.0, 0.0], [0.0, 1e-4, 0.0, 0.0]) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sectional(t, [size, 0.0, 0.0, 0.0], [0.0, size, 0.0, 0.0]) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sectional_rejects_a_non_finite_vector(bad):
+    with pytest.raises(ValueError, match=re.escape("degenerate plane: max |component|")):
+        sectional(build_constant_curvature(4, 1.0), [bad, 0.0, 0.0, 0.0], np.eye(4)[1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    a=st.floats(-60.0, 60.0).map(lambda e: 10.0 ** e),
-    b=st.floats(-60.0, 60.0).map(lambda e: 10.0 ** e),
+    a=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e),
+    b=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e),
     seed=st.integers(0, 2**31),
 )
 def test_sectional_does_not_change_when_x_and_y_are_scaled(a, b, seed):

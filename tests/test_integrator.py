@@ -306,6 +306,20 @@ def test_rejected_inputs_name_the_argument(args, name):
         integrate_profile(*args)
 
 
+@pytest.mark.parametrize("x0", [1e-160, 1e-170, 5e-324])
+def test_an_x0_whose_square_is_subnormal_is_rejected(x0):
+    """The stop threshold is 1e-9 of x0^2; a subnormal x0^2 keeps too few digits
+    for it (1e-160 gave x = 9.99994e-161 on every row, 1e-170 a false crossing)."""
+    with pytest.raises(ValueError, match=r"^x0 must be positive with x0\^2 a normal float"):
+        integrate_profile_arrays(0.0, 0, x0, 0.0, 1.0, 0.1)
+
+
+def test_the_smallest_x0_with_a_normal_square_keeps_its_digits():
+    x0 = 1.5e-154  # x0^2 = 2.25e-308, just above the smallest normal float
+    _, x, xp = integrate_profile_arrays(0.0, 0, x0, 0.0, 1.0, 0.1)  # u stays x0^2
+    assert np.all(np.abs(x - x0) <= 1e-15 * x0) and np.all(xp == 0.0)
+
+
 def test_partial_samples_are_sorted_on_either_crossing():
     for v0 in (-10.0, 10.0):
         with pytest.raises(NonPositiveProfile) as info:

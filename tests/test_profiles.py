@@ -16,6 +16,7 @@ from isocurv.profiles import (
     QuadraticProfile,
     TrigProfile,
     cic_along_profile,
+    cic_mean_deviation,
     domain_check,
     ode_residual,
     principal_curvatures,
@@ -252,6 +253,16 @@ def test_cic_along_profile_examples():
     samples, dev = cic_along_profile(TrigProfile(C=4.0, alpha=0.5), AmbientSpec(1.0, 1))
     assert dev <= 1e-9
     assert samples[100].cic == pytest.approx(4.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("fam,C,delta", FAMILY_GRID)
+def test_streamed_mean_and_deviation_are_the_two_pass_ones_bitwise(fam, C, delta):
+    """max(hi - mean, mean - lo) equals max |cic - mean|, since rounding is monotone."""
+    samples = list(profile_samples(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401))
+    mean = sum(p.cic for p in samples) / len(samples)
+    want = (mean, max(abs(p.cic - mean) for p in samples))
+    assert cic_mean_deviation(iter(samples)) == want
+    assert cic_along_profile(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401)[1] == want[1]
 
 
 def test_cic_along_profile_propagates_breakdown():
