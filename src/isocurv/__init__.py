@@ -58,15 +58,9 @@ from .profiles import (
 from .spectra import (
     MinimalKind,
     MinimalVerdict,
-    ShapeSpectrum,
-    SpectrumError,
-    TwoCurvatureForm,
     cic_from_spectrum,
     cmc_lambda_solve,
-    mean_curvature,
     minimal_classify,
-    pairing_test,
-    two_curvature_form,
 )
 
 __version__ = "0.1.0"

@@ -472,16 +472,26 @@ def tensor_to_json(t: CurvatureTensor) -> str:
 
 
 def tensor_from_json(text: str) -> CurvatureTensor:
-    """Rebuild a tensor from its canonical JSON form by unfolding symmetries;
-    entries outside that form, or a Bianchi residual above 1e-12 * max |R_ijkl|, raise ValueError."""
+    """Rebuild a tensor from its canonical JSON form by unfolding symmetries.  A document
+    other than {"dim": positive int, "components": [[i, j, k, l, finite number], ...]}, entries outside
+    the canonical form, or a Bianchi residual above 1e-12 * max |R_ijkl| raise ValueError."""
     data = json.loads(text)
-    n = int(data["dim"])
+    if not (isinstance(data, dict) and isinstance(data.get("components"), list)):
+        raise ValueError("tensor JSON must be an object with dim and a components list")
+    n = data.get("dim")
+    if type(n) is not int or n < 1:  # type(True) is bool, so booleans fail too
+        raise ValueError(f"dim must be a positive integer, got {n!r}")
     comp = np.zeros((n, n, n, n))
-    for i, j, k, l, v in data["components"]:
+    for entry in data["components"]:
+        if not isinstance(entry, list) or len(entry) != 5:
+            raise ValueError(f"component {entry!r} must be [i, j, k, l, value]")
+        i, j, k, l, v = entry
         in_range = all(type(a) is int and 0 <= a < n for a in (i, j, k, l))
         if not (in_range and i < j and k < l and (i, j) <= (k, l)):
             need = f"integers 0 <= i < j < {n}, k < l and (i, j) <= (k, l)"
             raise ValueError(f"component {(i, j, k, l)} is not canonical: need {need}")
+        if type(v) not in (int, float) or not abs(v) <= float(np.finfo(float).max):  # exact for any int
+            raise ValueError(f"component {(i, j, k, l)} value must be a finite number, got {v!r}")
         for (a, b, c, d), sign in (
             ((i, j, k, l), 1.0),
             ((j, i, k, l), -1.0),

@@ -1,11 +1,12 @@
 """Principal-curvature algebra for hypersurfaces of constant isotropic curvature.
 
-A spectrum that produces a frame-constant isotropic curvature can carry at
-most two distinct principal curvatures, one of them with multiplicity at
-least n-1.  This module reduces spectra to that (lambda, mu) form, evaluates
-the isotropic constant 4c + 2(lambda^2 + lambda*mu), and analyses the
-constant-mean-curvature and minimal cases, including the Clifford product
-hypersurface that is the unique non-geodesic minimal example.
+A hypersurface of constant isotropic curvature has at most two distinct
+principal curvatures, lambda of multiplicity at least n-1 and mu.  This
+module works on that (lambda, mu) pair: it evaluates the isotropic constant
+4c + 2(lambda^2 + lambda*mu), solves for the pairs with given isotropic and
+mean curvature, and decides the minimal case, whose only non-geodesic
+example is the Clifford product hypersurface.  `_cmp` and `_boundary_tol`
+are the branch-boundary comparison that `classification` shares.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence
 
-DISTINCT_TOL = 1e-9        # relative: values closer than this times max |lambda| merge
 BOUNDARY_TOL = 1e-12       # branch-boundary tolerance, relative to max(|c|, |C|)
 
 
@@ -41,37 +40,6 @@ def _cmp(lhs, rhs, tol: float) -> int:
     return 1 if diff > 0 else -1
 
 
-class SpectrumError(ValueError):
-    """Raised for spectra inconsistent with a constant isotropic curvature."""
-
-
-@dataclass(frozen=True)
-class ShapeSpectrum:
-    """Ambient curvature plus the principal curvatures at a point."""
-
-    c: float
-    lambdas: tuple[float, ...]
-
-    def __post_init__(self):
-        lams = tuple(float(v) for v in self.lambdas)
-        if len(lams) < 4:
-            raise ValueError(f"spectrum needs n >= 4 principal curvatures, got {len(lams)}")
-        object.__setattr__(self, "lambdas", lams)
-
-    @property
-    def n(self) -> int:
-        return len(self.lambdas)
-
-
-@dataclass(frozen=True)
-class TwoCurvatureForm:
-    """Reduced spectrum (lambda of multiplicity >= n-1, mu of multiplicity 1)."""
-
-    lam: float
-    mu: float
-    n: int
-
-
 class MinimalKind(Enum):
     NONE = "None"
     TOTALLY_GEODESIC = "TotallyGeodesic"
@@ -88,93 +56,9 @@ class MinimalVerdict:
     x0: float | None = None  # constant profile height, Clifford only
 
 
-def pairing_test(lambdas: Sequence[float], tol: float = DISTINCT_TOL) -> bool:
-    """Whether the three products-of-pairs sums of four values agree within
-    tol * max |lambda_i|^2.
-
-    For principal curvatures (a, b, c, d) the sums are a*b + c*d,
-    a*c + b*d and a*d + b*c; frame constancy of the isotropic curvature
-    forces all three to coincide on every 4-subset.
-    """
-    vals = [float(v) for v in lambdas]
-    p = _pairing_values(vals)
-    return max(p) - min(p) <= tol * max(abs(v) for v in vals) ** 2
-
-
-def _pairing_values(vals):
-    a, b, c, d = vals
-    return (a * b + c * d, a * c + b * d, a * d + b * c)
-
-
-def _cluster(values: Sequence[float], tol: float) -> list[list[int]]:
-    """Group indices of values that agree within tol (values assumed 1-D)."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    groups: list[list[int]] = [[order[0]]]
-    for i in order[1:]:
-        if values[i] - values[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def _violating_subset(lambdas: Sequence[float]) -> tuple[tuple[int, ...], float]:
-    """The 4-subset with the worst pairing disagreement, for diagnostics.
-
-    For sorted a <= b <= c <= d the pair sums order as
-    ab + cd >= ac + bd >= ad + bc, with spread (c - a)(d - b); the two
-    smallest and the two largest values maximise both factors.  Returns
-    the indices in ascending order and that spread.
-    """
-    order = sorted(range(len(lambdas)), key=lambda i: lambdas[i])
-    ends = order[:2] + order[-2:]
-    a, b, c, d = (lambdas[i] for i in ends)
-    return tuple(sorted(ends)), (c - a) * (d - b)
-
-
-def two_curvature_form(s: ShapeSpectrum, tol: float = DISTINCT_TOL) -> TwoCurvatureForm:
-    """Reduce a spectrum to its (lambda, mu) form.
-
-    Values within tol * max |lambda| of each other merge.  Accepts
-    umbilical spectra (all values merge, lambda == mu) and spectra with
-    exactly two distinct values where one has multiplicity >= n-1.
-    Anything else is rejected with the worst-violating 4-subset named in
-    the diagnostic.
-    """
-    lams = s.lambdas
-    groups = _cluster(lams, tol * max(abs(v) for v in lams))
-
-    def reject(why: str):
-        idx, spread = _violating_subset(lams)
-        vals = tuple(lams[i] for i in idx)
-        raise SpectrumError(
-            f"{why}; pairing sums of 4-subset {idx} = {vals} disagree by {spread:.3e}"
-        )
-
-    if len(groups) == 1:
-        v = sum(lams) / len(lams)
-        return TwoCurvatureForm(lam=v, mu=v, n=s.n)
-    if len(groups) > 2:
-        reject(f"spectrum has {len(groups)} distinct principal curvatures (max 2 allowed)")
-    big, small = sorted(groups, key=len, reverse=True)
-    if len(big) < s.n - 1:
-        reject(
-            f"two distinct principal curvatures with multiplicities "
-            f"({len(big)}, {len(small)}); one must have multiplicity >= n-1 = {s.n - 1}"
-        )
-    lam = sum(lams[i] for i in big) / len(big)
-    mu = sum(lams[i] for i in small) / len(small)
-    return TwoCurvatureForm(lam=lam, mu=mu, n=s.n)
-
-
 def cic_from_spectrum(c: float, lam: float, mu: float) -> float:
-    """Isotropic constant 4c + 2(lambda^2 + lambda*mu) of a reduced spectrum."""
+    """Isotropic constant 4c + 2(lambda^2 + lambda*mu) of the spectrum (lambda, ..., lambda, mu)."""
     return 4.0 * c + 2.0 * (lam * lam + lam * mu)
-
-
-def mean_curvature(form: TwoCurvatureForm) -> float:
-    """Trace of the shape operator: (n-1)*lambda + mu."""
-    return (form.n - 1) * form.lam + form.mu
 
 
 def cmc_lambda_solve(n: int, c: float, C: float, H: float) -> list[tuple[float, float]]:

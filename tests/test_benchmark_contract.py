@@ -32,6 +32,10 @@ def params(fn):
         (cls.witness, ["outcome", "q"]),
         # the tracer reads the frame batch as args[1] for its per-dimension eval metrics
         (cv._isotropic_batch, ["t", "frames"]),
+        # the probe workload calls cic_probe with count= and seed=, and builds
+        # its frame batches from sample_frames(n, count, seed)
+        (cv.cic_probe, ["t", "count", "seed"]),
+        (cv.sample_frames, ["n", "count", "seed"]),
     ],
 )
 def test_parameter_names(fn, names):

@@ -706,6 +706,24 @@ def test_json_rejects_what_it_cannot_represent(entry, message):
         tensor_from_json(json.dumps({"dim": 4, "components": [entry]}))
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"dim": 4.7, "components": []}, "dim must be a positive integer, got 4.7"),
+        ({"dim": "4", "components": []}, "dim must be a positive integer, got '4'"),
+        ({"dim": True, "components": []}, "dim must be a positive integer, got True"),
+        ({"dim": 4, "components": [[0, 1, 0, 1, True]]}, "value must be a finite number, got True"),
+        ({"dim": 4, "components": [[0, 1, 0, 1, "1.5"]]}, "value must be a finite number, got '1.5'"),
+        ({"dim": 4, "components": [[0, 1, 0, 1, 10**400]]}, "value must be a finite number, got 1000"),
+        ([], "must be an object with dim and a components list"),
+        ({"dim": 4}, "must be an object with dim and a components list"),
+    ],
+)
+def test_json_rejects_malformed_documents(doc, message):
+    with pytest.raises(ValueError, match=message):
+        tensor_from_json(json.dumps(doc))
+
+
 def test_json_lists_canonical_entries_only():
     data = json.loads(tensor_to_json(sphere_line()))
     assert data["dim"] == 4
