@@ -1,17 +1,20 @@
 """Numerical toolkit for constant isotropic curvature hypersurfaces in space forms.
 
 Curvature tensors and the orthonormal-frame probe live in `curvature`,
-principal-curvature algebra in `spectra`, rotation-hypersurface profiles in
-`profiles`, the (n, c, C) decision tree in `classify`, and the verification
-suites in `checks`.
+(lambda, mu) algebra in `spectra`, rotation-hypersurface profiles in
+`profiles`, the (n, c, C) decisions, `classify` and `minimal_classify`, in
+`classification`, and the verification suites in `checks`.
 """
 
 from .classification import (
     ClassificationOutcome,
     ClassQuery,
     Interval,
+    MinimalKind,
+    MinimalVerdict,
     NonexistenceEvidence,
     classify,
+    minimal_classify,
     nonexistence_witness,
     query_to_json,
     witness,
@@ -55,12 +58,6 @@ from .profiles import (
     profile_samples,
     write_profile_csv,
 )
-from .spectra import (
-    MinimalKind,
-    MinimalVerdict,
-    cic_from_spectrum,
-    cmc_lambda_solve,
-    minimal_classify,
-)
+from .spectra import cic_from_spectrum, cmc_lambda_solve
 
 __version__ = "0.1.0"

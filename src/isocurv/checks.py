@@ -228,7 +228,7 @@ def _truth_table() -> list[tuple[int, float, float, frozenset[str]]]:
         (4, 1.0, 4.0 - e, frozenset({"RotationFamily:trig"})),
         (4, 1.0, 4.0 + e, frozenset({"UmbilicalNonTG", "RotationFamily:trig"})),
         (4, 0.0, -e, empty),
-        (4, 0.0, +e, frozenset({"TotallyGeodesic", "UmbilicalNonTG", "RotationFamily:trig"})),
+        (4, 0.0, +e, frozenset({"UmbilicalNonTG", "RotationFamily:trig"})),
         (4, -1.0, -4.0 - e, empty),
         (4, -1.0, -4.0 + e, frozenset({"UmbilicalNonTG", "RotationFamily:exponential"})),
         (4, -1.0, -2.0 - e, frozenset({"UmbilicalNonTG", "RotationFamily:exponential"})),
@@ -314,17 +314,17 @@ def check_nonexistence(config: RunConfig) -> str:
 def check_minimal_clifford(config: RunConfig) -> str:
     """Minimal analysis: Clifford data at C = 8c/3, geodesics at C = 4c, else none."""
     for c in (0.25, 0.75, 1.0, 2.0):
-        v = sp.minimal_classify(4, c, 8.0 * c / 3.0)
-        assert v.kind is sp.MinimalKind.CLIFFORD, f"c={c}: got {v.kind}"
+        v = cls.minimal_classify(4, c, 8.0 * c / 3.0)
+        assert v.kind is cls.MinimalKind.CLIFFORD, f"c={c}: got {v.kind}"
         assert abs(3.0 * v.lam + v.mu) <= 1e-14, f"c={c}: H = {3.0 * v.lam + v.mu!r}"
         assert abs(v.lam + math.sqrt(c / 3.0)) <= 1e-12
         assert abs(v.x0 - math.sqrt(3.0 / (4.0 * c))) <= 1e-12
         assert abs(sp.cic_from_spectrum(c, v.lam, v.mu) - 8.0 * c / 3.0) <= 1e-12
     for n, c, C in ((4, 1.0, 5.0), (5, 1.0, 4.5), (4, -1.0, 1.0), (6, 0.0, 2.0)):
-        assert sp.minimal_classify(n, c, C).kind is sp.MinimalKind.NONE, f"({n}, {c}, {C})"
+        assert cls.minimal_classify(n, c, C).kind is cls.MinimalKind.NONE, f"({n}, {c}, {C})"
     for n, c in ((5, 1.0), (6, -1.0), (5, 0.0)):
-        v = sp.minimal_classify(n, c, 4.0 * c)
-        assert v.kind is sp.MinimalKind.TOTALLY_GEODESIC, f"({n}, {c}, {4 * c}): got {v.kind}"
+        v = cls.minimal_classify(n, c, 4.0 * c)
+        assert v.kind is cls.MinimalKind.TOTALLY_GEODESIC, f"({n}, {c}, {4 * c}): got {v.kind}"
     return "Clifford data exact for c in {1/4, 3/4, 1, 2}; geodesic/none branches agree"
 
 

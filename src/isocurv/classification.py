@@ -1,23 +1,28 @@
-"""Decision tree mapping (n, c, C) to the complete hypersurfaces of that
-constant isotropic curvature in the space form of curvature c.
+"""Decision module mapping (n, c, C) to the complete hypersurfaces of that
+constant isotropic curvature in the space form of curvature c, with the
+minimal case beside it.
 
-For n >= 5 only umbilical hypersurfaces and constant-curvature ones occur;
-every n = 4 branch adds a one-parameter rotation-hypersurface family whose
-profile solves (x*x')' = delta - (C/2)*x^2.  Branch boundaries sit at
-C = 2c, C = 4c and C = 0, so comparisons are exact when the inputs are
-exact (int / Fraction) and otherwise within BOUNDARY_TOL * max(|c|, |C|),
-so scaling (c, C) by t > 0 does not change the branch.
+`classify` decides each query in three parts.  The umbilical part, for
+every n, is decided from C against 4c.  At n = 4 one rotation-hypersurface
+family joins it, chosen by the sign of C, whose profile solves
+(x*x')' = delta - (C/2)*x^2.  When both parts are empty the query has one
+Empty outcome with its obstruction and, at n = 4, the candidate that
+`nonexistence_witness` breaks.  `minimal_classify` takes its C-vs-4c side
+from the same comparison.
 
-`classify` alone decides the branch.  Its outcomes carry what the branch
-fixes: a rotation outcome its witness profile, an Empty outcome its
-obstruction and, at n = 4, the candidate that `nonexistence_witness` breaks.
+Branch boundaries sit at C = 2c, C = 4c and C = 0 (and 8c/3 for the
+Clifford product), so comparisons are exact when the inputs are exact
+(int / Fraction) and otherwise within BOUNDARY_TOL * max(|c|, |C|), so
+scaling (c, C) by t > 0 does not change the branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 from typing import Union
 
 from .profiles import (
@@ -30,9 +35,10 @@ from .profiles import (
     TrigProfile,
     domain_check,
 )
-from .spectra import _boundary_tol, _cmp
 
 Number = Union[int, float, Fraction]
+
+BOUNDARY_TOL = 1e-12       # branch-boundary tolerance, relative to max(|c|, |C|)
 
 EMPTY = "Empty"
 TOTALLY_GEODESIC = "TotallyGeodesic"
@@ -40,6 +46,26 @@ UMBILICAL = "UmbilicalNonTG"
 CONSTANT_CURVATURE = "ConstantCurvature"
 FLAT_LOCAL = "FlatLocal"
 ROTATION_FAMILY = "RotationFamily"
+
+
+def _is_exact(v) -> bool:
+    return isinstance(v, Rational) and not isinstance(v, bool)
+
+
+def _boundary_tol(c, C) -> float:
+    """Float boundary tolerance at the scale of (c, C)."""
+    return BOUNDARY_TOL * max(abs(float(c)), abs(float(C)))
+
+
+def _cmp(lhs, rhs, tol: float) -> int:
+    """-1, 0 or +1 for lhs vs rhs; exact when both sides are rational."""
+    if _is_exact(lhs) and _is_exact(rhs):
+        diff = Fraction(lhs) - Fraction(rhs)
+        return (diff > 0) - (diff < 0)
+    diff = float(lhs) - float(rhs)
+    if abs(diff) <= tol:
+        return 0
+    return 1 if diff > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -134,29 +160,51 @@ class NonexistenceEvidence:
     failure: FirstFailure | None          # grid point where the candidate breaks
 
 
-def _trig_outcome(C: float, alpha_range: Interval) -> ClassificationOutcome:
-    return ClassificationOutcome(
-        tag=ROTATION_FAMILY,
-        family="trig",
-        deltas=(1,),
-        ranges={"alpha": alpha_range},
-        profile=TrigProfile(C=C, alpha=(alpha_range.lo + alpha_range.hi) / 2.0),
-    )
+class MinimalKind(Enum):
+    NONE = "None"
+    TOTALLY_GEODESIC = "TotallyGeodesic"
+    CLIFFORD = "Clifford"
 
 
-def _exponential_outcome(C: float) -> ClassificationOutcome:
-    return ClassificationOutcome(
-        tag=ROTATION_FAMILY,
-        family="exponential",
-        deltas=(1, 0, -1),
-        ranges={"A": Interval(0.0, None, lo_open=False), "B": Interval(0.0, None, lo_open=False)},
-        conditions=("A + B > delta", "4*A*B > delta^2"),
-        profile=ExponentialProfile(C=C, A=1.0, B=1.0, delta=1),
-    )
+@dataclass(frozen=True)
+class MinimalVerdict:
+    """Outcome of the minimal-hypersurface analysis for given (n, c, C)."""
+
+    kind: MinimalKind
+    lam: float | None = None
+    mu: float | None = None
+    x0: float | None = None  # constant profile height, Clifford only
+
+
+def _side_of_4c(c, C) -> int:
+    """-1, 0 or +1 for C against 4c, where the umbilical part changes."""
+    return _cmp(C, 4 * c, _boundary_tol(c, C))
+
+
+def _rotation_family(c_sign: int, C_sign: int, C: float, alpha_hi: float) -> ClassificationOutcome:
+    """The n = 4 rotation family for the sign of C: trig with alpha in
+    [0, alpha_hi) above 0, parabolic (flat) or quadratic (hyperbolic) at 0,
+    exponential below."""
+    if C_sign > 0:
+        return ClassificationOutcome(ROTATION_FAMILY, family="trig", deltas=(1,),
+                                     ranges={"alpha": Interval(0.0, alpha_hi, lo_open=False)},
+                                     profile=TrigProfile(C=C, alpha=alpha_hi / 2.0))
+    if C_sign < 0:
+        closed = Interval(0.0, None, lo_open=False)
+        return ClassificationOutcome(ROTATION_FAMILY, family="exponential", deltas=(1, 0, -1),
+                                     ranges={"A": closed, "B": closed},
+                                     conditions=("A + B > delta", "4*A*B > delta^2"),
+                                     profile=ExponentialProfile(C=C, A=1.0, B=1.0, delta=1))
+    if c_sign == 0:
+        return ClassificationOutcome(ROTATION_FAMILY, family="parabolic", deltas=(1,),
+                                     ranges={"beta": Interval(0.0, None)}, profile=ParabolicProfile(beta=1.0))
+    return ClassificationOutcome(ROTATION_FAMILY, family="quadratic", deltas=(1,),
+                                 ranges={"B": Interval(0.0, None), "A": Interval(0.0, None, lo_open=False)},
+                                 conditions=("A^2/(4B) < 1",), profile=QuadraticProfile(A=0.0, B=1.0))
 
 
 def _empty(reason: str, mechanism: str, detail: str, candidate: ProfileFamily | None = None):
-    return [ClassificationOutcome(EMPTY, reason, mechanism=mechanism, detail=detail, profile=candidate)]
+    return ClassificationOutcome(EMPTY, reason, mechanism=mechanism, detail=detail, profile=candidate)
 
 
 _ORIGIN = "already at s = 0"
@@ -170,14 +218,53 @@ def _at_origin(candidate: str, bound: str, value: float) -> str:
     )
 
 
-def _unit_speed(reason: str, c, C) -> list[ClassificationOutcome]:
-    """Empty outcome for C < 0 in a flat or spherical ambient.  The candidate
-    has x(0)^2 = 2/|C| and x'(0) = 0, so it fails at s = 0 when 2c >= |C|."""
-    if 2 * c >= -C:
-        detail = _at_origin("candidate x(0) = sqrt(2/|C|), x'(0) = 0", "2c/|C|", 2.0 * float(c) / -float(C))
-    else:
-        detail = "the profile slope reaches |x'| >= 1 at moderate |s|, violating unit speed"
-    return _empty(reason, "unit-speed", detail, ExponentialProfile(C=float(C), A=1.0, B=1.0, delta=1))
+def _obstruction(n: int, c, C, c_sign: int, C_sign: int) -> ClassificationOutcome:
+    """The Empty outcome of a query with neither part: its violated bound,
+    its obstruction and, at n = 4, the candidate of the rotation family for
+    the sign of C."""
+    cf, Cf = float(c), float(C)
+    lambda_sq = Cf / 4.0 - cf  # what an umbilical outcome would need to be >= 0
+    if n >= 5:
+        return _empty(
+            f"C < 4c for n = {n} >= 5: umbilical needs lambda^2 = (C-4c)/4 >= 0 "
+            "and constant curvature needs C = 4c",
+            "algebraic",
+            f"n = {n} >= 5: umbilical needs lambda^2 = (C-4c)/4 = {lambda_sq:.6e} >= 0 "
+            "and constant curvature needs C = 4c; no profile candidate exists",
+        )
+    if c_sign < 0:
+        return _empty(
+            "C < 4c in a negatively curved ambient: lambda^2 -> -c + C/4 < 0 "
+            "for |s| large, so no candidate profile stays valid",
+            "asymptotic-negative",
+            f"lambda^2 -> -c + C/4 = {lambda_sq:.6f} < 0 as |s| -> infinity, "
+            "so the curvature radicand eventually goes negative",
+            ExponentialProfile(C=Cf, A=1.0, B=1.0, delta=1),
+        )
+    reason = (
+        "C < 0 is impossible in a flat ambient" if c_sign == 0 else
+        "C <= 2c in a positively curved ambient: the profile domain "
+        "fails at s = 0 where c*x^2 = 2c/C >= 1"
+    )
+    if C_sign < 0:
+        # the candidate has x(0)^2 = 2/|C| and x'(0) = 0, so it fails at s = 0 when 2c >= |C|
+        if 2 * c >= -C:
+            detail = _at_origin("candidate x(0) = sqrt(2/|C|), x'(0) = 0", "2c/|C|", 2.0 * cf / -Cf)
+        else:
+            detail = "the profile slope reaches |x'| >= 1 at moderate |s|, violating unit speed"
+        return _empty(reason, "unit-speed", detail, ExponentialProfile(C=Cf, A=1.0, B=1.0, delta=1))
+    if C_sign == 0:
+        detail = (
+            _at_origin("candidate x = sqrt(s^2 + 1)", "c", cf) if c >= 1
+            else "c*x^2 = c*(s^2 + beta) exceeds 1 for large |s|, killing the curvature radicand"
+        )
+        return _empty(reason, "unbounded-growth", detail, ParabolicProfile(beta=1.0))
+    return _empty(
+        reason,
+        "positive-bound-at-origin",
+        _at_origin("constant candidate x = sqrt(2/C)", "2c/C", 2.0 * cf / Cf),
+        TrigProfile(C=Cf, alpha=0.0),
+    )
 
 
 def classify(q: ClassQuery) -> list[ClassificationOutcome]:
@@ -185,122 +272,56 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
     the violated bound, its obstruction and (n = 4) candidate profile when
     no complete hypersurface exists.
 
-    Rotation witnesses take the midpoint of a bounded alpha range, else
-    beta = 1, (A, B) = (0, 1) or A = B = 1 with delta = 1.  A C matched to
-    4c within the tolerance is taken as 4c, and C matched to 0 as 0.
+    The umbilical part, for every n: umbilical with lambda^2 = (C - 4c)/4
+    above C = 4c; totally geodesic (c > 0) or of constant curvature c
+    (c <= 0; FlatLocal at n = 4, c = C = 0) on it.  The rotation family, at
+    n = 4 only, wherever C >= 4c or C > 2c; trig's alpha is bounded by
+    C/(2c) - 1 below 4c and by 1 above.  Rotation witnesses take the
+    midpoint of the alpha range, else beta = 1, (A, B) = (0, 1) or
+    A = B = 1 with delta = 1.  A C matched to 4c within the tolerance is
+    taken as 4c, and at n = 4 a c or C matched to 0 as 0.
     """
     n, c, C = q.n, q.c, q.C
-    cf, Cf = float(c), float(C)
     tol = _boundary_tol(c, C)
-    vs4c = _cmp(C, 4 * c, tol)
-    umbilic_sq = (Cf - 4.0 * cf) / 4.0  # C = 4c + 4 lambda^2 for the spectrum (lambda^n)
-
-    if n >= 5:
-        if vs4c > 0:
-            return [ClassificationOutcome(tag=UMBILICAL, lambda_sq=umbilic_sq)]
-        if vs4c == 0:
-            if cf > 0:
-                return [ClassificationOutcome(tag=TOTALLY_GEODESIC)]
-            return [ClassificationOutcome(tag=CONSTANT_CURVATURE, curvature=cf)]
-        return _empty(
-            f"C < 4c for n = {n} >= 5: umbilical needs lambda^2 = (C-4c)/4 >= 0 "
-            "and constant curvature needs C = 4c",
-            "algebraic",
-            f"n = {n} >= 5: umbilical needs lambda^2 = (C-4c)/4 = {umbilic_sq:.6e} >= 0 "
-            "and constant curvature needs C = 4c; no profile candidate exists",
-        )
-
-    vs0_c = _cmp(c, 0, tol)
-    vs0_C = _cmp(C, 0, tol)
-
-    if vs0_c == 0:  # flat ambient
-        if vs0_C < 0:
-            return _unit_speed("C < 0 is impossible in a flat ambient", c, C)
-        if vs0_C == 0:
-            return [
-                ClassificationOutcome(tag=FLAT_LOCAL),
-                ClassificationOutcome(
-                    tag=ROTATION_FAMILY,
-                    family="parabolic",
-                    deltas=(1,),
-                    ranges={"beta": Interval(0.0, None)},
-                    profile=ParabolicProfile(beta=1.0),
-                ),
-            ]
-        return [
-            ClassificationOutcome(tag=TOTALLY_GEODESIC),
-            ClassificationOutcome(tag=UMBILICAL, lambda_sq=Cf / 4.0),
-            _trig_outcome(Cf, Interval(0.0, 1.0, lo_open=False)),
-        ]
-
-    if vs0_c > 0:  # spherical ambient
-        if _cmp(C, 2 * c, tol) <= 0:
-            reason = (
-                "C <= 2c in a positively curved ambient: the profile domain "
-                "fails at s = 0 where c*x^2 = 2c/C >= 1"
-            )
-            if vs0_C > 0:
-                return _empty(
-                    reason,
-                    "positive-bound-at-origin",
-                    _at_origin("constant candidate x = sqrt(2/C)", "2c/C", 2.0 * cf / Cf),
-                    TrigProfile(C=Cf, alpha=0.0),
-                )
-            if vs0_C == 0:
-                detail = (
-                    _at_origin("candidate x = sqrt(s^2 + 1)", "c", cf) if c >= 1
-                    else "c*x^2 = c*(s^2 + beta) exceeds 1 for large |s|, killing the curvature radicand"
-                )
-                return _empty(reason, "unbounded-growth", detail, ParabolicProfile(beta=1.0))
-            return _unit_speed(reason, c, C)
-        if vs4c < 0:
-            return [_trig_outcome(Cf, Interval(0.0, Cf / (2.0 * cf) - 1.0))]
-        if vs4c == 0:
-            return [
-                ClassificationOutcome(tag=TOTALLY_GEODESIC),
-                _trig_outcome(4.0 * cf, Interval(0.0, 1.0, lo_open=False)),
-            ]
-        return [
-            ClassificationOutcome(tag=UMBILICAL, lambda_sq=umbilic_sq),
-            _trig_outcome(Cf, Interval(0.0, 1.0, lo_open=False)),
-        ]
-
-    # hyperbolic ambient
-    if vs4c < 0:
-        return _empty(
-            "C < 4c in a negatively curved ambient: lambda^2 -> -c + C/4 < 0 "
-            "for |s| large, so no candidate profile stays valid",
-            "asymptotic-negative",
-            f"lambda^2 -> -c + C/4 = {-cf + Cf / 4.0:.6f} < 0 as |s| -> infinity, "
-            "so the curvature radicand eventually goes negative",
-            ExponentialProfile(C=Cf, A=1.0, B=1.0, delta=1),
-        )
+    vs4c, c_sign, C_sign = _side_of_4c(c, C), _cmp(c, 0, tol), _cmp(C, 0, tol)
+    cf, Cf = float(c), float(C)
+    if n == 4:
+        cf, Cf = (cf if c_sign else 0.0), (Cf if C_sign else 0.0)
     if vs4c == 0:
-        return [
-            ClassificationOutcome(tag=CONSTANT_CURVATURE, curvature=cf),
-            _exponential_outcome(4.0 * cf),
-        ]
-    if vs0_C < 0:
-        return [
-            ClassificationOutcome(tag=UMBILICAL, lambda_sq=umbilic_sq),
-            _exponential_outcome(Cf),
-        ]
-    if vs0_C == 0:
-        return [
-            ClassificationOutcome(tag=UMBILICAL, lambda_sq=-cf),
-            ClassificationOutcome(
-                tag=ROTATION_FAMILY,
-                family="quadratic",
-                deltas=(1,),
-                ranges={"B": Interval(0.0, None), "A": Interval(0.0, None, lo_open=False)},
-                conditions=("A^2/(4B) < 1",),
-                profile=QuadraticProfile(A=0.0, B=1.0),
-            ),
-        ]
-    return [
-        ClassificationOutcome(tag=UMBILICAL, lambda_sq=umbilic_sq),
-        _trig_outcome(Cf, Interval(0.0, 1.0, lo_open=False)),
-    ]
+        Cf = 4.0 * cf
+
+    outcomes = []
+    if vs4c > 0:  # C = 4c + 4 lambda^2 for the spectrum (lambda^n); C/4 - c, as 4c can overflow
+        outcomes.append(ClassificationOutcome(tag=UMBILICAL, lambda_sq=Cf / 4.0 - cf))
+    elif vs4c == 0:
+        tag = TOTALLY_GEODESIC if c_sign > 0 else FLAT_LOCAL if n == 4 and c_sign == 0 else CONSTANT_CURVATURE
+        outcomes.append(ClassificationOutcome(tag, curvature=cf if tag == CONSTANT_CURVATURE else None))
+    if n == 4 and (vs4c >= 0 or _cmp(C, 2 * c, tol) > 0):
+        alpha_hi = Cf / (2.0 * cf) - 1.0 if vs4c < 0 else 1.0
+        outcomes.append(_rotation_family(c_sign, C_sign, Cf, alpha_hi))
+    return outcomes or [_obstruction(n, c, C, c_sign, C_sign)]
+
+
+def minimal_classify(n: int, c: Number, C: Number) -> MinimalVerdict:
+    """Which minimal hypersurface, if any, has isotropic constant C.
+
+    Minimality forces lambda = -sqrt(c - C/4), so C <= 4c is necessary.
+    At C = 4c the shape operator vanishes (totally geodesic): exactly where
+    `classify` lists a TotallyGeodesic, ConstantCurvature or FlatLocal
+    outcome, from the same comparison.  Below 4c the only surviving case is
+    n = 4, c > 0 with C = 8c/3: the Clifford product of a 3-sphere and a
+    circle, of constant profile sqrt(3/(4c)), the alpha = 0 trig member.
+    8c/3 is matched as 4c is: exactly for exact inputs, else within
+    BOUNDARY_TOL * max(|c|, |C|).
+    """
+    if n < 4:
+        raise ValueError(f"need n >= 4, got {n}")
+    if _side_of_4c(c, C) == 0:
+        return MinimalVerdict(MinimalKind.TOTALLY_GEODESIC, lam=0.0, mu=0.0)
+    if n == 4 and c > 0 and _cmp(C, Fraction(8, 3) * c, _boundary_tol(c, C)) == 0:
+        lam = -math.sqrt(c / 3.0)
+        return MinimalVerdict(MinimalKind.CLIFFORD, lam=lam, mu=-3.0 * lam, x0=math.sqrt(3.0 / (4.0 * c)))
+    return MinimalVerdict(MinimalKind.NONE)
 
 
 def witness(outcome: ClassificationOutcome, q: ClassQuery) -> ProfileFamily | str:

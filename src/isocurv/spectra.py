@@ -3,57 +3,13 @@
 A hypersurface of constant isotropic curvature has at most two distinct
 principal curvatures, lambda of multiplicity at least n-1 and mu.  This
 module works on that (lambda, mu) pair: it evaluates the isotropic constant
-4c + 2(lambda^2 + lambda*mu), solves for the pairs with given isotropic and
-mean curvature, and decides the minimal case, whose only non-geodesic
-example is the Clifford product hypersurface.  `_cmp` and `_boundary_tol`
-are the branch-boundary comparison that `classification` shares.
+4c + 2(lambda^2 + lambda*mu) and solves for the pairs with given isotropic
+and mean curvature.  Branch decisions live in `classification`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
-from numbers import Rational
-
-BOUNDARY_TOL = 1e-12       # branch-boundary tolerance, relative to max(|c|, |C|)
-
-
-def _is_exact(v) -> bool:
-    return isinstance(v, Rational) and not isinstance(v, bool)
-
-
-def _boundary_tol(c, C) -> float:
-    """Float boundary tolerance at the scale of (c, C)."""
-    return BOUNDARY_TOL * max(abs(float(c)), abs(float(C)))
-
-
-def _cmp(lhs, rhs, tol: float) -> int:
-    """-1, 0 or +1 for lhs vs rhs; exact when both sides are rational."""
-    if _is_exact(lhs) and _is_exact(rhs):
-        diff = Fraction(lhs) - Fraction(rhs)
-        return (diff > 0) - (diff < 0)
-    diff = float(lhs) - float(rhs)
-    if abs(diff) <= tol:
-        return 0
-    return 1 if diff > 0 else -1
-
-
-class MinimalKind(Enum):
-    NONE = "None"
-    TOTALLY_GEODESIC = "TotallyGeodesic"
-    CLIFFORD = "Clifford"
-
-
-@dataclass(frozen=True)
-class MinimalVerdict:
-    """Outcome of the minimal-hypersurface analysis for given (n, c, C)."""
-
-    kind: MinimalKind
-    lam: float | None = None
-    mu: float | None = None
-    x0: float | None = None  # constant profile height, Clifford only
 
 
 def cic_from_spectrum(c: float, lam: float, mu: float) -> float:
@@ -90,27 +46,3 @@ def cmc_lambda_solve(n: int, c: float, C: float, H: float) -> list[tuple[float, 
         else:
             roots = sorted({q / a, c0 / q})
     return [(lam, H - (n - 1) * lam) for lam in sorted(roots)]
-
-
-def minimal_classify(n: int, c: float, C: float) -> MinimalVerdict:
-    """Which minimal hypersurface, if any, has isotropic constant C.
-
-    Minimality forces lambda = -sqrt(c - C/4), so C <= 4c is necessary.
-    At C = 4c the shape operator vanishes (totally geodesic).  Below 4c
-    the only surviving case is n = 4, c > 0 with C = 8c/3: the Clifford
-    product of a 3-sphere and a circle, of constant profile sqrt(3/(4c)).
-    C is compared with 4c and with 8c/3 as `classify` compares boundaries:
-    exactly for exact inputs, else within BOUNDARY_TOL * max(|c|, |C|).
-    """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    vs4c = _cmp(C, 4 * c, _boundary_tol(c, C))
-    if vs4c > 0:
-        return MinimalVerdict(MinimalKind.NONE)
-    if vs4c == 0:
-        return MinimalVerdict(MinimalKind.TOTALLY_GEODESIC, lam=0.0, mu=0.0)
-    # C < 4c from here on
-    if n == 4 and c > 0 and _cmp(C, Fraction(8, 3) * c, _boundary_tol(c, C)) == 0:
-        lam = -math.sqrt(c / 3.0)
-        return MinimalVerdict(MinimalKind.CLIFFORD, lam=lam, mu=-3.0 * lam, x0=math.sqrt(3.0 / (4.0 * c)))
-    return MinimalVerdict(MinimalKind.NONE)

@@ -8,15 +8,22 @@ import pytest
 
 from isocurv.checks import _signature, _truth_table
 from isocurv.classification import (
+    CONSTANT_CURVATURE,
     EMPTY,
+    FLAT_LOCAL,
     ROTATION_FAMILY,
+    TOTALLY_GEODESIC,
+    UMBILICAL,
     ClassQuery,
     Interval,
+    MinimalKind,
     classify,
+    minimal_classify,
     nonexistence_witness,
     query_to_json,
     witness,
 )
+from isocurv.curvature import build_from_shape, cic_probe
 from isocurv.profiles import (
     AmbientSpec,
     ExponentialProfile,
@@ -26,8 +33,8 @@ from isocurv.profiles import (
     cic_along_profile,
     domain_check,
     principal_curvatures,
+    profile_samples,
 )
-from isocurv.spectra import MinimalKind, minimal_classify
 
 
 def tags(outcomes):
@@ -57,7 +64,7 @@ def test_flat_ambient_branches():
     assert tags(out) == ["FlatLocal", "RotationFamily"]
     assert families(out) == ["parabolic"]
     out = classify(ClassQuery(4, 0, 2))
-    assert tags(out) == ["RotationFamily", "TotallyGeodesic", "UmbilicalNonTG"]
+    assert tags(out) == ["RotationFamily", "UmbilicalNonTG"]  # a geodesic hyperplane has C = 0
     assert families(out) == ["trig"]
 
 
@@ -67,7 +74,7 @@ def test_spherical_ambient_branches():
     out = classify(ClassQuery(4, 1, 3))
     assert tags(out) == ["RotationFamily"]
     rng = out[0].ranges["alpha"]
-    assert (rng.lo, rng.hi, rng.lo_open, rng.hi_open) == (0.0, 0.5, True, True)
+    assert (rng.lo, rng.hi, rng.lo_open, rng.hi_open) == (0.0, 0.5, False, True)
     out = classify(ClassQuery(4, 1, 4))
     assert tags(out) == ["RotationFamily", "TotallyGeodesic"]
     assert out[1].ranges["alpha"].lo_open is False
@@ -110,6 +117,15 @@ def test_infinite_isotropic_constant_is_rejected():
 def test_exact_value_beyond_float_range_is_rejected(big):
     with pytest.raises(ValueError, match="c must be finite"):
         ClassQuery(4, big, 1)
+
+
+@pytest.mark.parametrize("n,c,C,lambda_sq", [(5, -1e308, 0.0, 1e308), (4, -1e308, -1e308, 7.5e307)])
+def test_umbilical_lambda_sq_near_the_float_range(n, c, C, lambda_sq):
+    """lambda^2 = C/4 - c stays finite where 4c overflows."""
+    q = ClassQuery(n, c, C)
+    outcomes = classify(q)
+    assert outcomes[0].tag == "UmbilicalNonTG" and outcomes[0].lambda_sq == lambda_sq
+    json.dumps(query_to_json(q, outcomes), allow_nan=False)
 
 
 def test_exact_fraction_boundaries():
@@ -399,6 +415,43 @@ def test_nonexistence_evidence_matches_the_record():
         assert got == (mechanism, detail, kind or "NoneType", failure), (n, c, C, t)
 
 
+def _corpus_grid():
+    """Exact queries on and beside every boundary: n in {4, 5, 6}, five c,
+    and for each c the C in {-5, -2, -1, 0, 1, 3}, 8c/3, and 2c and 4c with
+    1/7 either side."""
+    k = Fraction(1, 7)
+    for n in (4, 5, 6):
+        for c in map(Fraction, ("-1", "-1/3", "0", "1/3", "1")):
+            Cs = set(map(Fraction, (-5, -2, -1, 0, 1, 3)))
+            Cs |= {2 * c - k, 2 * c, 2 * c + k, 8 * c / 3, 4 * c - k, 4 * c, 4 * c + k}
+            yield from ((n, c, C) for C in sorted(Cs))
+
+
+CORPUS = json.loads((Path(__file__).parent / "data" / "classify_corpus.json").read_text())
+
+
+def test_classify_matches_the_corpus():
+    """Over the exact grid, classify's JSON, each outcome's profile and the
+    Empty mechanism and detail are byte-identical to the record.  Recorded
+    before classify was one umbilical part plus one n = 4 rotation family;
+    11 rows changed then: the 8 trig ranges with 2c < C < 4c in a
+    spherical ambient now include alpha = 0, and the 3 rows n = 4, c = 0,
+    C > 0 list no TotallyGeodesic outcome (nor its profile entry)."""
+    assert [(n, Fraction(c), Fraction(C)) for n, c, C, *_ in CORPUS] == list(_corpus_grid())
+    assert len(CORPUS) == 177
+    for row in CORPUS:
+        n, c, C = row[0], Fraction(row[1]), Fraction(row[2])
+        q = ClassQuery(n, c, C)
+        outcomes = classify(q)
+        empty = outcomes[0] if outcomes[0].tag == EMPTY else None
+        got = [
+            row[0], row[1], row[2], query_to_json(q, outcomes),
+            [None if o.profile is None else repr(o.profile) for o in outcomes],
+            empty and empty.mechanism, empty and empty.detail,
+        ]
+        assert json.dumps(got) == json.dumps(row), (n, c, C)
+
+
 def test_recorded_details_name_s0_exactly_when_the_failure_is_there():
     for n, c, C, t, mechanism, detail, kind, failure in EVIDENCE:
         assert ("s = 0" in detail) == (failure is not None and failure[0] == 0.0), (n, c, C, t)
@@ -462,7 +515,7 @@ def test_query_to_json_schema():
     assert entry["family"] == "trig"
     assert entry["constraints"]["alpha"] == {
         "lo": 0.0,
-        "lo_open": True,
+        "lo_open": False,
         "hi": 0.5,
         "hi_open": True,
     }
@@ -491,6 +544,10 @@ def test_minimal_crosscheck_with_classification(c):
     out = classify(ClassQuery(4, c, C))
     rotation = [o for o in out if o.tag == ROTATION_FAMILY]
     assert len(rotation) == 1 and rotation[0].family == "trig"
+    # the Clifford product S^3 x S^1 is that family's alpha = 0 member
+    alpha = rotation[0].ranges["alpha"]
+    assert alpha.lo == 0.0 and alpha.lo_open is False
+    assert domain_check(TrigProfile(C=C, alpha=0.0), AmbientSpec(c=c)) is None
 
     # the constant-profile member of that family sits at x0 = sqrt(3/(4c))
     x0 = math.sqrt(3.0 / (4.0 * c))
@@ -499,6 +556,35 @@ def test_minimal_crosscheck_with_classification(c):
     assert abs(3.0 * lam + mu) <= 1e-12  # minimal
     assert lam == pytest.approx(verdict.lam, abs=1e-13)
     assert mu == pytest.approx(verdict.mu, abs=1e-13)
+
+
+GEODESIC_ROWS = [(4, 1.0, 4.0), (4, -1.0, -4.0), (4, 0.0, 0.0), (5, 1.0, 4.0), (5, -1.0, -4.0), (6, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("n,c,C", [row[:3] for row in _truth_table()] + GEODESIC_ROWS)
+def test_every_outcome_has_a_gauss_tensor_of_isotropic_constant_C(n, c, C):
+    """Each listed hypersurface's Gauss tensor probes constant at C, to
+    1e-12 of max(|c|, lam_i^2): the zero shape operator for TotallyGeodesic, ConstantCurvature and
+    FlatLocal, (-sqrt(lambda^2),)*n for Umbilical, and (lam, lam, lam, mu)
+    at 7 grid points of a rotation witness.  The minimal analysis is
+    totally geodesic exactly where one of the first three is listed."""
+    outcomes = classify(ClassQuery(n, c, C))
+    spectra = []
+    for o in outcomes:
+        if o.tag in (TOTALLY_GEODESIC, CONSTANT_CURVATURE, FLAT_LOCAL):
+            spectra.append((o.tag, (0.0,) * n))
+        elif o.tag == UMBILICAL:
+            spectra.append((o.tag, (-math.sqrt(o.lambda_sq),) * n))
+        elif o.tag == ROTATION_FAMILY:
+            ambient = AmbientSpec(c=c, delta=o.profile.ode_delta)
+            spectra += [(o.family, (p.lam,) * 3 + (p.mu,)) for p in profile_samples(o.profile, ambient, grid_n=7)]
+    for what, lams in spectra:
+        report = cic_probe(build_from_shape(c, lams))
+        assert report.is_constant, (what, lams)
+        scale = max(abs(c), max(lam * lam for lam in lams))  # the Gauss equation's terms
+        assert abs(report.mean - C) <= 1e-12 * scale, (what, lams, report.mean)
+    geodesic = any(o.tag in (TOTALLY_GEODESIC, CONSTANT_CURVATURE, FLAT_LOCAL) for o in outcomes)
+    assert (minimal_classify(n, c, C).kind is MinimalKind.TOTALLY_GEODESIC) == geodesic
 
 
 def test_minimal_and_classify_compare_exact_boundaries_alike():

@@ -445,6 +445,26 @@ def test_sample_frames_single_frame():
     assert np.max(np.abs(f.vectors @ f.vectors.T - np.eye(4))) <= 1e-12
 
 
+def test_orthonormalize_redraws_dependent_vectors():
+    """A raw vector in the span of the ones before it (twice the first; the
+    sum of the first and third) leaves no residual, so Gram-Schmidt draws a
+    replacement from the generator: the frames stay orthonormal, each
+    independent raw vector stays in the span of the frame so far, and a
+    fixed generator seed gives bit-identical frames."""
+    raw = np.random.default_rng(5).standard_normal((2, 4, 6))
+    raw[0, 1] = 2.0 * raw[0, 0]
+    raw[1, 3] = raw[1, 0] + raw[1, 2]
+    rng = np.random.default_rng(11)
+    q = cv._orthonormalize(raw, rng)
+    assert rng.bit_generator.state != np.random.default_rng(11).bit_generator.state  # replacements drawn
+    assert np.array_equal(q, cv._orthonormalize(raw, np.random.default_rng(11)))
+    for frame in q:
+        assert np.max(np.abs(frame @ frame.T - np.eye(4))) <= 1e-12
+    for k, a in ((0, 0), (1, 0), (1, 1), (1, 2)):
+        v, span = raw[k, a], q[k, : a + 1]
+        assert np.linalg.norm(v - span.T @ (span @ v)) <= 1e-12 * np.linalg.norm(v)
+
+
 def test_frame_array_is_read_only():
     frames = cv._frame_array(4, 10, 3)
     assert frames.shape == (10, 4, 4) and not frames.flags.writeable

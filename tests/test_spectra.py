@@ -6,13 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from isocurv.classification import MinimalKind, minimal_classify
 from isocurv.curvature import build_from_shape, cic_probe
-from isocurv.spectra import (
-    MinimalKind,
-    cic_from_spectrum,
-    cmc_lambda_solve,
-    minimal_classify,
-)
+from isocurv.spectra import cic_from_spectrum, cmc_lambda_solve
 
 moderate = st.floats(min_value=-3.0, max_value=3.0)
 
@@ -102,7 +98,7 @@ def test_cmc_rejects_small_n():
 
 
 # ---------------------------------------------------------------------------
-# minimal classification
+# minimal classification (classification.minimal_classify, on (lambda, mu))
 
 
 @pytest.mark.parametrize("c", [0.25, 0.75, 1.0, 2.0])
