@@ -32,7 +32,6 @@ from .curvature import (
     build_product,
     check_symmetries,
     cic_probe,
-    isotropic_component,
     sample_frames,
     sectional,
     tensor_from_json,
@@ -54,7 +53,6 @@ from .profiles import (
     integrate_profile,
     integrate_profile_arrays,
     ode_residual,
-    principal_curvatures,
     profile_samples,
     write_profile_csv,
 )

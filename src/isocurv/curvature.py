@@ -165,7 +165,7 @@ class ProbeReport:
     argmax: int   # index of the maximising frame
 
     def __post_init__(self):
-        slack = 1e-15 * max(1.0, abs(self.min), abs(self.max))
+        slack = 1e-15 * max(abs(self.min), abs(self.max))
         if not (self.min <= self.mean + slack and self.mean <= self.max + slack):
             raise ValueError("probe report requires min <= mean <= max")
         if not (0 <= self.argmin < self.samples and 0 <= self.argmax < self.samples):
@@ -291,16 +291,6 @@ def sectional(t: CurvatureTensor, x: Sequence[float], y: Sequence[float]) -> flo
     return float(_contract(t.comp, xv[None], yv[None], yv[None], xv[None])[0]) / area2
 
 
-def _as_frame_array(frame, dim: int) -> np.ndarray:
-    if isinstance(frame, OrthoFrame4):
-        arr = frame.vectors
-    else:
-        arr = OrthoFrame4(np.asarray(frame, dtype=float)).vectors
-    if arr.shape[1] != dim:
-        raise FrameError(f"frame lives in dimension {arr.shape[1]}, tensor in {dim}")
-    return arr
-
-
 def _isotropic_batch(t: CurvatureTensor, frames: np.ndarray) -> np.ndarray:
     """Frame functional of t for a batch of frames of shape (m, 4, n).
 
@@ -323,12 +313,6 @@ def _isotropic_batch(t: CurvatureTensor, frames: np.ndarray) -> np.ndarray:
     left = np.stack((e1 * e1 + e2 * e2, e1 * e3 - e2 * e4, e1 * e4 + e2 * e3))
     right = np.stack((e3 * e3 + e4 * e4, -left[1], -left[2]))
     return np.einsum("kmi,kmi->m", (left.reshape(3 * m, n) @ k).reshape(3, m, n), right)
-
-
-def isotropic_component(t: CurvatureTensor, frame) -> float:
-    """K13 + K14 + K23 + K24 - 2 R(e1,e2,e3,e4) on an orthonormal 4-frame."""
-    arr = _as_frame_array(frame, t.dim)
-    return float(_isotropic_batch(t, arr[None, :, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Four closed-form profile families (trig for C > 0, parabolic and quadratic
 for C = 0, exponential for C < 0) solve the reduced profile equation
 (x*x')' = delta - (C/2)*x^2.  Each is given by its square u = x^2, in which
 the equation is linear, u'' = 2*delta - C*u: a family gives its own
-(u, u', u'') and one shared `eval` derives x = sqrt(u), x' = u'/(2x) and
-x'' = (u'' - 2x'^2)/(2x).  `integrate_profile_arrays` solves the linear
-equation by RK4 as an independent check on the closed forms: one step is
-an exact affine map, and a sweep of n steps is filled in ceil(log2(n + 1))
-array steps by composing that map with itself (doubling), which holds an
-equilibrium to about an ulp; `integrate_profile` is its row view.
+(u, u', u'') and u_min, the infimum of u over R, and one shared `eval`
+derives x = sqrt(u), x' = u'/(2x) and x'' = (u'' - 2x'^2)/(2x).  A family
+is accepted when its fields are finite and u_min > 0.
+`integrate_profile_arrays` solves the linear equation by RK4 as an
+independent check on the closed forms: one step is an exact affine map,
+and a sweep of n steps is filled in ceil(log2(n + 1)) array steps by
+composing that map with itself (doubling), which holds an equilibrium to
+about an ulp; `integrate_profile` is its row view.
 Principal curvatures of the hypersurface in an ambient space form of
 curvature c are
 
@@ -41,7 +43,7 @@ import numpy as np
 
 from .spectra import cic_from_spectrum
 
-EPS_DOM = 1e-9            # breakdown threshold: the radicand (relative on grids), RK4's x^2 / x0^2
+EPS_DOM = 1e-9            # breakdown threshold: N relative to its terms, RK4's x^2 / x0^2
 DEFAULT_WINDOW = (-10.0, 10.0)
 DEFAULT_GRID = 2001
 BLOCK = 4096              # grid points evaluated per array operation
@@ -55,15 +57,15 @@ MAX_STEPS = 10**6
 class DomainBreakdown(Exception):
     """The profile left its domain: delta - c*x^2 - x'^2 (or x^2) too small.
 
-    Carries the offending value, the violated inequality as `reason` (by
-    default the radicand against EPS_DOM) and, when known, the arclength s.
+    Carries the offending value, the arclength s and the violated
+    inequality as `reason`.
     """
 
-    def __init__(self, value: float, s: float | None = None, message: str | None = None):
+    def __init__(self, value: float, s: float, reason: str):
         self.value = value
         self.s = s
-        self.reason = message or f"delta - c*x^2 - x'^2 = {value:.6e} <= {EPS_DOM}"
-        super().__init__(self.reason + ("" if s is None else f" at s={s!r}"))
+        self.reason = reason
+        super().__init__(f"{reason} at s={s!r}")
 
 
 class NonPositiveProfile(Exception):
@@ -110,8 +112,16 @@ class _SquareProfile:
     """A profile family given by its square: u(s) returns (u, u', u'') at an array s.
 
     ode_constant and ode_delta, the (C, delta) of its profile equation, are
-    the family's fields C and delta, or 0 and 1 when it has none.
+    the family's fields C and delta, or 0 and 1 when it has none.  After its
+    own form checks (signs, delta), every family requires finite fields and u_min > 0.
     """
+
+    def __post_init__(self):
+        for field, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{type(self).__name__} needs a finite {field}, got {value}")
+        if not self.u_min > 0:
+            raise ValueError(f"{self!r} needs inf u > 0 on R, got inf u = {self.u_min!r}")
 
     @property
     def ode_constant(self) -> float:
@@ -131,7 +141,7 @@ class _SquareProfile:
 
 @dataclass(frozen=True)
 class TrigProfile(_SquareProfile):
-    """u(s) = x(s)^2 = (2/C) * (1 - alpha*sin(sqrt(C)*s)) with C > 0, 0 <= alpha < 1."""
+    """u(s) = x(s)^2 = (2/C) * (1 - alpha*sin(sqrt(C)*s)) with C > 0, alpha >= 0; u_min = (2/C)(1 - alpha)."""
 
     C: float
     alpha: float
@@ -139,8 +149,13 @@ class TrigProfile(_SquareProfile):
     def __post_init__(self):
         if not self.C > 0:
             raise ValueError(f"Trig profile needs C > 0, got {self.C}")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"Trig profile needs 0 <= alpha < 1, got {self.alpha}")
+        if not self.alpha >= 0.0:
+            raise ValueError(f"Trig profile needs alpha >= 0, got {self.alpha}")
+        super().__post_init__()
+
+    @property
+    def u_min(self) -> float:
+        return 2.0 / self.C * (1.0 - self.alpha)
 
     def u(self, s):
         a, k = math.sqrt(self.C), 2.0 / self.C
@@ -151,13 +166,13 @@ class TrigProfile(_SquareProfile):
 
 @dataclass(frozen=True)
 class ParabolicProfile(_SquareProfile):
-    """u(s) = x(s)^2 = s^2 + beta with beta > 0."""
+    """u(s) = x(s)^2 = s^2 + beta; u_min = beta."""
 
     beta: float
 
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"Parabolic profile needs beta > 0, got {self.beta}")
+    @property
+    def u_min(self) -> float:
+        return self.beta
 
     def u(self, s):
         return s * s + self.beta, 2.0 * s, np.full_like(s, 2.0)
@@ -167,8 +182,8 @@ class ParabolicProfile(_SquareProfile):
 class ExponentialProfile(_SquareProfile):
     """u(s) = x(s)^2 = (2/-C) * (A*e^(a*s) + B*e^(-a*s) - delta), a = sqrt(-C).
 
-    Requires C < 0, A >= 0, B >= 0 with A + B > delta and 4AB > delta^2,
-    which keeps u positive on all of R.
+    Requires C < 0 and A, B >= 0; u_min = (2/-C) * (2*sqrt(AB) - delta), so
+    delta = -1 takes every such A, B (the tube A = B = 0 too) and delta = 1 needs 4AB > 1.
     """
 
     C: float
@@ -183,12 +198,11 @@ class ExponentialProfile(_SquareProfile):
             raise ValueError(f"delta must be -1, 0 or 1, got {self.delta}")
         if self.A < 0 or self.B < 0:
             raise ValueError(f"Exponential profile needs A, B >= 0, got A={self.A}, B={self.B}")
-        if not self.A + self.B > self.delta:
-            raise ValueError(f"Exponential profile needs A + B > delta, got {self.A + self.B} <= {self.delta}")
-        if not 4.0 * self.A * self.B > self.delta * self.delta:
-            raise ValueError(
-                f"Exponential profile needs 4AB > delta^2, got {4.0 * self.A * self.B} <= {self.delta * self.delta}"
-            )
+        super().__post_init__()
+
+    @property
+    def u_min(self) -> float:
+        return 2.0 / -self.C * (2.0 * math.sqrt(self.A * self.B) - self.delta)
 
     def u(self, s):
         a, k = math.sqrt(-self.C), 2.0 / -self.C
@@ -198,18 +212,14 @@ class ExponentialProfile(_SquareProfile):
 
 @dataclass(frozen=True)
 class QuadraticProfile(_SquareProfile):
-    """u(s) = x(s)^2 = s^2 + A*s + B with B > 0 and A^2/(4B) < 1."""
+    """u(s) = x(s)^2 = s^2 + A*s + B; u_min = B - A^2/4."""
 
     A: float
     B: float
 
-    def __post_init__(self):
-        if not self.B > 0:
-            raise ValueError(f"Quadratic profile needs B > 0, got {self.B}")
-        if not self.A * self.A / (4.0 * self.B) < 1.0:
-            raise ValueError(
-                f"Quadratic profile needs A^2/(4B) < 1, got {self.A * self.A / (4.0 * self.B)}"
-            )
+    @property
+    def u_min(self) -> float:
+        return self.B - self.A * self.A / 4.0
 
     def u(self, s):
         return s * s + self.A * s + self.B, 2.0 * s + self.A, np.full_like(s, 2.0)
@@ -237,24 +247,6 @@ class FirstFailure:
 
     s: float
     reason: str
-
-
-def principal_curvatures(
-    ambient: AmbientSpec, x: float, xp: float, xpp: float, s: float | None = None
-) -> tuple[float, float]:
-    """(lambda, mu) of the rotation hypersurface at a profile point.
-
-    lambda carries the sign convention lambda <= 0.  Raises DomainBreakdown
-    when the radicand delta - c*x^2 - x'^2, computed directly from the
-    point, is not above EPS_DOM.
-    """
-    if not x > 0:
-        raise ValueError(f"profile value must be positive, got x={x}")
-    d = ambient.delta - ambient.c * x * x - xp * xp
-    if d <= EPS_DOM:
-        raise DomainBreakdown(d, s=s)
-    rd = math.sqrt(d)
-    return -rd / x, (xpp + ambient.c * x) / rd
 
 
 def ode_residual(f: ProfileFamily, C: float, delta: int, s, h: float):

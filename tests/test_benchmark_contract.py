@@ -9,6 +9,7 @@ breaking any other test.  These tests keep that surface fixed.
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from isocurv import checks
@@ -40,6 +41,15 @@ def params(fn):
 )
 def test_parameter_names(fn, names):
     assert params(fn) == names
+
+
+@pytest.mark.parametrize("n,count,seed", [(4, 10, 1), (8, 50, 7)])
+def test_sample_frames_stack_to_the_probe_batch(n, count, seed):
+    """perfbench builds its frame batches as np.stack of sample_frames'
+    OrthoFrame4.vectors; they are the batch cic_probe evaluates, bitwise."""
+    stacked = np.stack([f.vectors for f in cv.sample_frames(n, count, seed)])
+    batch = cv._frame_array(n, count, seed)
+    assert stacked.shape == batch.shape and stacked.tobytes() == batch.tobytes()
 
 
 def test_check_workload_builds_its_config_and_results():

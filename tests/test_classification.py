@@ -32,9 +32,9 @@ from isocurv.profiles import (
     TrigProfile,
     cic_along_profile,
     domain_check,
-    principal_curvatures,
     profile_samples,
 )
+from oracles import principal_curvatures
 
 
 def tags(outcomes):

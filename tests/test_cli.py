@@ -91,6 +91,7 @@ def test_probe_detects_nonconstant(capsys):
 
 def test_probe_names_its_extreme_frames(capsys):
     from isocurv import curvature as cv
+    from oracles import isotropic_component
 
     code, out, _ = run_cli(capsys, "probe", "--product", "S5:1 x R1", "--frames", "200", "--seed", "5")
     assert code == 0
@@ -100,7 +101,7 @@ def test_probe_names_its_extreme_frames(capsys):
     frames = cv.sample_frames(6, 200, seed=5)
     for key, value in (("argmin", "min"), ("argmax", "max")):
         assert type(payload[key]) is int and 0 <= payload[key] < 200
-        assert cv.isotropic_component(t, frames[payload[key]]) == pytest.approx(payload[value], rel=1e-13)
+        assert isotropic_component(t, frames[payload[key]].vectors) == pytest.approx(payload[value], rel=1e-13)
 
 
 def test_probe_csv_format(capsys):
@@ -466,6 +467,31 @@ def test_profile_exponential_at_the_boundary_on_the_default_window(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 2002
     assert all(abs(float(line.split(",")[5]) + 4.0) <= 1e-9 for line in lines[1:])
+
+
+@pytest.mark.parametrize("a,b", [("0", "0"), ("1", "0"), ("0.2", "0.2")])
+def test_profile_exponential_with_hyperbolic_parallels(capsys, a, b):
+    """delta = -1 members with 4AB <= 1 at (c, C) = (-1, -1), the constant
+    tube A = B = 0 among them: every grid point is written, with cic = -1."""
+    code, out, err = run_cli(
+        capsys, "profile", "exponential", "--C", "-1", "--A", a, "--B", b, "--delta", "-1", "--c", "-1",
+    )
+    assert code == 0 and err == ""
+    lines = out.strip().split("\n")
+    assert len(lines) == 2002
+    assert all(abs(float(line.split(",")[5]) + 1.0) <= 1e-12 for line in lines[1:])
+
+
+def test_profile_incomplete_hyperbolic_exponential_member(capsys):
+    """C = -3, A = B = 0.01, delta = -1 is a valid profile (u >= 2/3), so it
+    is built; at c = -1 its radicand is negative at s = 0: exit 1."""
+    code, out, err = run_cli(
+        capsys, "profile", "exponential", "--C", "-3", "--A", "0.01", "--B", "0.01", "--delta", "-1",
+        "--c", "-1", "--window", "0", "10",
+    )
+    assert code == 1
+    assert out == "s,x,xp,lambda,mu,cic\n"
+    assert err.startswith("domain breakdown: ") and err.endswith(" at s=0.0\n")
 
 
 def test_profile_overflow_is_a_usage_error(capsys):

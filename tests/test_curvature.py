@@ -22,12 +22,12 @@ from isocurv.curvature import (
     build_product,
     check_symmetries,
     cic_probe,
-    isotropic_component,
     sample_frames,
     sectional,
     tensor_from_json,
     tensor_to_json,
 )
+from oracles import isotropic_component
 
 
 def sphere_line(sphere_dim=3, curvature=1.0):
@@ -248,23 +248,21 @@ def test_sectional_general_position():
 
 
 def test_isotropic_split_frame_values():
-    eye4 = np.eye(4)
-    assert isotropic_component(sphere_line(), eye4) == pytest.approx(2.0, abs=1e-14)
-    assert isotropic_component(split_product(1.0), eye4) == pytest.approx(0.0, abs=1e-14)
-    t6 = sphere_line(sphere_dim=5)
+    """Coordinate frames, on the sectional path and on the dense path of the
+    same components, against the einsum oracle and the exact values."""
     eye6 = np.eye(6)
-    inside = eye6[:4]  # frame within the sphere block
-    with_flat = np.vstack([eye6[:3], eye6[5]])  # frame containing the flat direction
-    assert isotropic_component(t6, inside) == pytest.approx(4.0, abs=1e-14)
-    assert isotropic_component(t6, with_flat) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_isotropic_rejects_bad_frames():
-    t = sphere_line()
-    with pytest.raises(FrameError):
-        isotropic_component(t, np.ones((4, 4)))
-    with pytest.raises(FrameError):
-        isotropic_component(t, np.eye(5)[:4])  # dimension mismatch
+    cases = [
+        (sphere_line(), np.eye(4), 2.0),
+        (split_product(1.0), np.eye(4), 0.0),
+        (sphere_line(sphere_dim=5), eye6[:4], 4.0),  # frame within the sphere block
+        (sphere_line(sphere_dim=5), np.vstack([eye6[:3], eye6[5]]), 2.0),  # frame containing the flat direction
+    ]
+    for t, frame, value in cases:
+        dense = CurvatureTensor(t.dim, t.comp)
+        assert t.sectional_matrix is not None and dense.sectional_matrix is None
+        assert isotropic_component(t, frame) == value
+        for tensor in (t, dense):
+            assert _isotropic_batch(tensor, frame[None])[0] == pytest.approx(value, abs=1e-14)
 
 
 def kulkarni_nomizu_square(n, seed):
@@ -325,6 +323,7 @@ def test_brute_force_oracle_agreement(kind, n):
     tol = 1e-12 * max(1.0, float(np.max(np.abs(t.comp))))
     assert np.max(np.abs(_isotropic_batch(t, frames) - expected)) <= tol
     for f, value in zip(frames[:5], expected):
+        assert abs(_isotropic_batch(t, f[None])[0] - value) <= tol
         assert abs(isotropic_component(t, f) - value) <= tol
 
 
@@ -522,11 +521,27 @@ def test_cic_probe_names_its_extreme_frames(tensor, n):
     report = cic_probe(tensor, count=300, seed=11)
     frames = sample_frames(n, 300, seed=11)
     assert 0 <= report.argmin < 300 and 0 <= report.argmax < 300
-    assert isotropic_component(tensor, frames[report.argmax]) == pytest.approx(report.max, rel=1e-13)
-    assert isotropic_component(tensor, frames[report.argmin]) == pytest.approx(report.min, rel=1e-13)
-    values = [isotropic_component(tensor, f) for f in frames]
+    assert isotropic_component(tensor, frames[report.argmax].vectors) == pytest.approx(report.max, rel=1e-13)
+    assert isotropic_component(tensor, frames[report.argmin].vectors) == pytest.approx(report.min, rel=1e-13)
+    values = [isotropic_component(tensor, f.vectors) for f in frames]
     assert max(values) == pytest.approx(report.max, rel=1e-13)
     assert min(values) == pytest.approx(report.min, rel=1e-13)
+
+
+def test_probe_report_slack_is_relative_to_the_values():
+    with pytest.raises(ValueError, match="min <= mean <= max"):
+        cv.ProbeReport(2, 1e-20, 2e-20, 2.5e-20, False, 0, 1)
+    cv.ProbeReport(2, 1e-20, 2e-20, 2e-20 * (1.0 + 2.0**-52), False, 0, 1)  # an ulp above max is rounding
+    cv.ProbeReport(2, 0.0, 0.0, 0.0, True, 0, 1)
+
+
+@pytest.mark.parametrize("k", [1e-300, 1e-3, 1e4])
+def test_constant_tensors_probe_inside_their_report_bounds(k):
+    """The mean of a constant tensor's values stays within [min, max] up to
+    1e-15 of their size, at any scale, for up to 3000 frames."""
+    for n, m in ((4, 3000), (8, 500)):
+        report = cic_probe(build_constant_curvature(n, k), count=m, seed=3)
+        assert report.is_constant and report.mean == pytest.approx(4.0 * k, rel=1e-12)
 
 
 def test_cic_probe_constant_cases():
@@ -763,3 +778,5 @@ def test_orthoframe_rejects_skew_vectors():
     bad[1, 0] = 0.5
     with pytest.raises(FrameError):
         OrthoFrame4(bad)
+    with pytest.raises(FrameError):
+        OrthoFrame4(np.ones((4, 4)))

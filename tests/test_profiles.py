@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 
@@ -19,12 +20,21 @@ from isocurv.profiles import (
     cic_mean_deviation,
     domain_check,
     ode_residual,
-    principal_curvatures,
     profile_samples,
     write_profile_csv,
 )
+from oracles import principal_curvatures
 
 FLAT = AmbientSpec(c=0.0, delta=1)
+
+# one valid member of each family, by field; test_family_invariants_enforced_at_construction
+# makes each field non-finite in turn
+VALID_FIELDS = [
+    (TrigProfile, {"C": 2.0, "alpha": 0.5}),
+    (ParabolicProfile, {"beta": 1.0}),
+    (ExponentialProfile, {"C": -1.0, "A": 1.0, "B": 1.0, "delta": 1}),
+    (QuadraticProfile, {"A": 0.0, "B": 1.0}),
+]
 
 FAMILY_GRID = [
     (TrigProfile(C=2.0, alpha=0.0), 2.0, 1),
@@ -73,11 +83,57 @@ def test_quadratic_eval():
         lambda: ExponentialProfile(C=-1.0, A=-0.5, B=1.0, delta=0),
         lambda: QuadraticProfile(A=0.0, B=-1.0),
         lambda: QuadraticProfile(A=3.0, B=1.0),  # A^2/(4B) >= 1
+        lambda: ExponentialProfile(C=-1.0, A=0.5, B=0.5, delta=1),  # on the boundaries u_min = 0
+        lambda: ExponentialProfile(C=-1.0, A=0.0, B=3.0, delta=0),
+        lambda: QuadraticProfile(A=2.0, B=1.0),
+        lambda: TrigProfile(C=2.0, alpha=1.0 + 2.0**-52),
+        *(
+            pytest.param(functools.partial(cls, **{**fields, name: bad}), id=f"{cls.__name__}-{name}={bad}")
+            for cls, fields in VALID_FIELDS
+            for name in fields
+            for bad in (math.nan, math.inf, -math.inf)
+        ),
     ],
 )
 def test_family_invariants_enforced_at_construction(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "cls,fields,u_min",
+    [
+        (TrigProfile, {"C": 2.0, "alpha": 0.5}, 0.5),
+        (ParabolicProfile, {"beta": 0.25}, 0.25),
+        (QuadraticProfile, {"A": 1.0, "B": 0.5}, 0.25),
+        (ExponentialProfile, {"C": -1.0, "A": 1.0, "B": 1.0, "delta": 1}, 2.0),
+        (ExponentialProfile, {"C": -2.0, "A": 0.25, "B": 1.0, "delta": 0}, 1.0),
+        (ExponentialProfile, {"C": -1.0, "A": 0.0, "B": 0.0, "delta": -1}, 2.0),
+        (ExponentialProfile, {"C": -4.0, "A": 1.0, "B": 0.0, "delta": -1}, 0.5),
+    ],
+)
+def test_u_min_is_the_infimum_of_u(cls, fields, u_min):
+    """u_min is exact here, and no grid point falls below it; where A or B
+    is 0 the exponential's infimum is approached as s -> +-inf."""
+    fam = cls(**fields)
+    assert fam.u_min == u_min
+    u = fam.u(np.linspace(-20.0, 20.0, 4001))[0]
+    assert u.min() >= u_min and u.min() <= u_min * (1.0 + 1e-6)
+
+
+def test_constant_tube_has_constant_mean_curvature():
+    """The delta = -1 tube A = B = 0 at (c, C) = (-1, -1) is isoparametric:
+    lambda = -1/sqrt(2) and mu = -sqrt(2) on the whole grid, so its mean
+    curvature H = 3*lambda + mu = -5/sqrt(2) = -3.5355 is constant."""
+    tube = ExponentialProfile(C=-1.0, A=0.0, B=0.0, delta=-1)
+    samples = list(profile_samples(tube, AmbientSpec(-1.0, -1)))
+    assert len(samples) == 2001
+    for p in samples:
+        assert p.lam == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-12)
+        assert p.mu == pytest.approx(-math.sqrt(2.0), rel=1e-12)
+        assert 3.0 * p.lam + p.mu == pytest.approx(-5.0 / math.sqrt(2.0), rel=1e-12)
+        assert p.cic == pytest.approx(-1.0, rel=1e-12)
+    assert -5.0 / math.sqrt(2.0) == pytest.approx(-3.5355, abs=1e-4)
 
 
 @pytest.mark.parametrize("fam,C,delta", FAMILY_GRID)
