@@ -159,6 +159,7 @@ def _cmd_classify(args) -> int:
     q = cls.ClassQuery(n=args.n, c=parse_number(args.c), C=parse_number(args.C))
     outcomes = cls.classify(q)
     payload = cls.query_to_json(q, outcomes)
+    failed = False  # a witness that breaks down in --window fails verification
     if args.witness:
         window = tuple(args.window)
         for outcome, entry in zip(outcomes, payload["outcomes"]):
@@ -173,9 +174,10 @@ def _cmd_classify(args) -> int:
                 info["cic_mean"], info["cic_max_deviation"] = pf.cic_mean_deviation(samples)
             except pf.DomainBreakdown as exc:
                 info["domain_failure"] = {"s": exc.s, "reason": exc.reason}
+                failed = True
             entry["witness"] = info
     sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 def _require(args, name: str):

@@ -1,6 +1,6 @@
 """Curvature tensors in orthonormal bases and the isotropic-curvature probe.
 
-Provides dense curvature tensors for constant-curvature spaces, Riemannian
+Provides curvature tensors for constant-curvature spaces, Riemannian
 products of space-form factors, and hypersurface tensors obtained from the
 Gauss equation with a diagonal shape operator.  On top of those sit the
 frame functional
@@ -12,8 +12,10 @@ tests whether the functional is constant over frames.
 
 Every builder here yields a tensor of sectional form,
 R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl), and the tensor keeps
-its sectional matrix K.  For those tensors the functional has the closed
-form
+its sectional matrix K and nothing else: the n^4 components are built
+from K only when comp is first read (check_symmetries, tensor_to_json,
+sectional), and building and probing never allocate them.  For those
+tensors the functional has the closed form
 
     A.K.B - P.K.P - Q.K.Q,   A = e1*e1 + e2*e2,  B = e3*e3 + e4*e4,
                              P = e1*e3 - e2*e4,  Q = e1*e4 + e2*e3
@@ -38,7 +40,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -57,36 +59,57 @@ class FrameError(ValueError):
     """Raised for frames that are not orthonormal in the required dimension."""
 
 
-@dataclass(frozen=True)
 class CurvatureTensor:
-    """Dense components R[i,j,k,l] of a curvature tensor in an orthonormal basis.
+    """Components R[i,j,k,l] of a curvature tensor in an orthonormal basis.
 
-    Only the shape and finiteness are checked: a hand-built array may break
-    the curvature symmetries (check_symmetries measures them), while the
-    builders and tensor_from_json keep them.  The component array is
-    read-only; tensors are safe to share.
+    CurvatureTensor(dim, comp) takes dense components.  Only the shape and
+    finiteness are checked: a hand-built array may break the curvature
+    symmetries (check_symmetries measures them), while the builders and
+    tensor_from_json keep them.  Tensors are immutable and safe to share.
 
-    sectional_matrix is the read-only symmetric K, with zero diagonal, that
-    comp was derived from (R_ijkl = K_ij (delta_il delta_jk - delta_ik
-    delta_jl)).  Only the builders set it, so it never disagrees with comp;
-    a tensor given its components directly has None and is evaluated
-    densely.
+    sectional_matrix is the read-only symmetric K, with zero diagonal, of a
+    tensor of sectional form, R_ijkl = K_ij (delta_il delta_jk - delta_ik
+    delta_jl).  Only the builders set it, and they store K alone: comp is
+    built from K on its first read and kept, so probing a built tensor
+    never allocates the n^4 components.  A tensor given its components
+    directly has None and is evaluated densely.  Either way comp is a
+    read-only (dim, dim, dim, dim) array, the same object on every read.
     """
 
-    dim: int
-    comp: np.ndarray
-    sectional_matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("dim", "sectional_matrix", "_comp")
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"tensor dimension must be >= 1, got {self.dim}")
-        arr = np.array(self.comp, dtype=float, copy=True)
-        if arr.shape != (self.dim,) * 4:
-            raise ValueError(f"component array must have shape {(self.dim,) * 4}, got {arr.shape}")
+    def __init__(self, dim: int, comp: np.ndarray):
+        if dim < 1:
+            raise ValueError(f"tensor dimension must be >= 1, got {dim}")
+        arr = np.array(comp, dtype=float, copy=True)
+        if arr.shape != (dim,) * 4:
+            raise ValueError(f"component array must have shape {(dim,) * 4}, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError(f"curvature components must be finite, got {arr[~np.isfinite(arr)][0]}")
         arr.setflags(write=False)
-        object.__setattr__(self, "comp", arr)
+        self._freeze(dim, None, arr)
+
+    def _freeze(self, dim: int, kmat: np.ndarray | None, comp: np.ndarray | None) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "sectional_matrix", kmat)
+        object.__setattr__(self, "_comp", comp)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to {name!r}: CurvatureTensor is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def comp(self) -> np.ndarray:
+        if self._comp is None:  # a built tensor: fill R_ijji = K_ij, R_ijij = -K_ij once
+            k, n = self.sectional_matrix, self.dim
+            i, j = np.nonzero(~np.eye(n, dtype=bool))
+            comp = np.zeros((n, n, n, n))
+            comp[i, j, j, i] = k[i, j]
+            comp[i, j, i, j] = -k[i, j]
+            comp.setflags(write=False)
+            object.__setattr__(self, "_comp", comp)
+        return self._comp
 
 
 @dataclass(frozen=True)
@@ -204,12 +227,8 @@ def _from_sectional(kmat: np.ndarray) -> CurvatureTensor:
         raise ValueError(f"sectional matrix must be square and symmetric, got shape {k.shape}")
     np.fill_diagonal(k, 0.0)
     k.setflags(write=False)
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    comp = np.zeros((n, n, n, n))
-    comp[i, j, j, i] = k[i, j]
-    comp[i, j, i, j] = -k[i, j]
-    t = CurvatureTensor(n, comp)
-    object.__setattr__(t, "sectional_matrix", k)
+    t = object.__new__(CurvatureTensor)
+    t._freeze(n, k, None)
     return t
 
 
@@ -322,30 +341,36 @@ def _isotropic_batch(t: CurvatureTensor, frames: np.ndarray) -> np.ndarray:
 def _orthonormalize(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Two-pass modified Gram-Schmidt over a batch of (m, 4, n) vectors.
 
-    Any vector whose residual norm after projection falls below
-    REDRAW_RESIDUAL is re-drawn from the generator, so the procedure
-    succeeds with probability one.
+    The sweeps run component-major, on a (4, n, m) copy: every dot product
+    and norm is one reduction over the n components (np.einsum, no n x m
+    temporary), vectorised across the m frames, and each finished vector
+    is projected out of all later ones in one update.  This right-looking
+    order applies to every vector the same sequence of projections as a
+    vector-by-vector sweep.  Any vector whose residual norm falls below
+    REDRAW_RESIDUAL is re-drawn from the generator, in frame order, so the
+    procedure succeeds with probability one.  Returns a C-contiguous
+    (m, 4, n) array.
     """
-    m, _, n = raw.shape
-    q = np.array(raw, dtype=float)
+    n = raw.shape[2]
+    q = np.ascontiguousarray(np.transpose(raw, (1, 2, 0)), dtype=float)
     for _ in range(2):  # second sweep keeps Gram error at machine precision
         for a in range(4):
-            v = q[:, a, :].copy()
-            for b in range(a):
-                v -= np.einsum("mi,mi->m", v, q[:, b, :])[:, None] * q[:, b, :]
-            norms = np.linalg.norm(v, axis=1)
+            v = q[a]
+            norms = np.sqrt(np.einsum("im,im->m", v, v))
             for idx in np.flatnonzero(norms < REDRAW_RESIDUAL):
                 while True:
                     w = rng.standard_normal(n)
                     for b in range(a):
-                        w = w - (w @ q[idx, b]) * q[idx, b]
+                        w = w - (w @ q[b, :, idx]) * q[b, :, idx]
                     nw = np.linalg.norm(w)
                     if nw >= REDRAW_RESIDUAL:
-                        v[idx] = w
+                        v[:, idx] = w
                         norms[idx] = nw
                         break
-            q[:, a, :] = v / norms[:, None]
-    return q
+            v /= norms
+            rest = q[a + 1 :]
+            rest -= np.einsum("bim,im->bm", rest, v)[:, None] * v
+    return np.ascontiguousarray(np.transpose(q, (2, 0, 1)))
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -366,7 +391,8 @@ def sample_frames(n: int, count: int, seed: int = DEFAULT_SEED) -> list[OrthoFra
     """Deterministic random orthonormal 4-frames in dimension n.
 
     Frames are obtained by Gram-Schmidt on seeded standard-Gaussian vectors,
-    which makes the distribution rotation invariant.  The result depends
+    which makes the distribution rotation invariant; the batch is
+    orthonormalised component-major, all frames at once (_orthonormalize).  The result depends
     only on (n, count, seed), and it is the batch cic_probe evaluates.  The
     last batch is kept read-only and shared by consecutive calls with the
     same (n, count, seed); each OrthoFrame4 holds its own copy.

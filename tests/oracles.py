@@ -5,12 +5,17 @@ direct radicand delta - c*x^2 - x'^2, against the library's first-integral
 grids.  `isotropic_component` contracts the components of a tensor with one
 frame by `np.einsum`, term by term, independently of the closed form and
 the pair-matrix gemm that `curvature._isotropic_batch` uses.
+`orthonormalize` is the row-major, vector-by-vector two-pass Gram-Schmidt
+against the component-major sampler `curvature._orthonormalize`, and
+`sectional_components` fills the n^4 components of a sectional matrix K
+eagerly, as the builders did before they built them on first read.
 """
 
 import math
 
 import numpy as np
 
+from isocurv.curvature import REDRAW_RESIDUAL
 from isocurv.profiles import AmbientSpec, DomainBreakdown
 
 
@@ -40,3 +45,50 @@ def isotropic_component(t, frame) -> float:
         return np.einsum("ijkl,i,j,k,l->", t.comp, a, b, c, d)
 
     return float(r(e1, e3, e3, e1) + r(e1, e4, e4, e1) + r(e2, e3, e3, e2) + r(e2, e4, e4, e2) - 2.0 * r(e1, e2, e3, e4))
+
+
+def orthonormalize(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Two-pass modified Gram-Schmidt over a batch of (m, 4, n) vectors.
+
+    Any vector whose residual norm after projection falls below
+    REDRAW_RESIDUAL is re-drawn from the generator, so the procedure
+    succeeds with probability one.
+    """
+    m, _, n = raw.shape
+    q = np.array(raw, dtype=float)
+    for _ in range(2):  # second sweep keeps Gram error at machine precision
+        for a in range(4):
+            v = q[:, a, :].copy()
+            for b in range(a):
+                v -= np.einsum("mi,mi->m", v, q[:, b, :])[:, None] * q[:, b, :]
+            norms = np.linalg.norm(v, axis=1)
+            for idx in np.flatnonzero(norms < REDRAW_RESIDUAL):
+                while True:
+                    w = rng.standard_normal(n)
+                    for b in range(a):
+                        w = w - (w @ q[idx, b]) * q[idx, b]
+                    nw = np.linalg.norm(w)
+                    if nw >= REDRAW_RESIDUAL:
+                        v[idx] = w
+                        norms[idx] = nw
+                        break
+            q[:, a, :] = v / norms[:, None]
+    return q
+
+
+def frame_array(n: int, count: int, seed: int) -> np.ndarray:
+    """The seeded (count, 4, n) draw of `curvature._frame_array`, through `orthonormalize`."""
+    rng = np.random.default_rng(seed)
+    return orthonormalize(rng.standard_normal((count, 4, n)), rng)
+
+
+def sectional_components(kmat: np.ndarray) -> np.ndarray:
+    """R_ijji = K_ij and R_ijij = -K_ij (i != j), filled eagerly into a new (n, n, n, n) array."""
+    k = np.array(kmat, dtype=float, copy=True)
+    n = k.shape[0]
+    np.fill_diagonal(k, 0.0)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    comp = np.zeros((n, n, n, n))
+    comp[i, j, j, i] = k[i, j]
+    comp[i, j, i, j] = -k[i, j]
+    return comp

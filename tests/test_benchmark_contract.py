@@ -52,6 +52,14 @@ def test_sample_frames_stack_to_the_probe_batch(n, count, seed):
     assert stacked.shape == batch.shape and stacked.tobytes() == batch.tobytes()
 
 
+@pytest.mark.parametrize("n,count,seed", [(4, 1, 3), (16, 200, 7)])
+def test_frame_array_is_a_c_contiguous_read_only_float64_batch(n, count, seed):
+    """The tracer reads the batch's shape[0] and shape[-1] as its frame count and dimension."""
+    batch = cv._frame_array(n, count, seed)
+    assert batch.shape == (count, 4, n) and batch.dtype == np.float64
+    assert batch.flags.c_contiguous and not batch.flags.writeable
+
+
 def test_check_workload_builds_its_config_and_results():
     # perfbench builds checks.RunConfig(seed=seed), runs checks.run_all(config)
     # and, in its own tests, builds CheckResult positionally

@@ -308,14 +308,26 @@ def test_classify_boundary_witness_verifies(capsys, argv, C):
 
 def test_classify_witness_domain_failure_is_reported(capsys):
     # C sits 1e-10 above 2c: the alpha range is (0, 1e-10), and the midpoint
-    # witness's radicand 5.0e-11 at s = -10 is below its relative bound 5.0e-10
+    # witness's radicand 5.0e-11 at s = -10 is below its relative bound 5.0e-10;
+    # the witness fails verification, so the command exits 1
     code, out, _ = run_cli(capsys, "classify", "4", "1", "2.0000000002", "--witness")
-    assert code == 0
+    assert code == 1
     (entry,) = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
     failure = entry["witness"]["domain_failure"]
     assert failure["s"] == -10.0
     assert failure["reason"].startswith("delta - c*x^2 - x'^2 = 5.000067e-11 <= 5.000000e-10")
     assert "cic_mean" not in entry["witness"]
+
+
+def test_probe_of_a_256_dimensional_product_stays_small(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "probe", "--product", "S255:1 x R1", "--frames", "200")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["dim"] == 256
+    assert peak < 100e6
 
 
 def test_classify_tolerance_matched_boundary_takes_c_equal_4c(capsys):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from isocurv.curvature import (
     tensor_from_json,
     tensor_to_json,
 )
-from oracles import isotropic_component
+from oracles import frame_array, isotropic_component, orthonormalize, sectional_components
 
 
 def sphere_line(sphere_dim=3, curvature=1.0):
@@ -419,6 +420,72 @@ def test_builders_keep_the_sectional_matrix_of_their_components(name):
             assert getattr(fast, field) == pytest.approx(getattr(dense, field), rel=1e-12)
 
 
+LAZY_BUILDERS = {
+    "constant": (lambda n: build_constant_curvature(n, -0.7), lambda n: np.full((n, n), -0.7)),
+    "product": (
+        lambda n: build_product(ProductSpec((Factor("sphere", n - 2, 1.5), Factor("hyperbolic", 2, -0.5)))),
+        lambda n: np.block([[np.full((n - 2, n - 2), 1.5), np.zeros((n - 2, 2))], [np.zeros((2, n - 2)), np.full((2, 2), -0.5)]]),
+    ),
+    "gauss": (
+        lambda n: build_from_shape(0.3, np.linspace(-1.0, 2.0, n)),
+        lambda n: 0.3 + np.outer(np.linspace(-1.0, 2.0, n), np.linspace(-1.0, 2.0, n)),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+@pytest.mark.parametrize("kind", sorted(LAZY_BUILDERS))
+def test_built_components_are_the_eager_fill_read_once(kind, n):
+    """comp, built on first read, is bitwise the eager n^4 fill of K, read-only
+    and the same object on every later read."""
+    build, kmat = LAZY_BUILDERS[kind]
+    t = build(n)
+    comp = t.comp
+    assert comp.shape == (n,) * 4 and comp.dtype == np.float64 and comp.flags.c_contiguous
+    assert comp.tobytes() == sectional_components(kmat(n)).tobytes()
+    assert not comp.flags.writeable
+    assert t.comp is comp
+    with pytest.raises(ValueError):
+        comp[0, 1, 1, 0] = 2.0
+
+
+def test_tensors_are_immutable():
+    for t in (build_constant_curvature(4, 1.0), CurvatureTensor(4, np.zeros((4, 4, 4, 4)))):
+        for name in ("dim", "comp", "sectional_matrix"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc sees while it runs)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", sorted(LAZY_BUILDERS))
+def test_building_and_probing_never_allocate_the_components(kind):
+    """At n = 64 one (n, n, n, n) array is 134 MB; building and probing 1000
+    frames stays under an eighth of that, frames included."""
+    n = 64
+    build, _ = LAZY_BUILDERS[kind]
+    report, peak = traced_peak(lambda: cic_probe(build(n), count=1000, seed=1964))
+    assert report.samples == 1000
+    assert peak < n**4 * 8 / 8
+
+
+def test_constant_curvature_probes_at_n_256_in_little_memory():
+    """The dense components would be 34 GB; the probe needs the frames and K."""
+    report, peak = traced_peak(lambda: cic_probe(build_constant_curvature(256, 1.0), count=1000))
+    assert report.is_constant
+    assert report.min == pytest.approx(4.0, abs=1e-12) and report.max == pytest.approx(4.0, abs=1e-12)
+    assert peak < 100e6
+
+
 # ---------------------------------------------------------------------------
 # frame sampling and probing
 
@@ -462,6 +529,34 @@ def test_orthonormalize_redraws_dependent_vectors():
     for k, a in ((0, 0), (1, 0), (1, 1), (1, 2)):
         v, span = raw[k, a], q[k, : a + 1]
         assert np.linalg.norm(v - span.T @ (span @ v)) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_orthonormalize_redraws_as_the_row_major_oracle_does():
+    """Dependent and zero raw vectors at several positions are re-drawn in
+    the oracle's order: the same generator state afterwards, the same frames
+    to 1e-13."""
+    raw = np.random.default_rng(8).standard_normal((5, 4, 7))
+    raw[0, 1] = -3.0 * raw[0, 0]
+    raw[2, 3] = raw[2, 1] - raw[2, 0]
+    raw[3, 0] = 0.0
+    raw[3, 2] = raw[3, 1]
+    raw[4, 1:] = 0.0
+    fast, slow = np.random.default_rng(21), np.random.default_rng(21)
+    q = cv._orthonormalize(raw, fast)
+    assert np.max(np.abs(q - orthonormalize(raw, slow))) <= 1e-13
+    assert fast.bit_generator.state == slow.bit_generator.state != np.random.default_rng(21).bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+@pytest.mark.parametrize("count", [1, 12, 1000])
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 16, 64])
+def test_frame_array_matches_the_row_major_oracle(n, count, seed):
+    """The component-major sweeps give the row-major oracle's frames to
+    1e-13, orthonormal to 1e-14."""
+    frames = cv._frame_array(n, count, seed)
+    assert np.max(np.abs(frames - frame_array(n, count, seed))) <= 1e-13
+    gram = np.einsum("mai,mbi->mab", frames, frames)
+    assert np.max(np.abs(gram - np.eye(4))) <= 1e-14
 
 
 def test_frame_array_is_read_only():
