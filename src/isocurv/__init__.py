@@ -49,10 +49,12 @@ from .profiles import (
     QuadraticProfile,
     TrigProfile,
     cic_along_profile,
+    cic_mean_deviation,
     domain_check,
     integrate_profile,
     integrate_profile_arrays,
     ode_residual,
+    profile_columns,
     profile_samples,
     write_profile_csv,
 )

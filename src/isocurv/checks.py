@@ -123,8 +123,9 @@ def check_flat_rotation_profile(config: RunConfig) -> str:
     ambient = pf.AmbientSpec(c=0.0, delta=1)
     worst_lam = worst_cic = 0.0
     for beta in (0.5, 1.0, 4.0):
-        samples, deviation = pf.cic_along_profile(pf.ParabolicProfile(beta=beta), ambient)
-        s, lam, mu, cic = np.array([(p.s, p.lam, p.mu, p.cic) for p in samples]).T
+        blocks = pf.profile_columns(pf.ParabolicProfile(beta=beta), ambient)
+        s, _, _, _, lam, mu, cic = map(np.concatenate, zip(*blocks))
+        deviation = np.max(np.abs(cic - np.mean(cic)))
         expected = -math.sqrt(beta) / (s * s + beta)
         worst_lam = max(worst_lam, np.max(np.abs(lam - expected)), np.max(np.abs(mu + expected)))
         worst_cic = max(worst_cic, np.max(np.abs(cic)))
@@ -273,7 +274,7 @@ def check_classification_table(config: RunConfig) -> str:
                 continue
             fam = o.profile
             try:
-                mean, deviation = pf.cic_mean_deviation(pf.profile_samples(fam, pf.AmbientSpec(c, fam.ode_delta)))
+                mean, deviation = pf.cic_mean_deviation(fam, pf.AmbientSpec(c, fam.ode_delta))
             except pf.DomainBreakdown as exc:
                 raise AssertionError(f"witness {fam!r} fails domain check for ({n}, {c}, {C}): {exc}")
             worst_dev = max(worst_dev, deviation)

@@ -169,9 +169,8 @@ def _cmd_classify(args) -> int:
             w = outcome.profile
             ambient = pf.AmbientSpec(c=float(q.c), delta=w.ode_delta)
             info = {"family": outcome.family, "params": dataclasses.asdict(w)}
-            try:  # streamed, so a large --grid is never held in memory
-                samples = pf.profile_samples(w, ambient, window, args.grid)
-                info["cic_mean"], info["cic_max_deviation"] = pf.cic_mean_deviation(samples)
+            try:  # streamed in column blocks, so a large --grid is never held in memory
+                info["cic_mean"], info["cic_max_deviation"] = pf.cic_mean_deviation(w, ambient, window, args.grid)
             except pf.DomainBreakdown as exc:
                 info["domain_failure"] = {"s": exc.s, "reason": exc.reason}
                 failed = True

@@ -13,8 +13,8 @@ tests whether the functional is constant over frames.
 Every builder here yields a tensor of sectional form,
 R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl), and the tensor keeps
 its sectional matrix K and nothing else: the n^4 components are built
-from K only when comp is first read (check_symmetries, tensor_to_json,
-sectional), and building and probing never allocate them.  For those
+from K only when comp is first read (check_symmetries, tensor_to_json),
+and building, probing and sectional never allocate them.  For those
 tensors the functional has the closed form
 
     A.K.B - P.K.P - Q.K.Q,   A = e1*e1 + e2*e2,  B = e3*e3 + e4*e4,
@@ -297,6 +297,8 @@ def sectional(t: CurvatureTensor, x: Sequence[float], y: Sequence[float]) -> flo
     overflows or underflows and scaling either does not change the answer
     at any finite size.  Rejects a zero or non-finite vector and
     (numerically) dependent spans: sin^2 of their angle must exceed 1e-14.
+    A tensor with a sectional matrix K takes R(x, y, y, x) =
+    (x*x).K.(y*y) - (x*y).K.(x*y) in O(n^2); any other is contracted densely.
     """
     xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     tops = (float(np.max(np.abs(xv))), float(np.max(np.abs(yv))))
@@ -307,7 +309,11 @@ def sectional(t: CurvatureTensor, x: Sequence[float], y: Sequence[float]) -> flo
     area2 = xx * yy - float(xv @ yv) ** 2
     if not area2 > DEGENERATE_PLANE * xx * yy:
         raise ValueError(f"degenerate plane: sin^2 of the angle {area2 / (xx * yy):.3e} <= {DEGENERATE_PLANE}")
-    return float(_contract(t.comp, xv[None], yv[None], yv[None], xv[None])[0]) / area2
+    k = t.sectional_matrix
+    if k is None:
+        return float(_contract(t.comp, xv[None], yv[None], yv[None], xv[None])[0]) / area2
+    xy = xv * yv
+    return float((xv * xv) @ k @ (yv * yv) - xy @ k @ xy) / area2
 
 
 def _isotropic_batch(t: CurvatureTensor, frames: np.ndarray) -> np.ndarray:

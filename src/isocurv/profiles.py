@@ -29,12 +29,18 @@ delta_a being the ambient's rotation type and delta_f the family's; where
 the radicand decays (C = 4c) this keeps the digits the direct form loses.
 A grid point is valid when u > 0 and N > EPS_DOM * max(|(C - 4c)*u^2|,
 |4*(delta_a - delta_f)*u|, |E|), relative to the size of N's own terms.
-Grids are evaluated as arrays, BLOCK points at a time; a profile that
-overflows the float range before it leaves its domain raises ValueError.
+`profile_columns` is the one grid product: it evaluates a grid as numpy
+column blocks (s, x, x', x'', lambda, mu, cic) of up to BLOCK points,
+stopping at the first invalid point.  `domain_check` scans those blocks,
+`cic_mean_deviation` reads only their cic column in constant memory, and
+`profile_samples` and `cic_along_profile` give their rows as
+ProfileSamples.  A profile that overflows the float range before it
+leaves its domain raises ValueError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO, Union
@@ -265,24 +271,14 @@ def ode_residual(f: ProfileFamily, C: float, delta: int, s, h: float):
     return abs(lhs - rhs)
 
 
-def _grid(window: tuple[float, float], n: int) -> Iterator[np.ndarray]:
-    """Blocks of the grid lo + i*step, i < n; the window is checked on the call."""
-    lo, hi = window
-    if n < 2:
-        raise ValueError(f"grid needs at least 2 points, got {n}")
-    if not (hi > lo and math.isfinite(hi - lo)):
-        raise ValueError(f"window must be finite with lo < hi, got {window}")
-    step = (hi - lo) / (n - 1)
-    return (lo + np.arange(i, min(i + BLOCK, n)) * step for i in range(0, n, BLOCK))
-
-
 def _evaluate(f: ProfileFamily, ambient: AmbientSpec, s: np.ndarray, window: tuple[float, float]):
     """(k, columns, failure) at the grid points s, by the first-integral radicand.
 
-    k indexes the first invalid point (len(s) if none) and failure is its
-    DomainBreakdown (None if none); columns are x, x', x'', lambda, mu and
-    the isotropic value on all of s.  Raises ValueError when the profile
-    overflows the float range at or before its first invalid point.
+    k indexes the first invalid point (len(s) if none) and failure is the
+    (value, s, reason) of its DomainBreakdown (None if none); columns are
+    x, x', x'', lambda, mu and the isotropic value on all of s.  Raises
+    ValueError when the profile overflows the float range at or before its
+    first invalid point.
     """
     C, c = f.ode_constant, ambient.c
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -307,12 +303,48 @@ def _evaluate(f: ProfileFamily, ambient: AmbientSpec, s: np.ndarray, window: tup
     if inside[k] or not (np.isfinite(u[k]) and np.isfinite(n[k])):
         raise ValueError(f"profile {f!r} overflows the float range at s={at!r} in the window {window}")
     if not u[k] > 0:
-        return k, columns, DomainBreakdown(float(u[k]), at, f"x^2 = {u[k]:.6e} <= 0")
+        return k, columns, (float(u[k]), at, f"x^2 = {u[k]:.6e} <= 0")
     reason = (
         f"delta - c*x^2 - x'^2 = {d[k]:.6e} <= {bound[k] / (4.0 * u[k]):.6e} "
         f"(c*x^2 + x'^2 = {c * x[k] * x[k] + xp[k] * xp[k]:.6e} vs delta = {ambient.delta})"
     )
-    return k, columns, DomainBreakdown(float(d[k]), at, reason)
+    return k, columns, (float(d[k]), at, reason)
+
+
+def profile_columns(
+    f: ProfileFamily,
+    ambient: AmbientSpec,
+    s_window: tuple[float, float] = DEFAULT_WINDOW,
+    grid_n: int = DEFAULT_GRID,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Column blocks (s, x, x', x'', lambda, mu, cic) of up to BLOCK grid points.
+
+    The grid is s_window[0] + i*step, i < grid_n.  The window and grid are
+    validated by this call, before any block is produced.  The iterator
+    yields the valid points left to right and raises DomainBreakdown at the
+    first invalid one, after the valid prefix of its block (never an empty
+    block), or ValueError when the profile overflows the float range at or
+    before it.
+    """
+    lo, hi = s_window
+    if grid_n < 2:
+        raise ValueError(f"grid needs at least 2 points, got {grid_n}")
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ValueError(f"window must be finite with lo < hi, got {s_window}")
+    step = (hi - lo) / (grid_n - 1)
+
+    def blocks() -> Iterator[tuple[np.ndarray, ...]]:
+        for i in range(0, grid_n, BLOCK):
+            s = lo + np.arange(i, min(i + BLOCK, grid_n)) * step
+            k, columns, failure = _evaluate(f, ambient, s, s_window)
+            if k:
+                yield tuple(col[:k] for col in (s, *columns))
+            if failure is not None:
+                # built in the raise: an exception held in a local of the frame its
+                # traceback holds is a cycle, keeping the block's columns until gc runs
+                raise DomainBreakdown(*failure)
+
+    return blocks()
 
 
 def domain_check(
@@ -326,10 +358,11 @@ def domain_check(
     Returns None when every grid point is valid, else the first failing
     point (scanning left to right) with the violated inequality.
     """
-    for s in _grid(s_window, grid_n):
-        failure = _evaluate(f, ambient, s, s_window)[2]
-        if failure is not None:
-            return FirstFailure(failure.s, failure.reason)
+    try:
+        for _ in profile_columns(f, ambient, s_window, grid_n):
+            pass
+    except DomainBreakdown as failure:
+        return FirstFailure(failure.s, failure.reason)
     return None
 
 
@@ -339,22 +372,48 @@ def profile_samples(
     s_window: tuple[float, float] = DEFAULT_WINDOW,
     grid_n: int = DEFAULT_GRID,
 ) -> Iterator[ProfileSample]:
-    """Lazily sample lambda, mu and the isotropic value along the profile.
+    """The rows of `profile_columns`, one ProfileSample per grid point, lazily.
 
-    The window and grid are validated by this call, before any sample is
-    produced; the iterator raises DomainBreakdown at the first invalid point,
-    or ValueError when the profile overflows the float range before it.
+    Same validation on the call, and the same DomainBreakdown or ValueError
+    from the iterator.
     """
-    blocks = _grid(s_window, grid_n)
+    return itertools.chain.from_iterable(map(_samples, profile_columns(f, ambient, s_window, grid_n)))
 
-    def samples() -> Iterator[ProfileSample]:
-        for s in blocks:
-            k, columns, failure = _evaluate(f, ambient, s, s_window)
-            yield from map(ProfileSample, *(col[:k].tolist() for col in (s, *columns)))
-            if failure is not None:
-                raise failure
 
-    return samples()
+def _samples(block: tuple[np.ndarray, ...]) -> Iterator[ProfileSample]:
+    """The ProfileSample rows of one column block."""
+    return map(ProfileSample, *(col.tolist() for col in block))
+
+
+def _mean_deviation(cics: Iterable[np.ndarray]) -> tuple[float, float]:
+    """Mean of the values in the blocks cics and their maximum deviation from it.
+
+    Keeps the count, one left-to-right sum of the values (sum() over each
+    block's floats, carrying the total) and the least and greatest value,
+    so any number of blocks takes constant memory.  Rounding is monotone,
+    so the deviation max(hi - mean, mean - lo) is max |cic - mean|, bitwise.
+    """
+    count, total, lo, hi = 0, 0, math.inf, -math.inf
+    for cic in cics:
+        count += len(cic)
+        total = sum(cic.tolist(), total)
+        lo, hi = min(lo, float(cic.min())), max(hi, float(cic.max()))
+    mean = total / count
+    return mean, max(hi - mean, mean - lo)
+
+
+def cic_mean_deviation(
+    f: ProfileFamily,
+    ambient: AmbientSpec,
+    s_window: tuple[float, float] = DEFAULT_WINDOW,
+    grid_n: int = DEFAULT_GRID,
+) -> tuple[float, float]:
+    """Grid mean of the isotropic value along the profile and its maximum deviation from it.
+
+    Reads only the cic column of `profile_columns`, in constant memory;
+    propagates its ValueError and DomainBreakdown.
+    """
+    return _mean_deviation(block[-1] for block in profile_columns(f, ambient, s_window, grid_n))
 
 
 def cic_along_profile(
@@ -366,35 +425,12 @@ def cic_along_profile(
     """Sample lambda, mu and the isotropic value along the profile.
 
     Returns the samples and the maximum deviation of the isotropic value
-    from its grid mean.  Propagates DomainBreakdown from invalid points.
+    from its grid mean, the statistic of `cic_mean_deviation`.  Propagates
+    DomainBreakdown from invalid points.
     """
-    samples = list(profile_samples(f, ambient, s_window, grid_n))
-    return samples, cic_mean_deviation(samples)[1]
-
-
-def cic_mean_deviation(samples: Iterable[ProfileSample]) -> tuple[float, float]:
-    """Mean of the isotropic value over samples and its maximum deviation from it.
-
-    Reads the samples once, keeping their count, their sum (one sum() in
-    sample order) and the least and greatest value, so a stream of any
-    length takes constant memory.  Rounding is monotone, so the deviation
-    max(hi - mean, mean - lo) is max |cic - mean| over the samples, bitwise.
-    """
-    count, lo, hi = 0, math.inf, -math.inf
-
-    def cics() -> Iterator[float]:
-        nonlocal count, lo, hi
-        for p in samples:
-            cic = p.cic
-            count += 1
-            if cic < lo:
-                lo = cic
-            if cic > hi:
-                hi = cic
-            yield cic
-
-    mean = sum(cics()) / count
-    return mean, max(hi - mean, mean - lo)
+    blocks = list(profile_columns(f, ambient, s_window, grid_n))
+    samples = list(itertools.chain.from_iterable(map(_samples, blocks)))
+    return samples, _mean_deviation(block[-1] for block in blocks)[1]
 
 
 def _sweep(w: np.ndarray, C: float, delta: int, h: float) -> int | None:

@@ -5,12 +5,15 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
 from isocurv import profiles as pf
 from isocurv.cli import main, parse_number, parse_product
 from isocurv.curvature import Factor
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -586,6 +589,15 @@ def test_check_stdout_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "check")
     _, second, _ = run_cli(capsys, "check")
     assert first == second
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 123])
+def test_check_stdout_matches_the_record(capsys, seed):
+    """Every figure `check` prints, byte for byte, against tests/data; a moved
+    figure fails here, where two runs of the same tree would still agree."""
+    code, out, _ = run_cli(capsys, "check", "--seed", str(seed))
+    assert code == 0
+    assert out == (DATA / f"check_stdout_seed{seed}.txt").read_text()
 
 
 def test_probe_flat_space(capsys):

@@ -248,6 +248,22 @@ def test_sectional_general_position():
         assert sectional(t, x, y) == pytest.approx(1.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_sectional_from_k_matches_the_dense_path(n):
+    """(x*x).K.(y*y) - (x*y).K.(x*y) against the pair-matrix contraction of
+    the same components, on 100 random planes of a random symmetric K
+    whose diagonal is nonzero and must not enter."""
+    rng = np.random.default_rng(n)
+    k = rng.standard_normal((n, n))
+    k = k + k.T + np.diag(rng.uniform(1.0, 5.0, n))
+    t = cv._from_sectional(k)
+    dense = CurvatureTensor(n, t.comp)
+    assert dense.sectional_matrix is None
+    for x, y in rng.standard_normal((100, 2, n)):
+        want = sectional(dense, x, y)
+        assert abs(sectional(t, x, y) - want) <= 1e-13 * max(1.0, abs(want))
+
+
 def test_isotropic_split_frame_values():
     """Coordinate frames, on the sectional path and on the dense path of the
     same components, against the einsum oracle and the exact values."""
@@ -484,6 +500,15 @@ def test_constant_curvature_probes_at_n_256_in_little_memory():
     assert report.is_constant
     assert report.min == pytest.approx(4.0, abs=1e-12) and report.max == pytest.approx(4.0, abs=1e-12)
     assert peak < 100e6
+
+
+def test_sectional_of_a_built_tensor_never_allocates_the_components():
+    """At n = 64 the components would be 134 MB; one plane needs K and four n-vectors."""
+    t = build_constant_curvature(64, 1.0)
+    eye = np.eye(64)
+    value, peak = traced_peak(lambda: sectional(t, eye[0], eye[1] + eye[2]))
+    assert value == pytest.approx(1.0, abs=1e-14)
+    assert peak < 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import gc
 import io
 import math
 
@@ -20,6 +21,7 @@ from isocurv.profiles import (
     cic_mean_deviation,
     domain_check,
     ode_residual,
+    profile_columns,
     profile_samples,
     write_profile_csv,
 )
@@ -317,8 +319,82 @@ def test_streamed_mean_and_deviation_are_the_two_pass_ones_bitwise(fam, C, delta
     samples = list(profile_samples(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401))
     mean = sum(p.cic for p in samples) / len(samples)
     want = (mean, max(abs(p.cic - mean) for p in samples))
-    assert cic_mean_deviation(iter(samples)) == want
+    assert cic_mean_deviation(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401) == want
     assert cic_along_profile(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401)[1] == want[1]
+
+
+def test_column_blocks_give_the_row_statistics_bitwise_across_blocks():
+    """10,001 points are three blocks; the carried sum is the one left-to-right
+    sum over the rows, and the deviation max |cic - mean| over them."""
+    fam, ambient, window, n = TrigProfile(C=2.0, alpha=0.6), FLAT, (-30.0, 30.0), 10_001
+    blocks = list(profile_columns(fam, ambient, window, n))
+    assert [len(b[0]) for b in blocks] == [BLOCK, BLOCK, n - 2 * BLOCK]
+    assert all(len(b) == 7 and all(len(col) == len(b[0]) for col in b) for b in blocks)
+    samples = list(profile_samples(fam, ambient, window, n))
+    assert [tuple(map(float, row)) for b in blocks for row in zip(*b)] == [
+        (p.s, p.x, p.xp, p.xpp, p.lam, p.mu, p.cic) for p in samples
+    ]
+    mean = sum(p.cic for p in samples) / len(samples)
+    deviation = max(abs(p.cic - mean) for p in samples)
+    assert cic_mean_deviation(fam, ambient, window, n) == (mean, deviation)
+    assert cic_along_profile(fam, ambient, window, n)[1] == deviation
+
+
+def test_a_failure_in_the_second_block_yields_the_valid_prefix_then_raises():
+    """Parabolic beta = 1 in ambient c = 0.01 reaches delta = c x^2 + x'^2 at s = 3:
+    grid index 6000 of 10,001 on [0, 5], inside the second block."""
+    fam, ambient, window, n = ParabolicProfile(beta=1.0), AmbientSpec(0.01, 1), (0.0, 5.0), 10_001
+    blocks = profile_columns(fam, ambient, window, n)
+    first, second = next(blocks), next(blocks)
+    assert len(first[0]) == BLOCK and len(second[0]) == 6000 - BLOCK
+    assert second[0][-1] < 3.0
+    with pytest.raises(DomainBreakdown) as info:
+        next(blocks)
+    assert info.value.s == 3.0
+    with pytest.raises(DomainBreakdown):
+        cic_mean_deviation(fam, ambient, window, n)
+    rows = []
+    with pytest.raises(DomainBreakdown):
+        rows.extend(profile_samples(fam, ambient, window, n))
+    assert len(rows) == 6000 and rows[-1].s == second[0][-1]
+
+
+def test_a_failure_at_the_first_grid_point_raises_domain_breakdown():
+    """No empty block is yielded, so no statistic is taken over zero points."""
+    fam, ambient = TrigProfile(C=1.5, alpha=0.2), AmbientSpec(1.0, 1)
+    with pytest.raises(DomainBreakdown) as info:
+        next(profile_columns(fam, ambient))
+    assert info.value.s == -10.0
+    for stat in (cic_mean_deviation, cic_along_profile):
+        with pytest.raises(DomainBreakdown):
+            stat(fam, ambient)
+
+
+def test_a_breakdown_leaves_no_reference_cycle():
+    """The raised DomainBreakdown is not held by the generator frame its
+    traceback holds, so that frame and its columns are freed when the
+    exception is, not at the next gc pass (domain_check raises and catches
+    one per failing profile)."""
+    fam, ambient = ParabolicProfile(beta=1.0), AmbientSpec(0.01, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        assert domain_check(fam, ambient, (0.0, 5.0), 10_001).s == 3.0
+        try:
+            cic_mean_deviation(fam, ambient)
+        except DomainBreakdown:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_profile_columns_validates_on_the_call():
+    fam = ParabolicProfile(beta=1.0)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        profile_columns(fam, FLAT, (-1.0, 1.0), 1)
+    with pytest.raises(ValueError, match="window"):
+        profile_columns(fam, FLAT, (1.0, -1.0), 11)
 
 
 def test_cic_along_profile_propagates_breakdown():
