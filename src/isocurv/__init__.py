@@ -52,7 +52,6 @@ from .profiles import (
     cic_mean_deviation,
     domain_check,
     integrate_profile,
-    integrate_profile_arrays,
     ode_residual,
     profile_columns,
     profile_samples,

@@ -21,7 +21,6 @@ from . import profiles as pf
 from . import spectra as sp
 
 STRADDLE = 1e-6
-RK4_STEP = 1e-3           # step of the profile-ode integrations
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,8 @@ class RunConfig:
     """Seed of the frame probes and random draws in the suites.
 
     Frame probes take cv.DEFAULT_FRAMES frames (500 in gauss-frame-identity)
-    and cv.DEFAULT_PROBE_TOL, profile grids pf.DEFAULT_WINDOW and
-    pf.DEFAULT_GRID, and the RK4 integrations step RK4_STEP.
+    and cv.DEFAULT_PROBE_TOL, and profile grids pf.DEFAULT_WINDOW and
+    pf.DEFAULT_GRID.
     """
 
     seed: int = cv.DEFAULT_SEED
@@ -168,47 +167,39 @@ def _random_valid_family(rng: np.random.Generator) -> pf.ProfileFamily:
     return pf.QuadraticProfile(A=a, B=b)
 
 
-def _sup_error_vs_closed_form(fam: pf.ProfileFamily, step: float) -> tuple[float, float]:
-    """(sup |x_rk - x_closed|, sup |x_closed|) on a thinned sample grid."""
-    x0, v0, _ = fam.eval(0.0)
-    s_max = pf.DEFAULT_WINDOW[1]
-    s, x, _ = pf.integrate_profile_arrays(fam.ode_constant, fam.ode_delta, x0, v0, s_max=s_max, step=step)
-    every = max(1, len(s) // 500)
-    s, x = s[::every], x[::every]
-    xc, _, _ = fam.eval(s)
-    return float(np.max(np.abs(x - xc))), float(np.max(np.abs(xc)))
-
-
 def check_profile_ode(config: RunConfig) -> str:
-    """Closed forms satisfy the profile equation; RK4 reproduces them at order 4."""
+    """Closed forms solve the profile equation, in x and linearly in u = x^2.
+
+    For each seeded family, on 100 random s in [-2, 2]: its (u, u', u'')
+    satisfy u'' = 2*delta - C*u relative to the largest of |u''|, |2*delta|
+    and |C*u|; its u' is the central difference of its u, relative to the
+    larger of max |u'| and max |u| there; and `ode_residual` bounds the
+    nonlinear equation (x*x')' = delta - (C/2)*x^2.  So the closed form is
+    the solution of the initial-value problem at its own (u(0), u'(0)).
+    """
     rng = np.random.default_rng(config.seed)
     h = 1e-4
-    worst_resid = worst_rel = 0.0
+    worst_resid = worst_lin = worst_diff = 0.0
     for _ in range(50):
         fam = _random_valid_family(rng)
         s = rng.uniform(-2.0, 2.0, size=100)
-        resid = pf.ode_residual(fam, fam.ode_constant, fam.ode_delta, s, h)
+        C, delta = fam.ode_constant, fam.ode_delta
+        u, up, upp = fam.u(s)
+        terms = np.maximum(np.maximum(np.abs(upp), abs(2.0 * delta)), np.abs(C * u))
+        lin = np.abs(upp - (2.0 * delta - C * u)) / terms
+        i = int(np.argmax(lin))
+        worst_lin = max(worst_lin, float(lin[i]))
+        assert lin[i] <= 1e-14, f"{fam!r}: u'' - (2*delta - C*u) is {lin[i]:.3e} of its terms at s={s[i]}"
+        diff = np.abs((fam.u(s + h)[0] - fam.u(s - h)[0]) / (2.0 * h) - up)
+        i = int(np.argmax(diff))
+        rel = float(diff[i]) / max(np.max(np.abs(up)), np.max(u))
+        worst_diff = max(worst_diff, rel)
+        assert rel <= 1e-6, f"{fam!r}: u' is off the central difference of u by {rel:.3e} at s={s[i]}"
+        resid = pf.ode_residual(fam, C, delta, s, h)
         i = int(np.argmax(resid))
         worst_resid = max(worst_resid, float(resid[i]))
         assert resid[i] <= 1e-6, f"{fam!r}: residual {resid[i]:.3e} > 1e-6 at s={s[i]}"
-        err, scale = _sup_error_vs_closed_form(fam, RK4_STEP)
-        rel = err / scale
-        worst_rel = max(worst_rel, rel)
-        assert rel <= 1e-6, f"{fam!r}: RK error {err:.3e} (scale {scale:.1e}) > 1e-6"
-
-    # named cases, absolute bounds
-    err, _ = _sup_error_vs_closed_form(pf.ParabolicProfile(beta=1.0), RK4_STEP)
-    assert err <= 1e-8, f"parabolic RK error {err:.3e} > 1e-8"
-    trig = pf.TrigProfile(C=2.0, alpha=0.3)
-    err, _ = _sup_error_vs_closed_form(trig, RK4_STEP)
-    assert err <= 1e-6, f"trig RK error {err:.3e} > 1e-6"
-
-    # fourth-order convergence on the trig case, in the truncation-dominated regime
-    coarse, _ = _sup_error_vs_closed_form(trig, 0.1)
-    fine, _ = _sup_error_vs_closed_form(trig, 0.05)
-    ratio = coarse / fine
-    assert ratio >= 12.0, f"convergence ratio {ratio:.1f} < 12"
-    return f"worst residual {worst_resid:.1e}, worst RK error {worst_rel:.1e}, order ratio {ratio:.1f}"
+    return f"worst residual {worst_resid:.1e}, linear {worst_lin:.1e}, u' vs central difference {worst_diff:.1e}"
 
 
 def _signature(outcome: cls.ClassificationOutcome) -> str:

@@ -7,11 +7,9 @@ the equation is linear, u'' = 2*delta - C*u: a family gives its own
 (u, u', u'') and u_min, the infimum of u over R, and one shared `eval`
 derives x = sqrt(u), x' = u'/(2x) and x'' = (u'' - 2x'^2)/(2x).  A family
 is accepted when its fields are finite and u_min > 0.
-`integrate_profile_arrays` solves the linear equation by RK4 as an
-independent check on the closed forms: one step is an exact affine map,
-and a sweep of n steps is filled in ceil(log2(n + 1)) array steps by
-composing that map with itself (doubling), which holds an equilibrium to
-about an ulp; `integrate_profile` is its row view.
+`integrate_profile` solves the linear equation from initial data by RK4,
+one exact affine step map applied step by step; the `check` suites verify
+the closed forms without it, against the equation itself.
 Principal curvatures of the hypersurface in an ambient space form of
 curvature c are
 
@@ -49,14 +47,13 @@ import numpy as np
 
 from .spectra import cic_from_spectrum
 
-EPS_DOM = 1e-9            # breakdown threshold: N relative to its terms, RK4's x^2 / x0^2
+EPS_DOM = 1e-9            # breakdown threshold: N relative to its terms; RK4 stops at x^2 / x0^2
 DEFAULT_WINDOW = (-10.0, 10.0)
 DEFAULT_GRID = 2001
 BLOCK = 4096              # grid points evaluated per array operation
 RK4_STABLE_Q = 7.75       # |C|*step^2 bound: RK4's real-axis stability limit is 2.785^2
-# steps per integrate_profile sweep: at the bound the array core peaks near 64 MB
-# (16 MB per 2*10**6-float column), and the row view's 144-byte (s, x, x')
-# tuples hold 290 MB more; the checks and the benchmark take 10**4
+# steps per integrate_profile sweep: at the bound the 2*10**6 rows of 144-byte
+# (s, x, x') tuples hold about 290 MB; the benchmark takes 10**4
 MAX_STEPS = 10**6
 
 
@@ -433,88 +430,30 @@ def cic_along_profile(
     return samples, _mean_deviation(block[-1] for block in blocks)[1]
 
 
-def _sweep(w: np.ndarray, C: float, delta: int, h: float) -> int | None:
-    """Fill w[:, 1:] with steps of size h from w[:, 0], w = (u, u').
-
-    The rows are filled by doubling: with the k-step map
-    w <- w + (D_k w + t_k), D_k = M^k - I, rows [k, 2k) are rows [0, k)
-    mapped at once, then (D, t) <- (D^2 + 2D, D t + 2t); when the composed
-    map is no longer finite the stride stays at k.  Returns the index of
-    the first row where x^2 reaches 1e-9 of x0^2 (None if none), leaving
-    the rows after it unfilled; raises ValueError at the first row where u
-    or u' is not finite.
-    """
-    q = C * h * h
-    d00 = d11 = -q / 2.0 + q * q / 24.0
-    d01 = h * (1.0 - q / 6.0)
-    d10 = -C * d01
-    t0, t1 = delta * h * h * (1.0 - q / 12.0), 2.0 * delta * h * (1.0 - q / 6.0)
-    nsteps, floor = w.shape[1] - 1, EPS_DOM * w[0, 0]
-    filled = k = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while filled <= nsteps:
-            m = min(k, nsteps + 1 - filled)
-            u, v = w[:, filled - k : filled - k + m]
-            bu, bv = w[:, filled : filled + m]
-            np.add(u, (d00 * u + d01 * v) + t0, out=bu)
-            np.add(v, (d10 * u + d11 * v) + t1, out=bv)
-            # min and max propagate NaN, so only a block of good rows passes
-            if not (floor < bu.min() and bu.max() < math.inf and abs(bv).max() < math.inf):
-                i = int(np.flatnonzero(~((bu > floor) & (bu < math.inf) & np.isfinite(bv)))[0])
-                if not (math.isfinite(bu[i]) and math.isfinite(bv[i])):
-                    raise ValueError(
-                        f"integrated profile overflows the float range at s={(filled + i) * h!r}: "
-                        f"C = {C!r}, step = {abs(h)!r}"
-                    )
-                return filled + i
-            filled += m
-            if filled == 2 * k:
-                nxt = (
-                    d00 * d00 + d01 * d10 + 2.0 * d00, d00 * d01 + d01 * d11 + 2.0 * d01,
-                    d10 * d00 + d11 * d10 + 2.0 * d10, d10 * d01 + d11 * d11 + 2.0 * d11,
-                    d00 * t0 + d01 * t1 + 2.0 * t0, d10 * t0 + d11 * t1 + 2.0 * t1,
-                )
-                if all(map(math.isfinite, nxt)):
-                    d00, d01, d10, d11, t0, t1 = nxt
-                    k *= 2
-    return None
-
-
-def integrate_profile_arrays(
+def integrate_profile(
     C: float,
     delta: int,
     x0: float,
     v0: float,
     s_max: float,
     step: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate the profile equation outward from s = 0 over [-s_max, s_max].
+) -> list[tuple[float, float, float]]:
+    """Integrate the profile equation by RK4 outward from s = 0 over [-s_max, s_max].
 
     Works in the substitution u = x^2, where the equation is the linear
     system z' = L z + g with z = (u, u'), L = [[0, 1], [-C, 0]], g = (0, 2*delta).
     There one classical RK4 step of size h is exactly z <- z + (D z + b),
     D = M - I, M being the RK4 stability polynomial of hL: for q = C*h^2,
     D00 = D11 = -q/2 + q^2/24, D01 = h(1 - q/6), D10 = -C*D01 and
-    b = (delta*h^2*(1 - q/12), 2*delta*h*(1 - q/6)).  The scheme, its order
-    and its error are RK4's; |q| above RK4_STABLE_Q is outside its
-    stability range and rejected, and so is s_max / step above MAX_STEPS.
+    b = (delta*h^2*(1 - q/12), 2*delta*h*(1 - q/6)), built once per sweep and
+    applied step by step.  The scheme, its order and its error are RK4's;
+    |q| above RK4_STABLE_Q is outside its stability range and rejected, and
+    so is s_max / step above MAX_STEPS.
 
-    A sweep of n steps is filled in ceil(log2(n + 1)) array steps by
-    composing the step map (doubling, as in a parallel prefix): rows
-    [k, 2k) are rows [0, k) under the k-step map, kept as M^k - I so that
-    its small entries keep their digits.  Each row is reached through at
-    most log2(n) composed maps, each as rounded as the squarings that built
-    it, so the error grows about like n*eps of the sweep's size of (u, u'),
-    as with n single steps.  It is absolute at that size: where u falls far
-    below it, near a crossing, x keeps fewer digits than a step loop gives
-    (1e-11 relative at x = 0.1 after u fell from 9, against 1e-15), and an
-    equilibrium u = 2*delta/C, which RK4 keeps exactly, drifts by about an
-    ulp.
-
-    Returns arrays (s, x, x') sorted by s.  Raises NonPositiveProfile
-    (carrying the partial samples before it) at the first step where x^2
-    reaches 1e-9 of x0^2, forward sweep first, and ValueError naming s and
-    the step at the first step where u or u' overflows the float range.
+    Returns (s, x, x') tuples sorted by s.  Raises NonPositiveProfile
+    (carrying the rows before it) at the first step where x^2 reaches
+    EPS_DOM of x0^2, forward sweep first, and ValueError naming s and the
+    step at the first step where u or u' overflows the float range.
     """
     for name, value in (("C", C), ("x0", x0), ("v0", v0), ("s_max", s_max)):
         if not math.isfinite(value):
@@ -533,47 +472,38 @@ def integrate_profile_arrays(
     if not ratio < MAX_STEPS + 1:
         raise ValueError(f"s_max / step exceeds MAX_STEPS = {MAX_STEPS}: s_max = {s_max}, step = {step}")
     nsteps = int(ratio)
-    z = np.empty((2, 2 * nsteps + 1))  # (u, u') at s = -nsteps*step .. nsteps*step
-    z[:, nsteps] = x0 * x0, 2.0 * x0 * v0
-    lo, hi = 0, 2 * nsteps + 1
-    for h, w in ((step, z[:, nsteps:]), (-step, z[:, nsteps::-1])):
-        stop = _sweep(w, C, delta, h)
-        if stop is not None:
-            lo, hi = (nsteps, nsteps + stop) if h > 0 else (nsteps - stop + 1, hi)
-            break
-    s = np.arange(lo - nsteps, hi - nsteps, dtype=float)
-    s *= step
-    x, xp = z[:, lo:hi]  # converted in place: (u, u') -> (x, x')
-    np.sqrt(x, out=x)
-    np.divide(xp, 2.0 * x, out=xp)
-    x[nsteps - lo], xp[nsteps - lo] = x0, v0  # the origin row is the input itself
-    if stop is not None:
-        raise NonPositiveProfile(stop * h, _rows(s, x, xp))
-    return s, x, xp
+    floor = EPS_DOM * (x0 * x0)
 
+    def sweep(h: float) -> tuple[list[tuple[float, float, float]], float | None]:
+        """The rows of steps 1.. of size h, and the s of a crossing (None if none)."""
+        q = C * h * h
+        d = -q / 2.0 + q * q / 24.0
+        duv = h * (1.0 - q / 6.0)
+        dvu = -C * duv
+        bu, bv = delta * h * h * (1.0 - q / 12.0), 2.0 * delta * h * (1.0 - q / 6.0)
+        u, v = x0 * x0, 2.0 * x0 * v0
+        rows = []
+        for i in range(1, nsteps + 1):
+            u, v = u + (d * u + duv * v + bu), v + (dvu * u + d * v + bv)
+            if not (math.isfinite(u) and math.isfinite(v)):
+                raise ValueError(
+                    f"integrated profile overflows the float range at s={i * h!r}: C = {C!r}, step = {step!r}"
+                )
+            if not u > floor:
+                return rows, i * h
+            x = math.sqrt(u)
+            rows.append((i * h, x, v / (2.0 * x)))
+        return rows, None
 
-def _rows(s: np.ndarray, x: np.ndarray, xp: np.ndarray) -> list[tuple[float, float, float]]:
-    """The (s, x, x') tuples of three equal-length columns."""
-    return list(zip(s.tolist(), x.tolist(), xp.tolist()))
-
-
-def integrate_profile(
-    C: float,
-    delta: int,
-    x0: float,
-    v0: float,
-    s_max: float,
-    step: float,
-) -> list[tuple[float, float, float]]:
-    """The row view of `integrate_profile_arrays`: (s, x, x') tuples sorted by s.
-
-    Same arguments, validation and exceptions.  Each sweep is filled by
-    doubling the RK4 step map, so each row carries the rounding of at most
-    log2(n) composed maps and an equilibrium holds to about an ulp, not
-    exactly (see `integrate_profile_arrays`); the tuples are built from
-    those arrays and match them bitwise.
-    """
-    return _rows(*integrate_profile_arrays(C, delta, x0, v0, s_max, step))
+    origin = [(0.0, x0, v0)]
+    forward, crossing = sweep(step)
+    if crossing is not None:
+        raise NonPositiveProfile(crossing, origin + forward)
+    backward, crossing = sweep(-step)
+    backward.reverse()
+    if crossing is not None:
+        raise NonPositiveProfile(crossing, backward + origin + forward)
+    return backward + origin + forward
 
 
 def write_profile_csv(samples: Iterable[ProfileSample], out: TextIO) -> None:

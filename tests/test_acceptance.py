@@ -48,7 +48,7 @@ def test_criterion_4_gauss_frame_identity():
 
 
 def test_criterion_5_ode_verification():
-    """Residuals of the profile equation, RK4 agreement and 4th-order decay."""
+    """Closed forms solve the profile equation: nonlinear residual, linear equation exactly, u' vs u."""
     _run(5, "profile-ode", checks.check_profile_ode)
 
 

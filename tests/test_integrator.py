@@ -12,7 +12,6 @@ from isocurv.profiles import (
     ParabolicProfile,
     TrigProfile,
     integrate_profile,
-    integrate_profile_arrays,
 )
 
 
@@ -95,9 +94,7 @@ def test_propagator_matches_stage_rk4(C, delta, s_max):
         assert abs(xp - xpr) <= 1e-11 * max(xr, abs(xpr))
 
 
-# Step counts on both sides of the doubling edges: the sweep fills rows
-# [k, 2k) from rows [0, k), so 2^j - 1, 2^j and 2^j + 1 end a level short,
-# exactly or with one row into the next.
+# Step counts of one, a few and either side of powers of two.
 EDGE_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025]
 # (C, delta, step), x0 = 1, v0 = 0.1, u positive over 1025 steps either way;
 # at step 0.1 the longer sweeps run over many periods (C = 2) or e-foldings (C = -1)
@@ -123,8 +120,8 @@ def test_doubling_edges_match_stage_rk4(C, delta, step, nsteps):
     [
         (0.0, 1, 1.0, -10.0, 5.0),    # u = s^2 - 20s + 1 crosses forward on step 51
         (0.0, 1, 1.0, 10.0, 5.0),     # ... and backward
-        (0.0, 1, 1.0, -250.0, 5.0),   # on step 3, in the first block of a composed map
-        (0.0, 1, 1.0, -1.5, 5.0),     # on step 382, inside the block [256, 512)
+        (0.0, 1, 1.0, -250.0, 5.0),   # on step 3
+        (0.0, 1, 1.0, -1.5, 5.0),     # on step 382
         (0.0, 1, 1.0, 1.0, 5.0),      # u = (1 + s)^2 touches zero on backward step 1000
         (0.0, 0, 1.0, -0.4998, 5.0),  # u = 1 - 0.9996 s, through zero on step 1001
         (2.0, 1, 1.0, 1.0, 5.0),      # trig about its equilibrium u = 1: step 2777
@@ -136,9 +133,25 @@ def test_crossings_match_stage_rk4(C, delta, x0, v0, s_max):
     rows, s_end = stage_rk4(C, delta, x0, v0, s_max, 1e-3, stop=True)
     assert s_end is not None
     with pytest.raises(NonPositiveProfile) as info:
-        integrate_profile_arrays(C, delta, x0, v0, s_max, 1e-3)
+        integrate_profile(C, delta, x0, v0, s_max, 1e-3)
     assert info.value.s == s_end
     assert [s for s, _, _ in info.value.samples] == [s for s, _, _ in rows]
+
+
+def test_rows_near_a_crossing_keep_their_digits():
+    """u falls from 8.7 toward 0 before crossing at s = 1.475: every row,
+    down to x = 0.1 and below, matches the four-stage oracle to 1e-13."""
+    args = (0.0, -1, 2.956, -0.7528, 4.49, 1e-3)
+    rows, s_end = stage_rk4(*args, stop=True)
+    with pytest.raises(NonPositiveProfile) as info:
+        integrate_profile(*args)
+    assert info.value.s == s_end == pytest.approx(1.475, abs=1e-12)
+    assert len(info.value.samples) == len(rows)
+    assert min(x for _, x, _ in rows) < 0.1
+    for (s, x, xp), (sr, xr, xpr) in zip(info.value.samples, rows):
+        assert s == sr
+        assert abs(x - xr) <= 1e-13 * xr
+        assert abs(xp - xpr) <= 1e-13 * abs(xpr)
 
 
 # (C, x0, s_max, step) -> (t*C, x0/sqrt(t), s_max/sqrt(t), step/sqrt(t)) maps
@@ -150,28 +163,12 @@ def test_crossings_match_stage_rk4(C, delta, x0, v0, s_max):
 )
 def test_crossings_move_with_the_scaling(C, delta, x0, v0, t):
     with pytest.raises(NonPositiveProfile) as ref:
-        integrate_profile_arrays(C, delta, x0, v0, 5.0, 1e-3)
+        integrate_profile(C, delta, x0, v0, 5.0, 1e-3)
     r = math.sqrt(t)
     with pytest.raises(NonPositiveProfile) as info:
-        integrate_profile_arrays(t * C, delta, x0 / r, v0, 5.0 / r, 1e-3 / r)
+        integrate_profile(t * C, delta, x0 / r, v0, 5.0 / r, 1e-3 / r)
     assert info.value.s == pytest.approx(ref.value.s / r, rel=1e-12)
     assert len(info.value.samples) == len(ref.value.samples)
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        (2.0, 1, 1.0, 0.1, 10.0, 1e-3),
-        (0.0, -1, 1.0, 0.1, 0.5, 1e-3),
-        (-1.0, 0, 0.7, -0.2, 3.0, 0.01),
-        (700.0, 1, math.sqrt(2.0 / 700.0), 0.0, 1.0, 0.1),
-    ],
-)
-def test_rows_are_the_arrays_bitwise(args):
-    s, x, xp = integrate_profile_arrays(*args)
-    assert s.shape == x.shape == xp.shape and list(s) == sorted(s)
-    rows = [tuple(map(float.hex, r)) for r in integrate_profile(*args)]
-    assert rows == [tuple(map(float.hex, r)) for r in zip(s.tolist(), x.tolist(), xp.tolist())]
 
 
 def test_small_C_keeps_its_digits():
@@ -192,14 +189,14 @@ def _overflow_s(exc: ValueError) -> float:
     [
         (-3.0, 1, 1.0, 0.0, 1000.0, 0.01),   # u ~ e^(sqrt(3) s) overflows near s = 409.6
         (-7e6, 1, 1.0, 0.0, 1.0, 1e-3),      # q = -7, growth 13x per step
-        (-1e-200, 0, 1.0, 0.0, 8e102, 8e98),  # the 8192-step map overflows before u does
+        (-1e-200, 0, 1.0, 0.0, 8e102, 8e98),  # q = -6.4e-3: u overflows on step 8881
     ],
 )
 def test_overflow_raises_value_error_not_a_crossing(args):
     s_end = step_map_overflow_s(*args)
     assert s_end is not None
     with pytest.raises(ValueError, match="overflows the float range") as info:
-        integrate_profile_arrays(*args)
+        integrate_profile(*args)
     assert not isinstance(info.value, NonPositiveProfile)
     assert f"step = {args[5]!r}" in str(info.value)
     assert abs(_overflow_s(info.value) - s_end) <= 2 * args[5]
@@ -209,13 +206,13 @@ def test_overflow_of_the_known_exponential_profile():
     with pytest.raises(ValueError, match="overflows the float range") as info:
         integrate_profile(-3.0, 1, 1.0, 0.0, 1000.0, 0.01)
     assert 409.0 < _overflow_s(info.value) < 410.0
-    s, x, xp = integrate_profile_arrays(-3.0, 1, 1.0, 0.0, 300.0, 0.01)
-    assert len(s) == 60001
-    assert np.isfinite(x).all() and np.isfinite(xp).all()
+    rows = integrate_profile(-3.0, 1, 1.0, 0.0, 300.0, 0.01)
+    assert len(rows) == 60001
+    assert np.isfinite(rows).all()
 
 
 def test_equilibrium_profile_stays_constant():
-    # u'' = 2 - 2u has the equilibrium u = 1, which the sweep keeps to about an ulp
+    # u'' = 2 - 2u has the equilibrium u = 1
     points = integrate_profile(2.0, 1, 1.0, 0.0, 10.0, 1e-3)
     assert len(points) == 20001
     assert max(abs(x - 1.0) for _, x, _ in points) <= 1e-14
@@ -311,12 +308,12 @@ def test_an_x0_whose_square_is_subnormal_is_rejected(x0):
     """The stop threshold is 1e-9 of x0^2; a subnormal x0^2 keeps too few digits
     for it (1e-160 gave x = 9.99994e-161 on every row, 1e-170 a false crossing)."""
     with pytest.raises(ValueError, match=r"^x0 must be positive with x0\^2 a normal float"):
-        integrate_profile_arrays(0.0, 0, x0, 0.0, 1.0, 0.1)
+        integrate_profile(0.0, 0, x0, 0.0, 1.0, 0.1)
 
 
 def test_the_smallest_x0_with_a_normal_square_keeps_its_digits():
     x0 = 1.5e-154  # x0^2 = 2.25e-308, just above the smallest normal float
-    _, x, xp = integrate_profile_arrays(0.0, 0, x0, 0.0, 1.0, 0.1)  # u stays x0^2
+    _, x, xp = np.array(integrate_profile(0.0, 0, x0, 0.0, 1.0, 0.1)).T  # u stays x0^2
     assert np.all(np.abs(x - x0) <= 1e-15 * x0) and np.all(xp == 0.0)
 
 

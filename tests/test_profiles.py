@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocurv import checks
 from isocurv.profiles import (
     BLOCK,
     AmbientSpec,
@@ -229,6 +230,29 @@ def test_ode_residual_scales_with_h_squared(fam, C, delta):
         x = fam.eval(s)[0]
         scale = max(1.0, abs(C * C * x * x - 2.0 * C * delta))
         assert ode_residual(fam, C, delta, float(s), h) <= 5.0 * h * h * scale
+
+
+FAMILIES = [TrigProfile, ParabolicProfile, ExponentialProfile, QuadraticProfile]
+
+
+def _mutate_u(monkeypatch, family, mutate):
+    """Replace family.u by mutate(self, u, u', u'') of the closed form."""
+    closed = family.u
+    monkeypatch.setattr(family, "u", lambda self, s: mutate(self, *closed(self, s)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_profile_ode_catches_a_u_prime_off_by_a_thousandth(monkeypatch, family):
+    _mutate_u(monkeypatch, family, lambda self, u, up, upp: (u, 1.001 * up, upp))
+    with pytest.raises(AssertionError, match=r"u' is off the central difference of u"):
+        checks.check_profile_ode(checks.RunConfig())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_profile_ode_catches_a_u_second_without_its_2_delta(monkeypatch, family):
+    _mutate_u(monkeypatch, family, lambda self, u, up, upp: (u, up, upp - 2.0 * self.ode_delta))
+    with pytest.raises(AssertionError, match=r"u'' - \(2\*delta - C\*u\) is"):
+        checks.check_profile_ode(checks.RunConfig())
 
 
 @pytest.mark.parametrize("fam,C,delta", FAMILY_GRID)
