@@ -54,7 +54,6 @@ from .profiles import (
     integrate_profile,
     ode_residual,
     profile_columns,
-    profile_samples,
     write_profile_csv,
 )
 from .spectra import cic_from_spectrum, cmc_lambda_solve

@@ -10,6 +10,11 @@ Empty outcome with its obstruction and, at n = 4, the candidate that
 `nonexistence_witness` breaks.  `minimal_classify` takes its C-vs-4c side
 from the same comparison.
 
+The profile equation is invariant under s -> s + t, so each rotation
+outcome, one per (family, delta), gives its complete members as one
+parameter in one Interval, whose ends are where N (`profiles`) vanishes at
+an end of the family's range of u.
+
 Branch boundaries sit at C = 2c, C = 4c and C = 0 (and 8c/3 for the
 Clifford product), so comparisons are exact when the inputs are exact
 (int / Fraction) and otherwise within BOUNDARY_TOL * max(|c|, |C|), so
@@ -19,13 +24,14 @@ scaling (c, C) by t > 0 does not change the branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 from typing import Union
 
 from .profiles import (
+    FAMILIES,
     AmbientSpec,
     ExponentialProfile,
     FirstFailure,
@@ -114,33 +120,36 @@ class Interval:
 @dataclass(frozen=True)
 class ClassificationOutcome:
     """One branch of the classification: its parameter constraints (the JSON
-    form) and its witness profile or obstruction."""
+    form) and its witness profile or obstruction.  A rotation outcome's
+    family and rotation type are its witness's."""
 
     tag: str
     reason: str = ""                      # Empty outcomes: the violated bound
-    family: str | None = None             # rotation outcomes: trig|parabolic|exponential|quadratic
-    deltas: tuple[int, ...] | None = None  # admissible rotation types
-    ranges: dict = field(default_factory=dict)   # parameter name -> Interval
-    conditions: tuple[str, ...] = ()      # joint constraints not expressible as a box
+    parameter: str = ""                   # rotation outcomes: alpha|beta|u_min|g
+    interval: Interval | None = None      # rotation outcomes: the complete members' parameters
     lambda_sq: float | None = None        # umbilical outcomes: lambda^2
     curvature: float | None = None        # constant-curvature outcomes
     profile: ProfileFamily | None = None  # rotation: the witness; n = 4 Empty: the candidate
     mechanism: str = ""                   # Empty outcomes: the obstruction's tag
     detail: str = ""                      # Empty outcomes: the obstruction with its numbers
 
+    @property
+    def family(self) -> str | None:
+        """trig|parabolic|exponential|quadratic for a rotation outcome, else None."""
+        if self.tag != ROTATION_FAMILY:
+            return None
+        return next(name for name, kind in FAMILIES.items() if type(self.profile) is kind)
+
     def to_json(self) -> dict:
         d: dict = {"tag": self.tag}
         if self.reason:
             d["reason"] = self.reason
         constraints: dict = {}
-        if self.family is not None:
+        if self.tag == ROTATION_FAMILY:
             d["family"] = self.family
             d["ode_constant"] = self.profile.ode_constant
-            d["deltas"] = list(self.deltas or ())
-        for name, rng in self.ranges.items():
-            constraints[name] = rng.to_json()
-        if self.conditions:
-            constraints["conditions"] = list(self.conditions)
+            d["delta"] = self.profile.ode_delta
+            constraints[self.parameter] = self.interval.to_json()
         if self.lambda_sq is not None:
             constraints["lambda_sq"] = self.lambda_sq
         if self.curvature is not None:
@@ -181,26 +190,27 @@ def _side_of_4c(c, C) -> int:
     return _cmp(C, 4 * c, _boundary_tol(c, C))
 
 
-def _rotation_family(c_sign: int, C_sign: int, C: float, alpha_hi: float) -> ClassificationOutcome:
-    """The n = 4 rotation family for the sign of C: trig with alpha in
-    [0, alpha_hi) above 0, parabolic (flat) or quadratic (hyperbolic) at 0,
-    exponential below."""
+def _rotation(profile: ProfileFamily, parameter: str, interval: Interval) -> ClassificationOutcome:
+    return ClassificationOutcome(ROTATION_FAMILY, parameter=parameter, interval=interval, profile=profile)
+
+
+def _rotation_outcomes(c_sign: int, C_sign: int, cf: float, Cf: float, vs4c: int, vs2c: int):
+    """The n = 4 rotation outcomes for the sign of C: trig above 0,
+    parabolic (flat) or quadratic (hyperbolic) at 0, and below 0 one
+    exponential outcome per delta in (1, 0, -1).  Below 4c trig's alpha
+    ends at C/(2c) - 1, where N vanishes at u_max; at or below 2c so does
+    delta = -1's g, where N vanishes at u_min (at 0 when C is 2c within
+    the tolerance)."""
     if C_sign > 0:
-        return ClassificationOutcome(ROTATION_FAMILY, family="trig", deltas=(1,),
-                                     ranges={"alpha": Interval(0.0, alpha_hi, lo_open=False)},
-                                     profile=TrigProfile(C=C, alpha=alpha_hi / 2.0))
-    if C_sign < 0:
-        closed = Interval(0.0, None, lo_open=False)
-        return ClassificationOutcome(ROTATION_FAMILY, family="exponential", deltas=(1, 0, -1),
-                                     ranges={"A": closed, "B": closed},
-                                     conditions=("A + B > delta", "4*A*B > delta^2"),
-                                     profile=ExponentialProfile(C=C, A=1.0, B=1.0, delta=1))
-    if c_sign == 0:
-        return ClassificationOutcome(ROTATION_FAMILY, family="parabolic", deltas=(1,),
-                                     ranges={"beta": Interval(0.0, None)}, profile=ParabolicProfile(beta=1.0))
-    return ClassificationOutcome(ROTATION_FAMILY, family="quadratic", deltas=(1,),
-                                 ranges={"B": Interval(0.0, None), "A": Interval(0.0, None, lo_open=False)},
-                                 conditions=("A^2/(4B) < 1",), profile=QuadraticProfile(A=0.0, B=1.0))
+        hi = Cf / (2.0 * cf) - 1.0 if vs4c < 0 else 1.0
+        return [_rotation(TrigProfile(C=Cf, alpha=hi / 2.0), "alpha", Interval(0.0, hi, lo_open=False))]
+    if C_sign == 0:
+        if c_sign == 0:
+            return [_rotation(ParabolicProfile(beta=1.0), "beta", Interval(0.0, None))]
+        return [_rotation(QuadraticProfile(A=0.0, B=1.0), "u_min", Interval(0.0, None))]
+    g_lo = Cf / (2.0 * cf) - 1.0 if vs2c < 0 else 0.0
+    ends = {1: Interval(1.0, None), 0: Interval(0.0, None), -1: Interval(g_lo, None, lo_open=vs2c <= 0)}
+    return [_rotation(ExponentialProfile(C=Cf, A=1.0, B=1.0, delta=d), "g", ends[d]) for d in (1, 0, -1)]
 
 
 def _empty(reason: str, mechanism: str, detail: str, candidate: ProfileFamily | None = None):
@@ -274,12 +284,15 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
 
     The umbilical part, for every n: umbilical with lambda^2 = (C - 4c)/4
     above C = 4c; totally geodesic (c > 0) or of constant curvature c
-    (c <= 0; FlatLocal at n = 4, c = C = 0) on it.  The rotation family, at
-    n = 4 only, wherever C >= 4c or C > 2c; trig's alpha is bounded by
-    C/(2c) - 1 below 4c and by 1 above.  Rotation witnesses take the
-    midpoint of the alpha range, else beta = 1, (A, B) = (0, 1) or
-    A = B = 1 with delta = 1.  A C matched to 4c within the tolerance is
-    taken as 4c, and at n = 4 a c or C matched to 0 as 0.
+    (c <= 0; FlatLocal at n = 4, c = C = 0) on it.  The rotation outcomes,
+    at n = 4 only, wherever C >= 4c or C > 2c, each with one parameter:
+    trig's alpha in [0, C/(2c) - 1) below 4c and [0, 1) above; parabolic
+    beta and quadratic u_min in (0, inf); exponential g = 2*sqrt(AB) in
+    (1, inf) for delta = 1, (0, inf) for delta = 0 and, for delta = -1,
+    [0, inf) above 2c and (C/(2c) - 1, inf) at or below it.  Witnesses take
+    the midpoint of the alpha range, else beta = 1, (A, B) = (0, 1) or
+    A = B = 1 with the outcome's delta.  A C matched to 4c within the
+    tolerance is taken as 4c, and at n = 4 a c or C matched to 0 as 0.
     """
     n, c, C = q.n, q.c, q.C
     tol = _boundary_tol(c, C)
@@ -296,9 +309,9 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
     elif vs4c == 0:
         tag = TOTALLY_GEODESIC if c_sign > 0 else FLAT_LOCAL if n == 4 and c_sign == 0 else CONSTANT_CURVATURE
         outcomes.append(ClassificationOutcome(tag, curvature=cf if tag == CONSTANT_CURVATURE else None))
-    if n == 4 and (vs4c >= 0 or _cmp(C, 2 * c, tol) > 0):
-        alpha_hi = Cf / (2.0 * cf) - 1.0 if vs4c < 0 else 1.0
-        outcomes.append(_rotation_family(c_sign, C_sign, Cf, alpha_hi))
+    vs2c = _cmp(C, 2 * c, tol)
+    if n == 4 and (vs4c >= 0 or vs2c > 0):
+        outcomes += _rotation_outcomes(c_sign, C_sign, cf, Cf, vs4c, vs2c)
     return outcomes or [_obstruction(n, c, C, c_sign, C_sign)]
 
 

@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=pf.DEFAULT_GRID)
 
     p = sub.add_parser("profile", help="emit CSV curvature samples along a profile")
-    p.add_argument("family", choices=("trig", "parabolic", "exponential", "quadratic"))
+    p.add_argument("family", choices=tuple(pf.FAMILIES))
     p.add_argument("--C", default=None, help="profile-equation constant (trig/exponential)")
     p.add_argument("--alpha", default=None)
     p.add_argument("--beta", default=None)
@@ -187,23 +187,17 @@ def _require(args, name: str):
 
 
 def _build_family(args) -> pf.ProfileFamily:
-    if args.family == "trig":
-        return pf.TrigProfile(C=_require(args, "C"), alpha=_require(args, "alpha"))
-    if args.family == "parabolic":
-        return pf.ParabolicProfile(beta=_require(args, "beta"))
-    if args.family == "exponential":
-        return pf.ExponentialProfile(
-            C=_require(args, "C"), A=_require(args, "A"), B=_require(args, "B"), delta=args.delta
-        )
-    return pf.QuadraticProfile(A=_require(args, "A"), B=_require(args, "B"))
+    kind = pf.FAMILIES[args.family]
+    return kind(**{f.name: args.delta if f.name == "delta" else _require(args, f.name)
+                   for f in dataclasses.fields(kind)})
 
 
 def _cmd_profile(args) -> int:
     fam = _build_family(args)
     ambient = pf.AmbientSpec(c=float(parse_number(args.c)), delta=args.delta)
-    samples = pf.profile_samples(fam, ambient, tuple(args.window), args.grid)
+    blocks = pf.profile_columns(fam, ambient, tuple(args.window), args.grid)
     try:
-        pf.write_profile_csv(samples, sys.stdout)
+        pf.write_profile_csv(blocks, sys.stdout)
     except pf.DomainBreakdown as exc:
         sys.stderr.write(f"domain breakdown: {exc}\n")
         return 1

@@ -30,15 +30,15 @@ A grid point is valid when u > 0 and N > EPS_DOM * max(|(C - 4c)*u^2|,
 `profile_columns` is the one grid product: it evaluates a grid as numpy
 column blocks (s, x, x', x'', lambda, mu, cic) of up to BLOCK points,
 stopping at the first invalid point.  `domain_check` scans those blocks,
-`cic_mean_deviation` reads only their cic column in constant memory, and
-`profile_samples` and `cic_along_profile` give their rows as
-ProfileSamples.  A profile that overflows the float range before it
-leaves its domain raises ValueError.
+`cic_mean_deviation` reads only their cic column in constant memory,
+`write_profile_csv` writes them as CSV rows, and `cic_along_profile` gives
+their rows as ProfileSamples.  A profile that overflows the float range
+before it leaves its domain raises ValueError.  FAMILIES names the four
+family classes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO, Union
@@ -229,6 +229,8 @@ class QuadraticProfile(_SquareProfile):
 
 
 ProfileFamily = Union[TrigProfile, ParabolicProfile, ExponentialProfile, QuadraticProfile]
+FAMILIES = {"trig": TrigProfile, "parabolic": ParabolicProfile, "exponential": ExponentialProfile,
+            "quadratic": QuadraticProfile}
 
 
 @dataclass(frozen=True)
@@ -363,25 +365,6 @@ def domain_check(
     return None
 
 
-def profile_samples(
-    f: ProfileFamily,
-    ambient: AmbientSpec,
-    s_window: tuple[float, float] = DEFAULT_WINDOW,
-    grid_n: int = DEFAULT_GRID,
-) -> Iterator[ProfileSample]:
-    """The rows of `profile_columns`, one ProfileSample per grid point, lazily.
-
-    Same validation on the call, and the same DomainBreakdown or ValueError
-    from the iterator.
-    """
-    return itertools.chain.from_iterable(map(_samples, profile_columns(f, ambient, s_window, grid_n)))
-
-
-def _samples(block: tuple[np.ndarray, ...]) -> Iterator[ProfileSample]:
-    """The ProfileSample rows of one column block."""
-    return map(ProfileSample, *(col.tolist() for col in block))
-
-
 def _mean_deviation(cics: Iterable[np.ndarray]) -> tuple[float, float]:
     """Mean of the values in the blocks cics and their maximum deviation from it.
 
@@ -426,7 +409,7 @@ def cic_along_profile(
     DomainBreakdown from invalid points.
     """
     blocks = list(profile_columns(f, ambient, s_window, grid_n))
-    samples = list(itertools.chain.from_iterable(map(_samples, blocks)))
+    samples = [ProfileSample(*row) for block in blocks for row in zip(*(col.tolist() for col in block))]
     return samples, _mean_deviation(block[-1] for block in blocks)[1]
 
 
@@ -506,8 +489,11 @@ def integrate_profile(
     return backward + origin + forward
 
 
-def write_profile_csv(samples: Iterable[ProfileSample], out: TextIO) -> None:
-    """Emit `s,x,xp,lambda,mu,cic` rows with round-trip decimal formatting."""
+def write_profile_csv(blocks: Iterable[tuple[np.ndarray, ...]], out: TextIO) -> None:
+    """Emit the `s,x,xp,lambda,mu,cic` rows of `profile_columns` blocks with
+    round-trip decimal formatting; a DomainBreakdown from the blocks
+    propagates after the rows before it."""
     out.write("s,x,xp,lambda,mu,cic\n")
-    for p in samples:
-        out.write(f"{p.s!r},{p.x!r},{p.xp!r},{p.lam!r},{p.mu!r},{p.cic!r}\n")
+    for s, x, xp, _, lam, mu, cic in blocks:
+        for row in zip(*(col.tolist() for col in (s, x, xp, lam, mu, cic))):
+            out.write("%r,%r,%r,%r,%r,%r\n" % row)

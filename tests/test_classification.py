@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocurv.checks import _signature, _truth_table
 from isocurv.classification import (
@@ -32,7 +34,7 @@ from isocurv.profiles import (
     TrigProfile,
     cic_along_profile,
     domain_check,
-    profile_samples,
+    profile_columns,
 )
 from oracles import principal_curvatures
 
@@ -73,11 +75,12 @@ def test_spherical_ambient_branches():
     assert "C <= 2c" in classify(ClassQuery(4, 1, 1.5))[0].reason
     out = classify(ClassQuery(4, 1, 3))
     assert tags(out) == ["RotationFamily"]
-    rng = out[0].ranges["alpha"]
+    rng = out[0].interval
+    assert out[0].parameter == "alpha"
     assert (rng.lo, rng.hi, rng.lo_open, rng.hi_open) == (0.0, 0.5, False, True)
     out = classify(ClassQuery(4, 1, 4))
     assert tags(out) == ["RotationFamily", "TotallyGeodesic"]
-    assert out[1].ranges["alpha"].lo_open is False
+    assert out[1].interval.lo_open is False
     out = classify(ClassQuery(4, 1, 6))
     assert tags(out) == ["RotationFamily", "UmbilicalNonTG"]
 
@@ -85,17 +88,23 @@ def test_spherical_ambient_branches():
 def test_hyperbolic_ambient_branches():
     assert classify(ClassQuery(4, -1, -5))[0].tag == EMPTY
     out = classify(ClassQuery(4, -1, -4))
-    assert tags(out) == ["ConstantCurvature", "RotationFamily"]
-    assert families(out) == ["exponential"]
-    assert out[1].deltas == (1, 0, -1)
-    assert "4*A*B > delta^2" in out[1].conditions
+    assert tags(out) == ["ConstantCurvature"] + ["RotationFamily"] * 3
+    assert families(out) == ["exponential"] * 3
+    # one exponential outcome per rotation type, each over g = 2*sqrt(AB)
+    assert [o.profile.ode_delta for o in out[1:]] == [1, 0, -1]
+    assert [o.parameter for o in out[1:]] == ["g"] * 3
+    assert [(o.interval.lo, o.interval.lo_open) for o in out[1:]] == [(1.0, True), (0.0, True), (1.0, True)]
     out = classify(ClassQuery(4, -1, -2))
-    assert tags(out) == ["RotationFamily", "UmbilicalNonTG"]
+    assert tags(out) == ["RotationFamily"] * 3 + ["UmbilicalNonTG"]
+    assert out[3].interval == Interval(0.0, None)  # C = 2c: delta = -1 opens at g = 0
+    out = classify(ClassQuery(4, -1, -1))
+    assert out[3].interval == Interval(0.0, None, lo_open=False)  # above 2c: the tube g = 0 too
     out = classify(ClassQuery(4, -1, 0))
     assert families(out) == ["quadratic"]
+    assert out[1].parameter == "u_min" and out[1].interval == Interval(0.0, None)
     out = classify(ClassQuery(4, -1, 3))
     assert families(out) == ["trig"]
-    assert out[1].deltas == (1,)  # only spherical rotation types for C > 0
+    assert out[1].profile.ode_delta == 1  # only spherical rotation types for C > 0
 
 
 def test_query_validation():
@@ -263,15 +272,16 @@ def test_outcomes_carry_their_profile_and_obstruction(n, c, C, expected):
 )
 def test_tolerance_matched_boundary_takes_c_equal_4c(c, C, tag):
     """A float C within the boundary tolerance of 4c is the boundary: the
-    rotation family and its witness take C = 4c exactly, and verify."""
+    rotation outcomes (one per delta when c < 0) and their witnesses take
+    C = 4c exactly, and verify."""
     q = ClassQuery(4, c, C)
     outcomes = classify(q)
-    assert tags(outcomes) == sorted([tag, "RotationFamily"])
-    o = next(o for o in outcomes if o.tag == ROTATION_FAMILY)
-    assert o.profile.C == 4.0 * c and o.to_json()["ode_constant"] == 4.0 * c
-    samples, deviation = cic_along_profile(o.profile, AmbientSpec(c=c))
-    assert deviation <= 1e-8
-    assert abs(sum(p.cic for p in samples) / len(samples) - 4.0 * c) <= 1e-8
+    assert tags(outcomes) == sorted([tag] + ["RotationFamily"] * (3 if c < 0 else 1))
+    for o in outcomes[1:]:
+        assert o.profile.C == 4.0 * c and o.to_json()["ode_constant"] == 4.0 * c
+        samples, deviation = cic_along_profile(o.profile, AmbientSpec(c=c, delta=o.profile.ode_delta))
+        assert deviation <= 1e-8
+        assert abs(sum(p.cic for p in samples) / len(samples) - 4.0 * c) <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -326,6 +336,79 @@ def test_witness_soundness_deep_hyperbolic_boundary_constant():
 @pytest.mark.parametrize("c", [Fraction(-9, 10), Fraction(-5, 4), -2])
 def test_boundary_witnesses_verify_deeper_in(c):
     _boundary_witness_verifies(c)
+
+
+# ---------------------------------------------------------------------------
+# the converse: a member is complete exactly when its parameter is listed
+
+END_BAND = 1e-3  # draws this close to an interval's end are skipped: the grid cannot tell there
+
+
+def _listed(outcomes, family, delta=1):
+    """The interval classify lists for (family, delta), or None."""
+    found = [o.interval for o in outcomes if o.family == family and o.profile.ode_delta == delta]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def _contains(interval, x):
+    above = x > interval.lo or (x == interval.lo and not interval.lo_open)
+    return above and (interval.hi is None or x < interval.hi)
+
+
+def _near_an_end(interval, x):
+    ends = [interval.lo] + ([] if interval.hi is None else [interval.hi])
+    return any(abs(x - end) < END_BAND for end in ends)
+
+
+def _complete(build, c, delta):
+    """The member passes domain_check on 4,001 points of +-12/sqrt(|C|); one with
+    u_min <= 0 is rejected by its constructor and counts as incomplete."""
+    try:
+        fam = build()
+    except ValueError:
+        return False
+    half = 12.0 / math.sqrt(abs(fam.ode_constant))
+    return domain_check(fam, AmbientSpec(c, delta), (-half, half), 4001) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.floats(-2.0, -0.1),
+    ratio=st.one_of(st.just(4.0), st.floats(0.05, 4.0)),
+    delta=st.sampled_from([1, 0, -1]),
+    g=st.floats(0.0, 3.0),
+    shift=st.floats(-10.0, 10.0),
+)
+def test_exponential_member_is_complete_iff_its_g_is_listed(c, ratio, delta, g, shift):
+    """C = ratio*c in [4c, 0); A/B = e^shift moves the profile's minimum by
+    -shift/(2*sqrt(-C)) without changing g = 2*sqrt(AB)."""
+    C = ratio * c
+    interval = _listed(classify(ClassQuery(4, c, C)), "exponential", delta)
+    assert interval is not None
+    if _near_an_end(interval, g):
+        return
+    a, b = 0.5 * g * math.exp(shift / 2.0), 0.5 * g * math.exp(-shift / 2.0)
+    complete = _complete(lambda: ExponentialProfile(C=C, A=a, B=b, delta=delta), c, delta)
+    assert complete == _contains(interval, g), (c, C, delta, g, interval)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.one_of(st.just(0.0), st.floats(-1.0, -0.05), st.floats(0.05, 2.0)),
+    ratio=st.floats(2.0 + 1e-3, 6.0),
+    alpha=st.floats(0.0, 1.2),
+)
+def test_trig_member_is_complete_iff_its_alpha_is_listed(c, ratio, alpha):
+    """C above 2c (or any C > 0 when c <= 0): the members with alpha past the
+    listed end fail somewhere, the listed ones nowhere."""
+    C = ratio * c if c > 0 else ratio - 2.0
+    interval = _listed(classify(ClassQuery(4, c, C)), "trig")
+    assert interval is not None
+    if _near_an_end(interval, alpha):
+        return
+    complete = _complete(lambda: TrigProfile(C=C, alpha=alpha), c, 1)
+    assert complete == _contains(interval, alpha), (c, C, alpha, interval)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +519,11 @@ def test_classify_matches_the_corpus():
     before classify was one umbilical part plus one n = 4 rotation family;
     11 rows changed then: the 8 trig ranges with 2c < C < 4c in a
     spherical ambient now include alpha = 0, and the 3 rows n = 4, c = 0,
-    C > 0 list no TotallyGeodesic outcome (nor its profile entry)."""
+    C > 0 list no TotallyGeodesic outcome (nor its profile entry).  The 37
+    rows with a rotation outcome changed when each took one parameter: its
+    int "delta" replaced "deltas", the 14 exponential outcomes split into
+    one per delta over g = 2*sqrt(AB) (with their witnesses), and the 2
+    quadratic ones read u_min in place of B, A and a condition."""
     assert [(n, Fraction(c), Fraction(C)) for n, c, C, *_ in CORPUS] == list(_corpus_grid())
     assert len(CORPUS) == 177
     for row in CORPUS:
@@ -545,7 +632,7 @@ def test_minimal_crosscheck_with_classification(c):
     rotation = [o for o in out if o.tag == ROTATION_FAMILY]
     assert len(rotation) == 1 and rotation[0].family == "trig"
     # the Clifford product S^3 x S^1 is that family's alpha = 0 member
-    alpha = rotation[0].ranges["alpha"]
+    alpha = rotation[0].interval
     assert alpha.lo == 0.0 and alpha.lo_open is False
     assert domain_check(TrigProfile(C=C, alpha=0.0), AmbientSpec(c=c)) is None
 
@@ -577,7 +664,8 @@ def test_every_outcome_has_a_gauss_tensor_of_isotropic_constant_C(n, c, C):
             spectra.append((o.tag, (-math.sqrt(o.lambda_sq),) * n))
         elif o.tag == ROTATION_FAMILY:
             ambient = AmbientSpec(c=c, delta=o.profile.ode_delta)
-            spectra += [(o.family, (p.lam,) * 3 + (p.mu,)) for p in profile_samples(o.profile, ambient, grid_n=7)]
+            for _, _, _, _, lam, mu, _ in profile_columns(o.profile, ambient, grid_n=7):
+                spectra += [(o.family, (l,) * 3 + (m,)) for l, m in zip(lam.tolist(), mu.tolist())]
     for what, lams in spectra:
         report = cic_probe(build_from_shape(c, lams))
         assert report.is_constant, (what, lams)

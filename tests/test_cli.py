@@ -283,17 +283,18 @@ def test_classify_witness_window_must_be_finite(capsys):
 @pytest.mark.parametrize(
     "argv,params",
     [
-        (("4", "1", "3"), [("C", 3.0), ("alpha", 0.25)]),
-        (("4", "0", "0"), [("beta", 1.0)]),
-        (("4", "-1", "-2"), [("C", -2.0), ("A", 1.0), ("B", 1.0), ("delta", 1)]),
-        (("4", "-1", "0"), [("A", 0.0), ("B", 1.0)]),
+        (("4", "1", "3"), [[("C", 3.0), ("alpha", 0.25)]]),
+        (("4", "0", "0"), [[("beta", 1.0)]]),
+        (("4", "-1", "-2"), [[("C", -2.0), ("A", 1.0), ("B", 1.0), ("delta", d)] for d in (1, 0, -1)]),
+        (("4", "-1", "0"), [[("A", 0.0), ("B", 1.0)]]),
     ],
 )
 def test_classify_witness_params(capsys, argv, params):
+    """One witness per rotation outcome; the exponential ones, one per delta in (1, 0, -1)."""
     code, out, _ = run_cli(capsys, "classify", *argv, "--witness")
     assert code == 0
-    (entry,) = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
-    assert list(entry["witness"]["params"].items()) == params
+    entries = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
+    assert [list(entry["witness"]["params"].items()) for entry in entries] == params
 
 
 @pytest.mark.parametrize(
@@ -303,10 +304,12 @@ def test_classify_witness_params(capsys, argv, params):
 def test_classify_boundary_witness_verifies(capsys, argv, C):
     code, out, _ = run_cli(capsys, "classify", "--witness", *argv)
     assert code == 0
-    (entry,) = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
-    assert "domain_failure" not in entry["witness"]
-    assert entry["witness"]["cic_mean"] == pytest.approx(C, abs=1e-8)
-    assert entry["witness"]["cic_max_deviation"] <= 1e-8
+    entries = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
+    assert [entry["delta"] for entry in entries] == [1, 0, -1]
+    for entry in entries:
+        assert "domain_failure" not in entry["witness"]
+        assert entry["witness"]["cic_mean"] == pytest.approx(C, abs=1e-8)
+        assert entry["witness"]["cic_max_deviation"] <= 1e-8
 
 
 def test_classify_witness_domain_failure_is_reported(capsys):
@@ -338,12 +341,27 @@ def test_classify_tolerance_matched_boundary_takes_c_equal_4c(capsys):
     # exponential family and its witness take C = 4c exactly, not the query's C
     code, out, _ = run_cli(capsys, "classify", "4", "-1", "-4.0000000000004", "--witness")
     assert code == 0
-    (entry,) = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
-    assert entry["ode_constant"] == -4.0
-    assert entry["witness"]["params"]["C"] == -4.0
-    assert "domain_failure" not in entry["witness"]
-    assert entry["witness"]["cic_mean"] == pytest.approx(-4.0, abs=1e-8)
-    assert entry["witness"]["cic_max_deviation"] <= 1e-8
+    entries = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
+    assert len(entries) == 3
+    for entry in entries:
+        assert entry["ode_constant"] == -4.0
+        assert entry["witness"]["params"]["C"] == -4.0
+        assert "domain_failure" not in entry["witness"]
+        assert entry["witness"]["cic_mean"] == pytest.approx(-4.0, abs=1e-8)
+        assert entry["witness"]["cic_max_deviation"] <= 1e-8
+
+
+def test_classify_lists_the_delta_minus_one_tube(capsys):
+    """At (4, -1, -1) the delta = -1 members are complete for every g >= 0,
+    the tube A = B = 0 among them; all three exponential witnesses verify."""
+    code, out, _ = run_cli(capsys, "classify", "4", "-1", "-1", "--witness")
+    assert code == 0
+    entries = [o for o in json.loads(out)["outcomes"] if o["tag"] == "RotationFamily"]
+    assert [(entry["family"], entry["delta"]) for entry in entries] == [("exponential", d) for d in (1, 0, -1)]
+    assert entries[2]["constraints"] == {"g": {"lo": 0.0, "lo_open": False, "hi_open": True}}
+    for entry in entries:
+        assert entry["witness"]["cic_mean"] == pytest.approx(-1.0, abs=1e-12)
+        assert entry["witness"]["cic_max_deviation"] <= 1e-12
 
 
 def test_classify_witness_overflow_is_a_usage_error(capsys):
@@ -430,7 +448,7 @@ def test_profile_stdout_is_the_library_csv(capsys, argv, fam, ambient):
     code, out, _ = run_cli(capsys, "profile", *argv, "--window", "-3", "3", "--grid", "101")
     assert code == 0
     expected = io.StringIO()
-    pf.write_profile_csv(pf.cic_along_profile(fam, ambient, (-3.0, 3.0), 101)[0], expected)
+    pf.write_profile_csv(pf.profile_columns(fam, ambient, (-3.0, 3.0), 101), expected)
     assert out == expected.getvalue()
 
 

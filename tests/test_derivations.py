@@ -7,6 +7,10 @@ identically, its first integral E = u'^2 - 4*delta*u + C*u^2 is the stated
 constant, and its u_min is inf u: u - u_min is a nonnegative square that
 vanishes (or tends to 0) somewhere.  The numpy code is then compared with
 these exact forms at sample points, so a mutated src formula fails here.
+The ends of `classify`'s parameter intervals are derived the same way, from
+N = (C - 4c)*u^2 - E (the radicand's numerator in an ambient of the
+family's rotation type) at the ends of the family's range of u, and
+compared with classify at exact (c, C).
 sympy is imported only by this test module; `isocurv check` never imports it.
 """
 
@@ -14,6 +18,7 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +26,7 @@ import pytest
 import sympy as sp
 
 from isocurv import profiles as pf
+from isocurv.classification import ClassQuery, classify
 
 s = sp.Symbol("s", real=True)
 ULPS = 8  # numpy against the exact value, in units of eps times the sample's largest |value|
@@ -156,6 +162,118 @@ def test_numpy_u_and_its_derivatives_match_the_exact_forms(form):
             tol = ULPS * np.finfo(float).eps * np.max(np.abs(want))
             err = np.max(np.abs(np.asarray(column, dtype=float) - want))
             assert err <= tol, f"{fam!r} {what}: off the exact form by {err:.3e} > {tol:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# classify's interval ends: N > 0 at the ends of the family's range of u
+
+c_sym = sp.Symbol("c", real=True)
+
+
+def _symbols(form: Form) -> dict:
+    return {x.name: x for x in form.u.free_symbols | form.C.free_symbols}
+
+
+def _N(form: Form, u: sp.Expr, E: sp.Expr | None = None) -> sp.Expr:
+    """N at u in an ambient of curvature c and the family's own rotation type,
+    where 4*(delta_a - delta_f)*u vanishes."""
+    return (form.C - 4 * c_sym) * u**2 - (form.E if E is None else E)
+
+
+def _listed(c, C, family, delta=1):
+    """classify's interval for (family, delta) at the exact query (4, c, C), as the CLI builds it."""
+    outcomes = classify(ClassQuery(4, Fraction(str(c)), Fraction(str(C))))
+    (interval,) = [o.interval for o in outcomes if o.family == family and o.profile.ode_delta == delta]
+    return interval
+
+
+def _close(got: float, want: sp.Expr) -> bool:
+    want = float(want)
+    return abs(got - want) <= 4 * np.finfo(float).eps * max(1.0, abs(want))
+
+
+HYPERBOLIC_POINTS = [
+    (c, C) for c in map(sp.Rational, ("-1", "-1/3", "-2"))
+    for C in (4 * c, 4 * c + sp.Rational(1, 7), 3 * c, 2 * c - sp.Rational(1, 7), 2 * c, 2 * c + sp.Rational(1, 7),
+              c, c / 10)
+]
+SPHERICAL_POINTS = [
+    (c, C) for c in map(sp.Rational, ("1", "1/3", "2"))
+    for C in (2 * c + sp.Rational(1, 7), 8 * c / 3, 3 * c, 4 * c - sp.Rational(1, 7), 4 * c, 5 * c)
+]
+
+
+def test_trig_N_at_both_ends_of_u():
+    """u runs over [k(1 - alpha), k(1 + alpha)], k = 2/C, and at either end
+    N = u * (4/C) * (C - 2c(1 +- alpha)); N has no linear term, so its least
+    value over that range is at one of them."""
+    form = FORMS[0]
+    alpha, C = _symbols(form)["alpha"], form.C
+    k = 2 / C
+    for sign in (1, -1):
+        u = k * (1 + sign * alpha)
+        assert _zero(_N(form, u) - u * 4 / C * (C - 2 * c_sym * (1 + sign * alpha)))
+
+
+@pytest.mark.parametrize("c,C", SPHERICAL_POINTS + [(sp.Integer(0), sp.Integer(2)), (sp.Integer(-1), sp.Integer(1))])
+def test_trig_alpha_end_is_where_N_vanishes_at_u_max(c, C):
+    """For alpha in [0, 1) (u_min > 0), C - 2c(1 - alpha) > 0 whenever
+    C > 2c(1 + alpha); so the members are alpha < min(1, C/(2c) - 1) when
+    c > 0, and alpha < 1 otherwise: classify's end, C/(2c) - 1 below 4c."""
+    alpha = sp.Symbol("alpha", real=True)
+    roots = sp.solve(C - 2 * c * (1 + alpha), alpha)
+    hi = min([sp.Integer(1)] + [r for r in roots if r >= 0])
+    interval = _listed(c, C, "trig")
+    assert (interval.lo, interval.lo_open, interval.hi_open) == (0.0, False, True)
+    assert _close(interval.hi, hi)
+    if C >= 4 * c:
+        assert interval.hi == 1.0
+
+
+@pytest.mark.parametrize("delta", [1, 0, -1])
+def test_exponential_N_at_u_min(delta):
+    """With g = 2*sqrt(AB), u_min = k(g - delta) and N(u_min) = u_min *
+    (4/C) * (2c(g - delta) + C*delta); for C >= 4c, N is nondecreasing in
+    u > 0, so the members are u_min > 0 and that bracket negative (C < 0)."""
+    form = _exponential(delta)
+    sym = _symbols(form)
+    g = sp.Symbol("g", nonnegative=True)
+    by_g = {sym["A"]: g / 2, sym["B"]: g / 2}
+    u_min, E = form.inf.subs(by_g), form.E.subs(by_g)
+    assert _zero(u_min - 2 / -form.C * (g - delta))
+    assert _zero(_N(form, u_min, E) - u_min * 4 / form.C * (2 * c_sym * (g - delta) + form.C * delta))
+
+
+@pytest.mark.parametrize("delta", [1, 0, -1])
+@pytest.mark.parametrize("c,C", HYPERBOLIC_POINTS)
+def test_exponential_g_end_matches_classify(c, C, delta):
+    """g > delta (u_min > 0) and g > delta*(1 - C/(2c)) (N(u_min) > 0, as
+    2c < 0): the end is 1, 0 and, for delta = -1, C/(2c) - 1 when that is
+    >= 0; else delta = -1 takes every g >= 0, the tube g = 0 too."""
+    g = sp.Symbol("g", real=True)
+    ends = [sp.Integer(delta), *sp.solve(2 * c * (g - delta) + C * delta, g)]
+    lo = max([sp.Integer(0)] + ends)
+    closed = all(end < 0 for end in ends)
+    interval = _listed(c, C, "exponential", delta)
+    assert _close(interval.lo, lo) and interval.lo_open is not closed and interval.hi is None
+    if delta == -1:
+        assert closed == (C > 2 * c)
+        assert lo == (sp.Integer(0) if C > 2 * c else C / (2 * c) - 1)
+
+
+def test_quadratic_u_min_is_the_old_condition():
+    """u_min = B - A^2/4 > 0 iff B > 0 and A^2/(4B) < 1: B - u_min is the
+    square (A/2)^2, so u_min > 0 forces B > 0, and for B > 0 u_min is B
+    times 1 - A^2/(4B).  Here E = -4*u_min, so N = -4c*u^2 + 4*u_min > 0
+    on u >= u_min exactly when u_min > 0 (c < 0): classify's (0, inf)."""
+    form = FORMS[2]
+    A, B = _symbols(form)["A"], _symbols(form)["B"]
+    assert _zero(B - form.inf - (A / 2) ** 2)
+    assert _zero(form.inf - B * (1 - A**2 / (4 * B)))
+    u = sp.Symbol("u", positive=True)
+    assert _zero(_N(form, u) - (-4 * c_sym * u**2 + 4 * form.inf))
+    interval = _listed(-1, 0, "quadratic")
+    assert (interval.lo, interval.lo_open, interval.hi) == (0.0, True, None)
 
 
 def test_isocurv_check_never_imports_sympy():

@@ -23,7 +23,6 @@ from isocurv.profiles import (
     domain_check,
     ode_residual,
     profile_columns,
-    profile_samples,
     write_profile_csv,
 )
 from oracles import principal_curvatures
@@ -129,13 +128,12 @@ def test_constant_tube_has_constant_mean_curvature():
     lambda = -1/sqrt(2) and mu = -sqrt(2) on the whole grid, so its mean
     curvature H = 3*lambda + mu = -5/sqrt(2) = -3.5355 is constant."""
     tube = ExponentialProfile(C=-1.0, A=0.0, B=0.0, delta=-1)
-    samples = list(profile_samples(tube, AmbientSpec(-1.0, -1)))
-    assert len(samples) == 2001
-    for p in samples:
-        assert p.lam == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-12)
-        assert p.mu == pytest.approx(-math.sqrt(2.0), rel=1e-12)
-        assert 3.0 * p.lam + p.mu == pytest.approx(-5.0 / math.sqrt(2.0), rel=1e-12)
-        assert p.cic == pytest.approx(-1.0, rel=1e-12)
+    _, _, _, _, lam, mu, cic = map(np.concatenate, zip(*profile_columns(tube, AmbientSpec(-1.0, -1))))
+    assert len(cic) == 2001
+    np.testing.assert_allclose(lam, -1.0 / math.sqrt(2.0), rtol=1e-12)
+    np.testing.assert_allclose(mu, -math.sqrt(2.0), rtol=1e-12)
+    np.testing.assert_allclose(3.0 * lam + mu, -5.0 / math.sqrt(2.0), rtol=1e-12)
+    np.testing.assert_allclose(cic, -1.0, rtol=1e-12)
     assert -5.0 / math.sqrt(2.0) == pytest.approx(-3.5355, abs=1e-4)
 
 
@@ -340,9 +338,10 @@ def test_cic_along_profile_examples():
 @pytest.mark.parametrize("fam,C,delta", FAMILY_GRID)
 def test_streamed_mean_and_deviation_are_the_two_pass_ones_bitwise(fam, C, delta):
     """max(hi - mean, mean - lo) equals max |cic - mean|, since rounding is monotone."""
-    samples = list(profile_samples(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401))
-    mean = sum(p.cic for p in samples) / len(samples)
-    want = (mean, max(abs(p.cic - mean) for p in samples))
+    blocks = profile_columns(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401)
+    cics = [v for block in blocks for v in block[-1].tolist()]
+    mean = sum(cics) / len(cics)
+    want = (mean, max(abs(v - mean) for v in cics))
     assert cic_mean_deviation(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401) == want
     assert cic_along_profile(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401)[1] == want[1]
 
@@ -354,7 +353,7 @@ def test_column_blocks_give_the_row_statistics_bitwise_across_blocks():
     blocks = list(profile_columns(fam, ambient, window, n))
     assert [len(b[0]) for b in blocks] == [BLOCK, BLOCK, n - 2 * BLOCK]
     assert all(len(b) == 7 and all(len(col) == len(b[0]) for col in b) for b in blocks)
-    samples = list(profile_samples(fam, ambient, window, n))
+    samples, _ = cic_along_profile(fam, ambient, window, n)
     assert [tuple(map(float, row)) for b in blocks for row in zip(*b)] == [
         (p.s, p.x, p.xp, p.xpp, p.lam, p.mu, p.cic) for p in samples
     ]
@@ -377,10 +376,11 @@ def test_a_failure_in_the_second_block_yields_the_valid_prefix_then_raises():
     assert info.value.s == 3.0
     with pytest.raises(DomainBreakdown):
         cic_mean_deviation(fam, ambient, window, n)
-    rows = []
+    buf = io.StringIO()
     with pytest.raises(DomainBreakdown):
-        rows.extend(profile_samples(fam, ambient, window, n))
-    assert len(rows) == 6000 and rows[-1].s == second[0][-1]
+        write_profile_csv(profile_columns(fam, ambient, window, n), buf)
+    rows = buf.getvalue().splitlines()[1:]
+    assert len(rows) == 6000 and float(rows[-1].split(",")[0]) == second[0][-1]
 
 
 def test_a_failure_at_the_first_grid_point_raises_domain_breakdown():
@@ -445,7 +445,7 @@ def test_profile_sample_invariant():
 def test_csv_round_trip():
     samples, _ = cic_along_profile(TrigProfile(C=2.0, alpha=0.3), FLAT, (-1, 1), 21)
     buf = io.StringIO()
-    write_profile_csv(samples, buf)
+    write_profile_csv(profile_columns(TrigProfile(C=2.0, alpha=0.3), FLAT, (-1, 1), 21), buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "s,x,xp,lambda,mu,cic"
     assert len(lines) == 22
@@ -608,13 +608,14 @@ def test_grid_curvatures_match_the_direct_radicand(case):
     ambient's rotation type differs from the family's."""
     fam, ambient = case
     try:
-        for p in profile_samples(fam, ambient, (-3.0, 3.0), 121):
-            d = ambient.delta - ambient.c * p.x * p.x - p.xp * p.xp
-            if d <= 1e-4 * (1.0 + abs(ambient.c) * p.x * p.x + p.xp * p.xp):
-                continue
-            lam, mu = principal_curvatures(ambient, p.x, p.xp, p.xpp)
-            assert abs(p.lam - lam) <= 1e-10 * abs(lam)
-            assert abs(p.mu - mu) <= 1e-10 * abs(mu)
+        for block in profile_columns(fam, ambient, (-3.0, 3.0), 121):
+            for _, x, xp, xpp, got_lam, got_mu, _ in zip(*(col.tolist() for col in block)):
+                d = ambient.delta - ambient.c * x * x - xp * xp
+                if d <= 1e-4 * (1.0 + abs(ambient.c) * x * x + xp * xp):
+                    continue
+                lam, mu = principal_curvatures(ambient, x, xp, xpp)
+                assert abs(got_lam - lam) <= 1e-10 * abs(lam)
+                assert abs(got_mu - mu) <= 1e-10 * abs(mu)
     except DomainBreakdown as exc:
         d = ambient.delta - ambient.c * fam.eval(exc.s)[0] ** 2 - fam.eval(exc.s)[1] ** 2
         assert d <= 1e-6 * (1.0 + abs(ambient.c) * fam.eval(exc.s)[0] ** 2)
