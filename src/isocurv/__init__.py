@@ -32,6 +32,7 @@ from .curvature import (
     build_product,
     check_symmetries,
     cic_probe,
+    cic_probes,
     sample_frames,
     sectional,
     tensor_from_json,

@@ -29,7 +29,9 @@ class RunConfig:
 
     Frame probes take cv.DEFAULT_FRAMES frames (500 in gauss-frame-identity)
     and cv.DEFAULT_PROBE_TOL, and profile grids pf.DEFAULT_WINDOW and
-    pf.DEFAULT_GRID.
+    pf.DEFAULT_GRID.  gauss-frame-identity probes its 200 tensors, and
+    product-family its four n = 4 constant products, as one stack
+    (cv.cic_probes), with the reports of one probe per tensor.
     """
 
     seed: int = cv.DEFAULT_SEED
@@ -90,15 +92,16 @@ def check_product_family(config: RunConfig) -> str:
     s3s1 = cv.build_product(
         cv.ProductSpec((cv.Factor("sphere", 3, 1.0), cv.Factor("sphere", 1, 1.0)))
     )
-    report = cv.cic_probe(s3s1, seed=config.seed)
+    cs = (0.5, 1.0, 2.0)
+    mixed = [
+        cv.build_product(cv.ProductSpec((cv.Factor("sphere", 2, c), cv.Factor("hyperbolic", 2, -c))))
+        for c in cs
+    ]
+    report, *mixed_reports = cv.cic_probes([s3s1, *mixed], seed=config.seed)
     assert abs(report.mean - 2.0) <= 1e-10 and report.max - report.min <= 1e-10, (
         f"S3 x S1 probe off: mean {report.mean!r}, spread {report.max - report.min:.3e}"
     )
-    for c in (0.5, 1.0, 2.0):
-        mixed = cv.build_product(
-            cv.ProductSpec((cv.Factor("sphere", 2, c), cv.Factor("hyperbolic", 2, -c)))
-        )
-        report = cv.cic_probe(mixed, seed=config.seed)
+    for c, report in zip(cs, mixed_reports):
         assert abs(report.mean) <= 1e-10 and report.max - report.min <= 1e-10, (
             f"S2({c}) x H2({-c}) probe off: mean {report.mean!r}"
         )
@@ -137,12 +140,11 @@ def check_flat_rotation_profile(config: RunConfig) -> str:
 def check_gauss_frame_identity(config: RunConfig) -> str:
     """Gauss tensors of (lam, lam, lam, mu) spectra probe at 4c + 2(lam^2 + lam*mu)."""
     rng = np.random.default_rng(config.seed)
+    draws = [rng.uniform(-2.0, 2.0, size=3) for _ in range(200)]
+    tensors = [cv.build_from_shape(c, (lam, lam, lam, mu)) for c, lam, mu in draws]
     worst = 0.0
-    for _ in range(200):
-        c, lam, mu = rng.uniform(-2.0, 2.0, size=3)
-        t = cv.build_from_shape(c, (lam, lam, lam, mu))
+    for (c, lam, mu), report in zip(draws, cv.cic_probes(tensors, count=500, seed=config.seed)):
         expected = sp.cic_from_spectrum(c, lam, mu)
-        report = cv.cic_probe(t, count=500, seed=config.seed)
         err = max(abs(report.min - expected), abs(report.max - expected))
         worst = max(worst, err)
         assert err <= 1e-10, f"(c={c}, lam={lam}, mu={mu}): error {err:.3e} > 1e-10"
@@ -204,7 +206,7 @@ def check_profile_ode(config: RunConfig) -> str:
 
 def _signature(outcome: cls.ClassificationOutcome) -> str:
     if outcome.tag == cls.ROTATION_FAMILY:
-        return f"{outcome.tag}:{outcome.family}"
+        return f"{outcome.tag}:{outcome.family}:{outcome.profile.ode_delta}"
     return outcome.tag
 
 
@@ -212,21 +214,24 @@ def _truth_table() -> list[tuple[int, float, float, frozenset[str]]]:
     e = STRADDLE
     empty = frozenset({"Empty"})
     umb = frozenset({"UmbilicalNonTG"})
+    # classify's docstring: trig has one outcome (delta = 1), exponential one per delta in (1, 0, -1)
+    trig = frozenset({"RotationFamily:trig:1"})
+    expo = frozenset({f"RotationFamily:exponential:{delta}" for delta in (1, 0, -1)})
     rows: list[tuple[int, float, float, frozenset[str]]] = [
         (4, 1.0, -e, empty),
         (4, 1.0, +e, empty),
         (4, 1.0, 2.0 - e, empty),
-        (4, 1.0, 2.0 + e, frozenset({"RotationFamily:trig"})),
-        (4, 1.0, 4.0 - e, frozenset({"RotationFamily:trig"})),
-        (4, 1.0, 4.0 + e, frozenset({"UmbilicalNonTG", "RotationFamily:trig"})),
+        (4, 1.0, 2.0 + e, trig),
+        (4, 1.0, 4.0 - e, trig),
+        (4, 1.0, 4.0 + e, umb | trig),
         (4, 0.0, -e, empty),
-        (4, 0.0, +e, frozenset({"UmbilicalNonTG", "RotationFamily:trig"})),
+        (4, 0.0, +e, umb | trig),
         (4, -1.0, -4.0 - e, empty),
-        (4, -1.0, -4.0 + e, frozenset({"UmbilicalNonTG", "RotationFamily:exponential"})),
-        (4, -1.0, -2.0 - e, frozenset({"UmbilicalNonTG", "RotationFamily:exponential"})),
-        (4, -1.0, -2.0 + e, frozenset({"UmbilicalNonTG", "RotationFamily:exponential"})),
-        (4, -1.0, -e, frozenset({"UmbilicalNonTG", "RotationFamily:exponential"})),
-        (4, -1.0, +e, frozenset({"UmbilicalNonTG", "RotationFamily:trig"})),
+        (4, -1.0, -4.0 + e, umb | expo),
+        (4, -1.0, -2.0 - e, umb | expo),
+        (4, -1.0, -2.0 + e, umb | expo),
+        (4, -1.0, -e, umb | expo),
+        (4, -1.0, +e, umb | trig),
     ]
     for n in (5, 6):
         rows += [

@@ -22,7 +22,11 @@ tensors the functional has the closed form
 
 (* entrywise, x.K.y row by row), which follows from
 (a^2 + b^2)(c^2 + d^2) = (ac - bd)^2 + (ad + bc)^2.  A batch of m frames
-costs one (3m, n) @ (n, n) matrix product: O(m n^2) flops.
+costs one (3m, n) @ (n, n) matrix product: O(m n^2) flops.  cic_probes
+evaluates a stack of T such tensors on one batch in chunks of
+max(1, STACK_GEMM_DOUBLES // (3 m n)) tensors, one (3m, n) @ (n, T_b n)
+product per chunk against their K matrices laid side by side;
+cic_probe is its one-tensor case.
 
 Any other tensor (tensor_from_json output, a hand-built
 CurvatureTensor(dim, comp)) is evaluated densely through the (n^2, n^2)
@@ -51,6 +55,7 @@ DEGENERATE_PLANE = 1e-14  # sin^2 of the angle between x and y below which a pla
 DEFAULT_FRAMES = 1000
 DEFAULT_PROBE_TOL = 1e-8
 DEFAULT_SEED = 42
+STACK_GEMM_DOUBLES = 1 << 16  # largest product of one chunk of a probed stack, in doubles
 
 FACTOR_KINDS = ("sphere", "hyperbolic", "flat")
 
@@ -316,28 +321,39 @@ def sectional(t: CurvatureTensor, x: Sequence[float], y: Sequence[float]) -> flo
     return float((xv * xv) @ k @ (yv * yv) - xy @ k @ xy) / area2
 
 
-def _isotropic_batch(t: CurvatureTensor, frames: np.ndarray) -> np.ndarray:
-    """Frame functional of t for a batch of frames of shape (m, 4, n).
+def _isotropic_batch(t: Sequence[CurvatureTensor], frames: np.ndarray) -> np.ndarray:
+    """Frame functional of each tensor of t for a batch of frames of shape (m, 4, n).
 
-    A tensor with a sectional matrix K takes the closed form
-    A.K.B - P.K.P - Q.K.Q (module docstring): one (3m, n) @ (n, n) product.
-    Any other tensor is contracted densely, term by term.
+    Returns the (m, T) transpose of a C-contiguous (T, m) array, so the
+    values of t[j] are the contiguous row result.T[j].  The tensors with a
+    sectional matrix K take the closed form A.K.B - P.K.P - Q.K.Q (module
+    docstring) together: the frame blocks are built once, then one
+    (3m, n) @ (n, T n) product against their K matrices side by side.  Any
+    other tensor is contracted densely, term by term.
     """
-    e1, e2, e3, e4 = (frames[:, k] for k in range(4))
-    k = t.sectional_matrix
-    if k is None:
-        comp = t.comp
-        return (
+    e1, e2, e3, e4 = np.ascontiguousarray(np.swapaxes(frames, 0, 1))  # elementwise work on unit strides
+    m, n = e1.shape
+    out = np.empty((len(t), m))
+    built = []
+    for j, tensor in enumerate(t):
+        if tensor.sectional_matrix is not None:
+            built.append(j)
+            continue
+        comp = tensor.comp
+        out[j] = (
             _contract(comp, e1, e3, e3, e1)
             + _contract(comp, e1, e4, e4, e1)
             + _contract(comp, e2, e3, e3, e2)
             + _contract(comp, e2, e4, e4, e2)
             - 2.0 * _contract(comp, e1, e2, e3, e4)
         )
-    m, n = e1.shape
-    left = np.stack((e1 * e1 + e2 * e2, e1 * e3 - e2 * e4, e1 * e4 + e2 * e3))
-    right = np.stack((e3 * e3 + e4 * e4, -left[1], -left[2]))
-    return np.einsum("kmi,kmi->m", (left.reshape(3 * m, n) @ k).reshape(3, m, n), right)
+    if built:
+        left = np.stack((e1 * e1 + e2 * e2, e1 * e3 - e2 * e4, e1 * e4 + e2 * e3))
+        right = np.stack((e3 * e3 + e4 * e4, -left[1], -left[2]))
+        ks = np.concatenate([t[j].sectional_matrix for j in built], axis=1)
+        prod = (left.reshape(3 * m, n) @ ks).reshape(3, m, len(built), n)
+        out[built] = np.einsum("kmti,kmi->tm", prod, right)
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -425,32 +441,70 @@ def cic_probe(
     orders of magnitude.
     Raises ValueError when max |R_ijkl| is subnormal, too few digits to
     judge, and when the values or their mean overflow the float range.
+    This is cic_probes([t], count, seed), its one-tensor case.
+    """
+    return cic_probes([t], count, seed)[0]
+
+
+def _member(j: int, total: int) -> str:
+    """Names member j in an error about a stack of more than one tensor."""
+    return f"tensor {j} of {total}: " if total > 1 else ""
+
+
+def cic_probes(
+    tensors: Sequence[CurvatureTensor],
+    count: int = DEFAULT_FRAMES,
+    seed: int = DEFAULT_SEED,
+) -> list[ProbeReport]:
+    """cic_probe(t, count, seed) for each t of a stack of tensors of one dimension.
+
+    The stack shares one frame batch and is evaluated in chunks of
+    max(1, STACK_GEMM_DOUBLES // (3 count n)) tensors, one product per
+    chunk; the reports equal those of probing each tensor alone.  Raises
+    ValueError on an empty stack or mixed dimensions, and as cic_probe
+    does for a member, whose index the message names when the stack has
+    more than one.
     """
     if count < 2:
         raise ValueError(f"probe needs at least 2 frames, got {count}")
+    if not tensors:
+        raise ValueError("probe needs at least one tensor")
+    dims = sorted({t.dim for t in tensors})
+    if len(dims) > 1:
+        raise ValueError(f"a probed stack needs one dimension, got dimensions {dims}")
+    n = dims[0]
     # max |R_ijkl| = max_{i != j} |K_ij| for a tensor of sectional form
-    scale = float(np.max(np.abs(t.comp if t.sectional_matrix is None else t.sectional_matrix)))
-    if 0.0 < scale < np.finfo(float).tiny:
-        raise ValueError(f"curvature is subnormal: max |R_ijkl| = {scale:.6e} has too few digits to judge")
-    frames = _frame_array(t.dim, count, seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _isotropic_batch(t, frames)
-        mean = float(vals.mean())
-    if not (np.isfinite(vals).all() and math.isfinite(mean)):
-        raise ValueError(
-            f"isotropic curvature overflows the float range: max |R_ijkl| = {scale:.6e} is too large"
-        )
-    argmin, argmax = int(vals.argmin()), int(vals.argmax())
-    vmin, vmax = float(vals[argmin]), float(vals[argmax])
-    return ProbeReport(
-        samples=count,
-        min=vmin,
-        max=vmax,
-        mean=mean,
-        is_constant=bool(vmax - vmin <= DEFAULT_PROBE_TOL * scale),
-        argmin=argmin,
-        argmax=argmax,
-    )
+    scales = [float(np.max(np.abs(t.comp if t.sectional_matrix is None else t.sectional_matrix)))
+              for t in tensors]
+    for j, scale in enumerate(scales):
+        if 0.0 < scale < np.finfo(float).tiny:
+            raise ValueError(f"{_member(j, len(tensors))}curvature is subnormal: "
+                             f"max |R_ijkl| = {scale:.6e} has too few digits to judge")
+    frames = _frame_array(n, count, seed)
+    size = max(1, STACK_GEMM_DOUBLES // (3 * count * n))
+    reports = []
+    for lo in range(0, len(tensors), size):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _isotropic_batch(tensors[lo : lo + size], frames).T
+            means = [float(vals.mean()) for vals in rows]
+        for j, vals, mean in zip(range(lo, lo + size), rows, means):
+            if not (np.isfinite(vals).all() and math.isfinite(mean)):
+                raise ValueError(
+                    f"{_member(j, len(tensors))}isotropic curvature overflows the float range: "
+                    f"max |R_ijkl| = {scales[j]:.6e} is too large"
+                )
+            argmin, argmax = int(vals.argmin()), int(vals.argmax())
+            vmin, vmax = float(vals[argmin]), float(vals[argmax])
+            reports.append(ProbeReport(
+                samples=count,
+                min=vmin,
+                max=vmax,
+                mean=mean,
+                is_constant=bool(vmax - vmin <= DEFAULT_PROBE_TOL * scales[j]),
+                argmin=argmin,
+                argmax=argmax,
+            ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ def params(fn):
         # its frame batches from sample_frames(n, count, seed)
         (cv.cic_probe, ["t", "count", "seed"]),
         (cv.sample_frames, ["n", "count", "seed"]),
+        # checks probes its stacks through cic_probes, which samples and evaluates through the traced globals
+        (cv.cic_probes, ["tensors", "count", "seed"]),
     ],
 )
 def test_parameter_names(fn, names):
@@ -97,6 +99,36 @@ def test_cic_probe_samples_through_the_module_global(monkeypatch):
     for seed in (1, 1, 2, 1):
         cv.cic_probe(t, count=10, seed=seed)
     assert calls == [(4, 10, 1), (4, 10, 1), (4, 10, 2), (4, 10, 1)]
+
+
+def test_cic_probes_samples_and_evaluates_through_the_module_globals(monkeypatch):
+    """The tracer wraps `cv._frame_array` and `cv._isotropic_batch`, so a
+    stack probe looks the first up once per call and the second once per
+    chunk, both at call time."""
+    calls = []
+    sample, evaluate = cv._frame_array, cv._isotropic_batch
+
+    def counting_sample(*args):
+        calls.append(args)
+        return sample(*args)
+
+    def counting_evaluate(t, frames):
+        calls.append(len(t))
+        return evaluate(t, frames)
+
+    monkeypatch.setattr(cv, "_frame_array", counting_sample)
+    monkeypatch.setattr(cv, "_isotropic_batch", counting_evaluate)
+    stack = [cv.build_from_shape(0.1 * k, (1.0, -0.5, 2.0, 0.3)) for k in range(25)]
+    cv.cic_probes(stack, count=500, seed=1)
+    assert calls == [(4, 500, 1), 10, 10, 5]
+
+
+def test_isotropic_batch_of_a_stack_has_one_row_per_frame():
+    """The tracer counts len(result) frames per _isotropic_batch call."""
+    frames = cv._frame_array(4, 30, 2)
+    stack = [cv.build_constant_curvature(4, 1.0), cv.CurvatureTensor(4, np.zeros((4, 4, 4, 4))),
+             cv.build_from_shape(0.5, (1.0, 1.0, 1.0, -1.0))]
+    assert len(cv._isotropic_batch(stack, frames)) == frames.shape[0]
 
 
 def test_cic_along_profile_returns_rows_and_deviation():

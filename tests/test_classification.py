@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocurv import checks
+from isocurv import classification as cls
 from isocurv.checks import _signature, _truth_table
 from isocurv.classification import (
     CONSTANT_CURVATURE,
@@ -164,6 +166,20 @@ def test_boundary_table_is_scale_invariant(t):
     for n, c, C, expected in _truth_table():
         got = frozenset(_signature(o) for o in classify(ClassQuery(n, t * c, t * C)))
         assert got == expected, f"({n}, {t * c}, {t * C}): got {sorted(got)}"
+
+
+@pytest.mark.parametrize("delta", [1, 0, -1])
+def test_the_table_suite_fails_when_classify_drops_an_exponential_delta(monkeypatch, delta):
+    """The table tags each rotation outcome with its delta, so a classify
+    that lists fewer exponential outcomes than its docstring fails the suite."""
+    original = cls.classify
+
+    def dropping(q):
+        return [o for o in original(q) if not (o.family == "exponential" and o.profile.ode_delta == delta)]
+
+    monkeypatch.setattr(cls, "classify", dropping)
+    with pytest.raises(AssertionError, match=rf"expected \[.*'RotationFamily:exponential:{delta}'"):
+        checks.check_classification_table(checks.RunConfig())
 
 
 @pytest.mark.parametrize(

@@ -279,7 +279,7 @@ def test_isotropic_split_frame_values():
         assert t.sectional_matrix is not None and dense.sectional_matrix is None
         assert isotropic_component(t, frame) == value
         for tensor in (t, dense):
-            assert _isotropic_batch(tensor, frame[None])[0] == pytest.approx(value, abs=1e-14)
+            assert _isotropic_batch([tensor], frame[None])[0, 0] == pytest.approx(value, abs=1e-14)
 
 
 def kulkarni_nomizu_square(n, seed):
@@ -338,9 +338,9 @@ def test_brute_force_oracle_agreement(kind, n):
     frames = np.array([f.vectors for f in sample_frames(n, n * n + 1, seed=11)])
     expected = naive(t.comp, frames)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(t.comp))))
-    assert np.max(np.abs(_isotropic_batch(t, frames) - expected)) <= tol
+    assert np.max(np.abs(_isotropic_batch([t], frames)[:, 0] - expected)) <= tol
     for f, value in zip(frames[:5], expected):
-        assert abs(_isotropic_batch(t, f[None])[0] - value) <= tol
+        assert abs(_isotropic_batch([t], f[None])[0, 0] - value) <= tol
         assert abs(isotropic_component(t, f) - value) <= tol
 
 
@@ -362,10 +362,10 @@ def test_sectional_path_matches_the_dense_path(n, seed, size):
     dense = CurvatureTensor(n, t.comp)
     assert dense.sectional_matrix is None
     frames = cv._frame_array(n, 64, seed % 1000)
-    got = _isotropic_batch(t, frames)
-    assert np.max(np.abs(got - _isotropic_batch(dense, frames))) <= 1e-12 * float(np.max(np.abs(k)))
+    got = _isotropic_batch([t], frames)
+    assert np.max(np.abs(got - _isotropic_batch([dense], frames))) <= 1e-12 * float(np.max(np.abs(k)))
     off_diagonal = k * (1.0 - np.eye(n))
-    assert np.array_equal(got, _isotropic_batch(cv._from_sectional(off_diagonal), frames))
+    assert np.array_equal(got, _isotropic_batch([cv._from_sectional(off_diagonal)], frames))
 
 
 def test_built_tensors_skip_the_pair_matrix(monkeypatch):
@@ -760,6 +760,95 @@ def test_cic_probe_large_finite_tensor_stays_constant():
 def test_cic_probe_rejects_tiny_count():
     with pytest.raises(ValueError):
         cic_probe(sphere_line(), count=1)
+
+
+# ---------------------------------------------------------------------------
+# probing a stack
+
+
+STACK_KINDS = {
+    "gauss": lambda n, rng: build_from_shape(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0, n)),
+    "constant": lambda n, rng: build_constant_curvature(n, rng.uniform(-2.0, 2.0)),
+    "zero": lambda n, rng: build_constant_curvature(n, 0.0),
+    "dense": lambda n, rng: CurvatureTensor(n, STACK_KINDS["gauss"](n, rng).comp),
+}
+
+
+@st.composite
+def probe_stacks(draw):
+    """(stack, count, seed): up to two chunks and one tensor, of every kind, at scales 1e-200 to 1e200."""
+    n = draw(st.sampled_from([4, 5, 8]))
+    count = draw(st.sampled_from([200, 500, 1000]))
+    size = max(1, cv.STACK_GEMM_DOUBLES // (3 * count * n))
+    length = draw(st.sampled_from([1, size - 1, size, size + 1, 2 * size + 1]).filter(bool))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    stack = []
+    for _ in range(length):
+        t = STACK_KINDS[draw(st.sampled_from(sorted(STACK_KINDS)))](n, rng)
+        scale = draw(st.sampled_from([1.0, 1e-200, 1e200]) | st.floats(-5.0, 5.0).map(lambda e: 10.0**e))
+        stack.append(t if scale == 1.0 else CurvatureTensor(n, scale * t.comp))
+    return stack, count, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=probe_stacks())
+def test_a_stack_probes_as_its_members_do(case):
+    """The chunked product rounds each member's values exactly as probing it alone."""
+    stack, count, seed = case
+    assert cv.cic_probes(stack, count, seed) == [cic_probe(t, count, seed) for t in stack]
+
+
+@pytest.mark.parametrize(
+    "stack,message",
+    [
+        ([], "probe needs at least one tensor"),
+        ([sphere_line(), sphere_line(sphere_dim=5)], r"one dimension, got dimensions \[4, 6\]"),
+        (
+            [sphere_line(), sphere_line(), build_constant_curvature(4, 1e-310)],
+            r"^tensor 2 of 3: curvature is subnormal: max \|R_ijkl\| = 1\.000000e-310 ",
+        ),
+        (
+            [sphere_line(), build_constant_curvature(4, 4e307)],
+            r"^tensor 1 of 2: isotropic curvature overflows the float range: max \|R_ijkl\| = 4\.000000e\+307 ",
+        ),
+    ],
+)
+def test_cic_probes_rejects_a_bad_stack(stack, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            cv.cic_probes(stack, count=50, seed=1)
+
+
+@pytest.mark.parametrize(
+    "tensor,message",
+    [
+        (
+            build_constant_curvature(4, 1e-310),
+            "curvature is subnormal: max |R_ijkl| = 1.000000e-310 has too few digits to judge",
+        ),
+        (
+            build_constant_curvature(4, 4e307),
+            "isotropic curvature overflows the float range: max |R_ijkl| = 4.000000e+307 is too large",
+        ),
+    ],
+)
+def test_cic_probe_errors_name_no_stack_member(tensor, message):
+    with pytest.raises(ValueError) as info:
+        cic_probe(tensor, count=50, seed=1)
+    assert str(info.value) == message
+
+
+def test_the_gauss_suite_stack_probes_in_little_memory():
+    """200 Gauss tensors x 500 frames, frames sampled inside: one chunk's
+    product is at most STACK_GEMM_DOUBLES doubles (512 KB), not the 200
+    tensors' 4.8 MB."""
+    rng = np.random.default_rng(42)
+    stack = [build_from_shape(c, (lam, lam, lam, mu)) for c, lam, mu in rng.uniform(-2.0, 2.0, (200, 3))]
+    cv._frame_array.cache_clear()
+    reports, peak = traced_peak(lambda: cv.cic_probes(stack, count=500, seed=42))
+    assert len(reports) == 200 and all(r.samples == 500 for r in reports)
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
