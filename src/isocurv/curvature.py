@@ -21,12 +21,17 @@ tensors the functional has the closed form
                              P = e1*e3 - e2*e4,  Q = e1*e4 + e2*e3
 
 (* entrywise, x.K.y row by row), which follows from
-(a^2 + b^2)(c^2 + d^2) = (ac - bd)^2 + (ad + bc)^2.  A batch of m frames
-costs one (3m, n) @ (n, n) matrix product: O(m n^2) flops.  cic_probes
-evaluates a stack of T such tensors on one batch in chunks of
-max(1, STACK_GEMM_DOUBLES // (3 m n)) tensors, one (3m, n) @ (n, T_b n)
-product per chunk against their K matrices laid side by side;
-cic_probe is its one-tensor case.
+(a^2 + b^2)(c^2 + d^2) = (ac - bd)^2 + (ad + bc)^2.  The blocks are laid
+out component-major, frames on the contiguous axis: left = (A, P, Q) and
+right = (B, -P, -Q) are (n, 3, m) arrays, kept with each sampled batch.
+A batch of m frames costs one (n, n) @ (n, 3m) matrix product, O(m n^2)
+flops; the product is multiplied by right in place and summed over its
+3n (component, block) slabs in order, each step one add across all m
+frames.  cic_probes evaluates a stack of T such tensors on one batch in
+chunks of max(1, STACK_GEMM_DOUBLES // (3 m n)) tensors, one
+(T_b, n, n) @ (n, 3m) product per chunk against their K matrices
+stacked, and reduces each chunk's values to its reports in whole-chunk
+reductions; cic_probe is its one-tensor case.
 
 Any other tensor (tensor_from_json output, a hand-built
 CurvatureTensor(dim, comp)) is evaluated densely through the (n^2, n^2)
@@ -225,12 +230,12 @@ def _from_sectional(kmat: np.ndarray) -> CurvatureTensor:
     and the tensor keeps K, its diagonal zeroed, as its sectional_matrix.
     """
     k = np.array(kmat, dtype=float, copy=True)
-    if not np.isfinite(k).all():
-        raise ValueError(f"sectional curvatures must be finite, got {k[~np.isfinite(k)][0]}")
-    n = k.shape[0]
-    if k.shape != (n, n) or not np.array_equal(k, k.T):
+    n = k.shape[0] if k.ndim else 0
+    if k.shape != (n, n) or np.count_nonzero(np.isfinite(k) & (k == k.T)) != k.size:  # one pass;
+        if not np.isfinite(k).all():  # on failure, finiteness is named first
+            raise ValueError(f"sectional curvatures must be finite, got {k[~np.isfinite(k)][0]}")
         raise ValueError(f"sectional matrix must be square and symmetric, got shape {k.shape}")
-    np.fill_diagonal(k, 0.0)
+    k.ravel()[:: n + 1] = 0.0  # the diagonal
     k.setflags(write=False)
     t = object.__new__(CurvatureTensor)
     t._freeze(n, k, None)
@@ -272,11 +277,11 @@ def build_from_shape(c: float, lambdas: Sequence[float]) -> CurvatureTensor:
     sectional(e_i, e_j) = c + lambda_i * lambda_j, and components whose index
     pairs {i,j}, {k,l} differ as unordered pairs vanish.
     """
-    lams = np.asarray(lambdas, dtype=float)
+    lams = np.asarray(lambdas, dtype=float).ravel()
     n = lams.size
     if n < 4:
         raise ValueError(f"need at least 4 principal curvatures, got {n}")
-    return _from_sectional(c + np.outer(lams, lams))
+    return _from_sectional(c + lams[:, None] * lams)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +332,19 @@ def _isotropic_batch(t: Sequence[CurvatureTensor], frames: np.ndarray) -> np.nda
     Returns the (m, T) transpose of a C-contiguous (T, m) array, so the
     values of t[j] are the contiguous row result.T[j].  The tensors with a
     sectional matrix K take the closed form A.K.B - P.K.P - Q.K.Q (module
-    docstring) together: the frame blocks are built once, then one
-    (3m, n) @ (n, T n) product against their K matrices side by side.  Any
-    other tensor is contracted densely, term by term.
+    docstring) together, from the batch's blocks left = (A, P, Q) and
+    right = (B, -P, -Q), (n, 3, m) arrays with the frames on the contiguous
+    axis (_frame_blocks).  Their K matrices, stacked as ks of shape
+    (T, n, n), give one product ks @ left.reshape(n, 3m): one gemm of the
+    same shape per tensor, so its values do not depend on the stack.
+    Viewed as (T, 3n, m), the product is multiplied in place by
+    right.reshape(3n, m) and summed over its middle axis, slab by slab:
+    the values of a tensor are the 3n slabs (component i, block k) added
+    in the order 3i + k, each add across all m frames.  Any other tensor
+    is contracted densely, term by term.
     """
-    e1, e2, e3, e4 = np.ascontiguousarray(np.swapaxes(frames, 0, 1))  # elementwise work on unit strides
-    m, n = e1.shape
+    m, _, n = frames.shape
+    f1, f2, f3, f4 = np.swapaxes(frames, 0, 1)  # (m, n) views, for the dense path
     out = np.empty((len(t), m))
     built = []
     for j, tensor in enumerate(t):
@@ -341,18 +353,18 @@ def _isotropic_batch(t: Sequence[CurvatureTensor], frames: np.ndarray) -> np.nda
             continue
         comp = tensor.comp
         out[j] = (
-            _contract(comp, e1, e3, e3, e1)
-            + _contract(comp, e1, e4, e4, e1)
-            + _contract(comp, e2, e3, e3, e2)
-            + _contract(comp, e2, e4, e4, e2)
-            - 2.0 * _contract(comp, e1, e2, e3, e4)
+            _contract(comp, f1, f3, f3, f1)
+            + _contract(comp, f1, f4, f4, f1)
+            + _contract(comp, f2, f3, f3, f2)
+            + _contract(comp, f2, f4, f4, f2)
+            - 2.0 * _contract(comp, f1, f2, f3, f4)
         )
     if built:
-        left = np.stack((e1 * e1 + e2 * e2, e1 * e3 - e2 * e4, e1 * e4 + e2 * e3))
-        right = np.stack((e3 * e3 + e4 * e4, -left[1], -left[2]))
-        ks = np.concatenate([t[j].sectional_matrix for j in built], axis=1)
-        prod = (left.reshape(3 * m, n) @ ks).reshape(3, m, len(built), n)
-        out[built] = np.einsum("kmti,kmi->tm", prod, right)
+        left, right = _frame_blocks(frames)
+        ks = np.array([t[j].sectional_matrix for j in built])
+        prod = (ks @ left.reshape(n, 3 * m)).reshape(len(built), 3 * n, m)
+        prod *= right.reshape(3 * n, m)
+        out[built] = prod.sum(axis=1)
     return out.T
 
 
@@ -370,8 +382,8 @@ def _orthonormalize(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     order applies to every vector the same sequence of projections as a
     vector-by-vector sweep.  Any vector whose residual norm falls below
     REDRAW_RESIDUAL is re-drawn from the generator, in frame order, so the
-    procedure succeeds with probability one.  Returns a C-contiguous
-    (m, 4, n) array.
+    procedure succeeds with probability one.  Returns the C-contiguous
+    (4, n, m) array the sweeps ran on: vector a of frame k is [a, :, k].
     """
     n = raw.shape[2]
     q = np.ascontiguousarray(np.transpose(raw, (1, 2, 0)), dtype=float)
@@ -392,20 +404,54 @@ def _orthonormalize(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             v /= norms
             rest = q[a + 1 :]
             rest -= np.einsum("bim,im->bm", rest, v)[:, None] * v
-    return np.ascontiguousarray(np.transpose(q, (2, 0, 1)))
+    return q
+
+
+def _blocks(form: np.ndarray) -> np.ndarray:
+    """The read-only (2, n, 3, m) blocks left = (A, P, Q), right = (B, -P, -Q).
+
+    form is a component-major (4, n, m) batch; the frames stay on the
+    contiguous axis.
+    """
+    e1, e2, e3, e4 = form
+    blocks = np.empty((2, form.shape[1], 3, form.shape[2]))
+    left, right = blocks
+    np.add(e1 * e1, e2 * e2, out=left[:, 0])
+    np.subtract(e1 * e3, e2 * e4, out=left[:, 1])
+    np.add(e1 * e4, e2 * e3, out=left[:, 2])
+    np.add(e3 * e3, e4 * e4, out=right[:, 0])
+    np.negative(left[:, 1:], out=right[:, 1:])
+    blocks.setflags(write=False)
+    return blocks
+
+
+_KEPT_BLOCKS = [None, None]  # _frame_array's last batch and its blocks, shared by every probe of it
+
+
+def _frame_blocks(frames: np.ndarray) -> np.ndarray:
+    """The blocks (_blocks) of an (m, 4, n) batch.
+
+    Those of _frame_array's last batch are built from the array its sweeps
+    ran on and kept with it; any other batch is first copied component-major.
+    """
+    batch, blocks = _KEPT_BLOCKS
+    return blocks if frames is batch else _blocks(np.ascontiguousarray(np.transpose(frames, (1, 2, 0))))
 
 
 @functools.lru_cache(maxsize=1, typed=True)
 def _frame_array(n: int, count: int, seed: int) -> np.ndarray:
-    """The read-only (count, 4, n) batch; the last one is kept for the next call."""
+    """The read-only (count, 4, n) batch; the last one is kept for the next
+    call, with its blocks (_frame_blocks)."""
     if n < 4:
         raise ValueError(f"4-frames need dimension >= 4, got {n}")
     if count < 1:
         raise ValueError(f"frame count must be >= 1, got {count}")
+    _KEPT_BLOCKS[:] = None, None  # free the replaced batch's blocks before drawing, off the memory peak
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((count, 4, n))
-    frames = _orthonormalize(raw, rng)
+    form = _orthonormalize(rng.standard_normal((count, 4, n)), rng)
+    frames = np.ascontiguousarray(np.transpose(form, (2, 0, 1)))
     frames.setflags(write=False)
+    _KEPT_BLOCKS[:] = frames, _blocks(form)
     return frames
 
 
@@ -459,8 +505,12 @@ def cic_probes(
     """cic_probe(t, count, seed) for each t of a stack of tensors of one dimension.
 
     The stack shares one frame batch and is evaluated in chunks of
-    max(1, STACK_GEMM_DOUBLES // (3 count n)) tensors, one product per
-    chunk; the reports equal those of probing each tensor alone.  Raises
+    max(1, STACK_GEMM_DOUBLES // (3 count n)) tensors, one
+    _isotropic_batch call per chunk.  Its (T_b, count) values are reduced
+    chunk-wide: row means (numpy's pairwise sum of each contiguous row),
+    finiteness, argmin and argmax, and the values there; only the
+    ProbeReports are made one by one.  The reports equal those of probing
+    each tensor alone.  Raises
     ValueError on an empty stack or mixed dimensions, and as cic_probe
     does for a member, whose index the message names when the stack has
     more than one.
@@ -474,10 +524,11 @@ def cic_probes(
         raise ValueError(f"a probed stack needs one dimension, got dimensions {dims}")
     n = dims[0]
     # max |R_ijkl| = max_{i != j} |K_ij| for a tensor of sectional form
-    scales = [float(np.max(np.abs(t.comp if t.sectional_matrix is None else t.sectional_matrix)))
+    scales = [float(np.abs(t.comp if t.sectional_matrix is None else t.sectional_matrix).max())
               for t in tensors]
+    tiny = np.finfo(float).tiny
     for j, scale in enumerate(scales):
-        if 0.0 < scale < np.finfo(float).tiny:
+        if 0.0 < scale < tiny:
             raise ValueError(f"{_member(j, len(tensors))}curvature is subnormal: "
                              f"max |R_ijkl| = {scale:.6e} has too few digits to judge")
     frames = _frame_array(n, count, seed)
@@ -486,21 +537,26 @@ def cic_probes(
     for lo in range(0, len(tensors), size):
         with np.errstate(over="ignore", invalid="ignore"):
             rows = _isotropic_batch(tensors[lo : lo + size], frames).T
-            means = [float(vals.mean()) for vals in rows]
-        for j, vals, mean in zip(range(lo, lo + size), rows, means):
-            if not (np.isfinite(vals).all() and math.isfinite(mean)):
-                raise ValueError(
-                    f"{_member(j, len(tensors))}isotropic curvature overflows the float range: "
-                    f"max |R_ijkl| = {scales[j]:.6e} is too large"
-                )
-            argmin, argmax = int(vals.argmin()), int(vals.argmax())
-            vmin, vmax = float(vals[argmin]), float(vals[argmax])
+            means = rows.mean(axis=1)
+        finite = np.isfinite(rows).all(axis=1) & np.isfinite(means)
+        if not finite.all():
+            j = lo + int(finite.argmin())  # the first member that overflows
+            raise ValueError(
+                f"{_member(j, len(tensors))}isotropic curvature overflows the float range: "
+                f"max |R_ijkl| = {scales[j]:.6e} is too large"
+            )
+        argmins, argmaxs = rows.argmin(axis=1), rows.argmax(axis=1)
+        chunk = np.arange(len(rows))
+        for j, mean, argmin, argmax, vmin, vmax in zip(
+            range(lo, lo + size), means.tolist(), argmins.tolist(), argmaxs.tolist(),
+            rows[chunk, argmins].tolist(), rows[chunk, argmaxs].tolist(),
+        ):
             reports.append(ProbeReport(
                 samples=count,
                 min=vmin,
                 max=vmax,
                 mean=mean,
-                is_constant=bool(vmax - vmin <= DEFAULT_PROBE_TOL * scales[j]),
+                is_constant=vmax - vmin <= DEFAULT_PROBE_TOL * scales[j],
                 argmin=argmin,
                 argmax=argmax,
             ))

@@ -546,9 +546,9 @@ def test_orthonormalize_redraws_dependent_vectors():
     raw[0, 1] = 2.0 * raw[0, 0]
     raw[1, 3] = raw[1, 0] + raw[1, 2]
     rng = np.random.default_rng(11)
-    q = cv._orthonormalize(raw, rng)
+    q = np.transpose(cv._orthonormalize(raw, rng), (2, 0, 1))  # (m, 4, n), like raw
     assert rng.bit_generator.state != np.random.default_rng(11).bit_generator.state  # replacements drawn
-    assert np.array_equal(q, cv._orthonormalize(raw, np.random.default_rng(11)))
+    assert np.array_equal(q, np.transpose(cv._orthonormalize(raw, np.random.default_rng(11)), (2, 0, 1)))
     for frame in q:
         assert np.max(np.abs(frame @ frame.T - np.eye(4))) <= 1e-12
     for k, a in ((0, 0), (1, 0), (1, 1), (1, 2)):
@@ -567,7 +567,7 @@ def test_orthonormalize_redraws_as_the_row_major_oracle_does():
     raw[3, 2] = raw[3, 1]
     raw[4, 1:] = 0.0
     fast, slow = np.random.default_rng(21), np.random.default_rng(21)
-    q = cv._orthonormalize(raw, fast)
+    q = np.transpose(cv._orthonormalize(raw, fast), (2, 0, 1))
     assert np.max(np.abs(q - orthonormalize(raw, slow))) <= 1e-13
     assert fast.bit_generator.state == slow.bit_generator.state != np.random.default_rng(21).bit_generator.state
 
@@ -837,6 +837,92 @@ def test_cic_probe_errors_name_no_stack_member(tensor, message):
     with pytest.raises(ValueError) as info:
         cic_probe(tensor, count=50, seed=1)
     assert str(info.value) == message
+
+
+def frame_blocks(frames):
+    """left = (A, P, Q) and right = (B, -P, -Q), each of shape (n, 3, m), of an (m, 4, n) batch."""
+    e1, e2, e3, e4 = np.transpose(frames, (1, 2, 0))
+    a, p, q, b = e1 * e1 + e2 * e2, e1 * e3 - e2 * e4, e1 * e4 + e2 * e3, e3 * e3 + e4 * e4
+    return np.stack((np.stack((a, p, q), axis=1), np.stack((b, -p, -q), axis=1)))
+
+
+def slab_accumulation(stack, frames):
+    """The documented order, one tensor and one slab at a time: product
+    K @ left, then acc += prod[i, k] * right[i, k] for i = 0..n-1,
+    k = 0..2, i outer."""
+    m, _, n = frames.shape
+    left, right = frame_blocks(frames)
+    rows = []
+    for t in stack:
+        prod = (t.sectional_matrix @ left.reshape(n, 3 * m)).reshape(n, 3, m)
+        acc = np.zeros(m)
+        for i in range(n):
+            for k in range(3):
+                acc = acc + prod[i, k] * right[i, k]
+        rows.append(acc)
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("n,m", [(4, 7), (5, 2), (8, 33), (16, 20)])
+def test_isotropic_batch_adds_the_slabs_in_the_documented_order(n, m):
+    """Bit for bit the (i, k) slab order of the _isotropic_batch docstring,
+    for a stack of three built tensors."""
+    rng = np.random.default_rng(n * m)
+    stack = [build_from_shape(c, rng.uniform(-2.0, 2.0, n)) for c in (-1.5, 0.25, 2.0)]
+    frames = cv._frame_array(n, m, 3)
+    assert np.array_equal(_isotropic_batch(stack, frames), slab_accumulation(stack, frames))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 16])
+def test_a_stack_matches_the_dense_oracle(n):
+    """A stack of built tensors against the pair-matrix contraction of each
+    member's components, within 1e-12 * max |K|; the dense members of a
+    mixed stack are that contraction itself."""
+    rng = np.random.default_rng(n)
+    stack = [build_from_shape(c, rng.uniform(-3.0, 3.0, n)) for c in rng.uniform(-2.0, 2.0, 6)]
+    frames = cv._frame_array(n, 200, 11)
+    dense = [CurvatureTensor(n, t.comp) for t in stack]
+    got, oracle = _isotropic_batch(stack, frames), _isotropic_batch(dense, frames)
+    scale = max(float(np.max(np.abs(t.sectional_matrix))) for t in stack)
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * scale
+    mixed = _isotropic_batch([stack[0], dense[1], stack[2]], frames)
+    assert np.array_equal(mixed, np.column_stack([got[:, 0], oracle[:, 1], got[:, 2]]))
+
+
+@pytest.mark.parametrize("n,count", [(16, 3), (16, 9), (16, 20)])
+def test_a_full_chunk_at_large_n_probes_as_its_members_do(n, count):
+    """Each member's product is its own (n, n) @ (n, 3m) gemm: one gemm of
+    the whole (T n, n) stack, past 10^6 multiply-adds, took a different
+    BLAS kernel than a member alone and rounded differently."""
+    rng = np.random.default_rng(count)
+    size = max(1, cv.STACK_GEMM_DOUBLES // (3 * count * n))
+    stack = [build_from_shape(c, rng.uniform(-2.0, 2.0, n)) for c in rng.uniform(-2.0, 2.0, size + 1)]
+    assert cv.cic_probes(stack, count, 4) == [cic_probe(t, count, 4) for t in stack]
+
+
+def test_an_overflow_in_a_chunk_names_its_first_member():
+    """Two members of one chunk overflow; the error names the lower index."""
+    stack = [sphere_line(), build_constant_curvature(4, 4e307), sphere_line(), build_constant_curvature(4, 1e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^tensor 1 of 4: isotropic curvature overflows .* 4\.000000e\+307 "):
+            cv.cic_probes(stack, count=50, seed=1)
+        with pytest.raises(ValueError, match=r"^tensor 3 of 5: isotropic curvature overflows .* 1\.000000e\+308 "):
+            cv.cic_probes([sphere_line()] * 3 + stack[3:] + stack[1:2], count=50, seed=1)
+
+
+def test_the_kept_batch_keeps_its_blocks():
+    """_frame_array's last batch keeps its read-only blocks, built from the
+    array its sweeps ran on; any other batch gets the same values from a
+    component-major copy."""
+    frames = cv._frame_array(6, 40, 8)
+    blocks = cv._frame_blocks(frames)
+    assert blocks is cv._frame_blocks(frames) and not blocks.flags.writeable
+    copied = cv._frame_blocks(frames.copy())
+    assert copied is not blocks and np.array_equal(copied, blocks)
+    assert np.array_equal(blocks, frame_blocks(frames))
+    fresh = cv._frame_array.__wrapped__(6, 40, 8)  # a batch drawn again is not the kept one
+    assert fresh is not frames and np.array_equal(cv._frame_blocks(frames), blocks)
 
 
 def test_the_gauss_suite_stack_probes_in_little_memory():
