@@ -29,6 +29,7 @@ from .curvature import (
     SymmetryReport,
     build_constant_curvature,
     build_from_shape,
+    build_from_shapes,
     build_product,
     check_symmetries,
     cic_probe,

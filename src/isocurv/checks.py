@@ -29,9 +29,11 @@ class RunConfig:
 
     Frame probes take cv.DEFAULT_FRAMES frames (500 in gauss-frame-identity)
     and cv.DEFAULT_PROBE_TOL, and profile grids pf.DEFAULT_WINDOW and
-    pf.DEFAULT_GRID.  gauss-frame-identity probes its 200 tensors, and
-    product-family its four n = 4 constant products, as one stack
+    pf.DEFAULT_GRID.  gauss-frame-identity draws its 200 spectra at once and
+    builds (cv.build_from_shapes) and probes them as one stack, and
+    product-family probes its four n = 4 constant products as one stack
     (cv.cic_probes), with the reports of one probe per tensor.
+    profile-ode judges its 50 families together after drawing them.
     """
 
     seed: int = cv.DEFAULT_SEED
@@ -138,17 +140,24 @@ def check_flat_rotation_profile(config: RunConfig) -> str:
 
 
 def check_gauss_frame_identity(config: RunConfig) -> str:
-    """Gauss tensors of (lam, lam, lam, mu) spectra probe at 4c + 2(lam^2 + lam*mu)."""
+    """Gauss tensors of (lam, lam, lam, mu) spectra probe at 4c + 2(lam^2 + lam*mu).
+
+    The 200 spectra (c, lam, mu) are one (200, 3) draw, built as one stack
+    (cv.build_from_shapes), probed as one stack (cv.cic_probes) and judged
+    together against sp.cic_from_spectrum on arrays.  A failure, a NaN
+    error included, names the first failing spectrum in draw order.
+    """
     rng = np.random.default_rng(config.seed)
-    draws = [rng.uniform(-2.0, 2.0, size=3) for _ in range(200)]
-    tensors = [cv.build_from_shape(c, (lam, lam, lam, mu)) for c, lam, mu in draws]
-    worst = 0.0
-    for (c, lam, mu), report in zip(draws, cv.cic_probes(tensors, count=500, seed=config.seed)):
-        expected = sp.cic_from_spectrum(c, lam, mu)
-        err = max(abs(report.min - expected), abs(report.max - expected))
-        worst = max(worst, err)
-        assert err <= 1e-10, f"(c={c}, lam={lam}, mu={mu}): error {err:.3e} > 1e-10"
-    return f"200 spectra x 500 frames, worst deviation {worst:.1e}"
+    draws = rng.uniform(-2.0, 2.0, size=(200, 3))
+    c, lam, mu = draws.T
+    tensors = cv.build_from_shapes(c, draws[:, [1, 1, 1, 2]])  # spectra (lam, lam, lam, mu)
+    reports = cv.cic_probes(tensors, count=500, seed=config.seed)
+    expected = sp.cic_from_spectrum(c, lam, mu)
+    err = np.maximum(np.abs(np.array([r.min for r in reports]) - expected),
+                     np.abs(np.array([r.max for r in reports]) - expected))
+    for j in np.flatnonzero(~(err <= 1e-10))[:1]:  # NaN-safe: a NaN error fails
+        raise AssertionError(f"(c={c[j]}, lam={lam[j]}, mu={mu[j]}): error {err[j]:.3e} > 1e-10")
+    return f"200 spectra x 500 frames, worst deviation {err.max():.1e}"
 
 
 def _random_valid_family(rng: np.random.Generator) -> pf.ProfileFamily:
@@ -178,30 +187,43 @@ def check_profile_ode(config: RunConfig) -> str:
     larger of max |u'| and max |u| there; and `ode_residual` bounds the
     nonlinear equation (x*x')' = delta - (C/2)*x^2.  So the closed form is
     the solution of the initial-value problem at its own (u(0), u'(0)).
+    Each family's u is evaluated once, on the stacked grid (s - h, s, s + h);
+    the three judgements then run over the (50, 100) arrays of all families
+    and raise the first failure in draw order, each family's checked in the
+    order above.
     """
     rng = np.random.default_rng(config.seed)
     h = 1e-4
-    worst_resid = worst_lin = worst_diff = 0.0
-    for _ in range(50):
+    fams = []
+    s = np.empty((50, 100))
+    u, up, upp = np.empty((3, 50, 3, 100))  # per family, at s - h, s and s + h
+    resid = np.empty((50, 100))
+    for r in range(50):
         fam = _random_valid_family(rng)
-        s = rng.uniform(-2.0, 2.0, size=100)
-        C, delta = fam.ode_constant, fam.ode_delta
-        u, up, upp = fam.u(s)
-        terms = np.maximum(np.maximum(np.abs(upp), abs(2.0 * delta)), np.abs(C * u))
-        lin = np.abs(upp - (2.0 * delta - C * u)) / terms
-        i = int(np.argmax(lin))
-        worst_lin = max(worst_lin, float(lin[i]))
-        assert lin[i] <= 1e-14, f"{fam!r}: u'' - (2*delta - C*u) is {lin[i]:.3e} of its terms at s={s[i]}"
-        diff = np.abs((fam.u(s + h)[0] - fam.u(s - h)[0]) / (2.0 * h) - up)
-        i = int(np.argmax(diff))
-        rel = float(diff[i]) / max(np.max(np.abs(up)), np.max(u))
-        worst_diff = max(worst_diff, rel)
-        assert rel <= 1e-6, f"{fam!r}: u' is off the central difference of u by {rel:.3e} at s={s[i]}"
-        resid = pf.ode_residual(fam, C, delta, s, h)
-        i = int(np.argmax(resid))
-        worst_resid = max(worst_resid, float(resid[i]))
-        assert resid[i] <= 1e-6, f"{fam!r}: residual {resid[i]:.3e} > 1e-6 at s={s[i]}"
-    return f"worst residual {worst_resid:.1e}, linear {worst_lin:.1e}, u' vs central difference {worst_diff:.1e}"
+        s[r] = rng.uniform(-2.0, 2.0, size=100)
+        u[r], up[r], upp[r] = fam.u(np.array((s[r] - h, s[r], s[r] + h)))
+        resid[r] = pf.ode_residual(fam, fam.ode_constant, fam.ode_delta, s[r], h)
+        fams.append(fam)
+    C = np.array([fam.ode_constant for fam in fams])[:, None]
+    delta = np.array([fam.ode_delta for fam in fams], dtype=float)[:, None]
+    rows = np.arange(50)
+    u0, up0, upp0 = u[:, 1], up[:, 1], upp[:, 1]
+    terms = np.maximum(np.maximum(np.abs(upp0), np.abs(2.0 * delta)), np.abs(C * u0))
+    lin = np.abs(upp0 - (2.0 * delta - C * u0)) / terms
+    i_lin = lin.argmax(axis=1)
+    lin = lin[rows, i_lin]
+    diff = np.abs((u[:, 2] - u[:, 0]) / (2.0 * h) - up0)
+    i_diff = diff.argmax(axis=1)
+    top_up, top_u = np.abs(up0).max(axis=1), u0.max(axis=1)
+    rel = diff[rows, i_diff] / np.where(top_u > top_up, top_u, top_up)  # max(top_up, top_u), NaN too
+    i_resid = resid.argmax(axis=1)
+    resid = resid[rows, i_resid]
+    for r in np.flatnonzero(~((lin <= 1e-14) & (rel <= 1e-6) & (resid <= 1e-6)))[:1]:  # NaN fails
+        fam = fams[r]
+        assert lin[r] <= 1e-14, f"{fam!r}: u'' - (2*delta - C*u) is {lin[r]:.3e} of its terms at s={s[r, i_lin[r]]}"
+        assert rel[r] <= 1e-6, f"{fam!r}: u' is off the central difference of u by {rel[r]:.3e} at s={s[r, i_diff[r]]}"
+        assert resid[r] <= 1e-6, f"{fam!r}: residual {resid[r]:.3e} > 1e-6 at s={s[r, i_resid[r]]}"
+    return f"worst residual {resid.max():.1e}, linear {lin.max():.1e}, u' vs central difference {rel.max():.1e}"
 
 
 def _signature(outcome: cls.ClassificationOutcome) -> str:

@@ -12,10 +12,14 @@ tests whether the functional is constant over frames.
 
 Every builder here yields a tensor of sectional form,
 R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl), and the tensor keeps
-its sectional matrix K and nothing else: the n^4 components are built
-from K only when comp is first read (check_symmetries, tensor_to_json),
-and building, probing and sectional never allocate them.  For those
-tensors the functional has the closed form
+its sectional matrix K and its scale max |R_ijkl| and nothing else: the
+n^4 components are built from K only when comp is first read
+(check_symmetries, tensor_to_json), and building, probing and sectional
+never allocate them.  The builders hand their K matrices to
+_from_sectional as one (T, n, n) stack, checked and reduced to its scales
+in whole-stack operations: build_from_shapes a stack of Gauss tensors,
+the one-tensor builders a stack of one.  For those tensors the functional
+has the closed form
 
     A.K.B - P.K.P - Q.K.Q,   A = e1*e1 + e2*e2,  B = e3*e3 + e4*e4,
                              P = e1*e3 - e2*e4,  Q = e1*e4 + e2*e3
@@ -84,9 +88,11 @@ class CurvatureTensor:
     never allocates the n^4 components.  A tensor given its components
     directly has None and is evaluated densely.  Either way comp is a
     read-only (dim, dim, dim, dim) array, the same object on every read.
+    Each tensor keeps max |R_ijkl|, taken with its finiteness check, as the
+    scale cic_probes judges it by.
     """
 
-    __slots__ = ("dim", "sectional_matrix", "_comp")
+    __slots__ = ("dim", "sectional_matrix", "_comp", "_scale")
 
     def __init__(self, dim: int, comp: np.ndarray):
         if dim < 1:
@@ -94,15 +100,17 @@ class CurvatureTensor:
         arr = np.array(comp, dtype=float, copy=True)
         if arr.shape != (dim,) * 4:
             raise ValueError(f"component array must have shape {(dim,) * 4}, got {arr.shape}")
-        if not np.isfinite(arr).all():
+        scale = float(np.abs(arr).max())  # NaN and inf propagate: the finiteness check too
+        if not math.isfinite(scale):
             raise ValueError(f"curvature components must be finite, got {arr[~np.isfinite(arr)][0]}")
         arr.setflags(write=False)
-        self._freeze(dim, None, arr)
+        self._freeze(dim, None, arr, scale)
 
-    def _freeze(self, dim: int, kmat: np.ndarray | None, comp: np.ndarray | None) -> None:
+    def _freeze(self, dim: int, kmat: np.ndarray | None, comp: np.ndarray | None, scale: float) -> None:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "sectional_matrix", kmat)
         object.__setattr__(self, "_comp", comp)
+        object.__setattr__(self, "_scale", scale)
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"cannot assign to {name!r}: CurvatureTensor is immutable")
@@ -222,24 +230,37 @@ class SymmetryReport:
 # constructors
 
 
-def _from_sectional(kmat: np.ndarray) -> CurvatureTensor:
-    """R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl) for a symmetric K.
+def _from_sectional(kmats: np.ndarray) -> list[CurvatureTensor]:
+    """R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl) for each symmetric K of a (T, n, n) stack.
 
     K_ij (i != j) is the sectional curvature of span(e_i, e_j); the diagonal
-    of K does not enter.  Every builder here yields a tensor of this form,
-    and the tensor keeps K, its diagonal zeroed, as its sectional_matrix.
+    of K does not enter.  Every builder here yields tensors of this form.
+    The stack is copied once and checked for finiteness and symmetry in one
+    pass, and an error names its first bad member as cic_probes does
+    (_member).  Each tensor keeps its K, diagonal zeroed, as a read-only
+    view of that copy, and max_{i != j} |K_ij|, one reduction for the stack,
+    as its scale.
     """
-    k = np.array(kmat, dtype=float, copy=True)
-    n = k.shape[0] if k.ndim else 0
-    if k.shape != (n, n) or np.count_nonzero(np.isfinite(k) & (k == k.T)) != k.size:  # one pass;
-        if not np.isfinite(k).all():  # on failure, finiteness is named first
-            raise ValueError(f"sectional curvatures must be finite, got {k[~np.isfinite(k)][0]}")
-        raise ValueError(f"sectional matrix must be square and symmetric, got shape {k.shape}")
-    k.ravel()[:: n + 1] = 0.0  # the diagonal
+    k = np.array(kmats, dtype=float, copy=True)
+    if k.ndim != 3 or k.shape[1] != k.shape[2]:
+        raise ValueError(f"sectional matrices must be a (T, n, n) stack, got shape {k.shape}")
+    total, n = k.shape[:2]
+    ok = np.isfinite(k) & (k == k.swapaxes(1, 2))
+    if np.count_nonzero(ok) != k.size:  # one pass; on failure, finiteness is named first
+        j = int(ok.all(axis=(1, 2)).argmin())  # the first bad member
+        bad = k[j][~np.isfinite(k[j])]
+        if bad.size:
+            raise ValueError(f"{_member(j, total)}sectional curvatures must be finite, got {bad[0]}")
+        raise ValueError(f"{_member(j, total)}sectional matrix must be square and symmetric, got shape {(n, n)}")
+    k.reshape(total, n * n)[:, :: n + 1] = 0.0  # the diagonals
+    scales = np.abs(k).max(axis=(1, 2)).tolist()
     k.setflags(write=False)
-    t = object.__new__(CurvatureTensor)
-    t._freeze(n, k, None)
-    return t
+    tensors = []
+    for j, scale in enumerate(scales):
+        t = object.__new__(CurvatureTensor)
+        t._freeze(n, k[j], None, scale)
+        tensors.append(t)
+    return tensors
 
 
 def build_constant_curvature(n: int, k: float) -> CurvatureTensor:
@@ -250,7 +271,7 @@ def build_constant_curvature(n: int, k: float) -> CurvatureTensor:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return _from_sectional(np.full((n, n), float(k)))
+    return _from_sectional(np.full((1, n, n), float(k)))[0]
 
 
 def build_product(spec: ProductSpec) -> CurvatureTensor:
@@ -261,13 +282,13 @@ def build_product(spec: ProductSpec) -> CurvatureTensor:
     carry no curvature.
     """
     n = spec.total_dim
-    kmat = np.zeros((n, n))
+    kmat = np.zeros((1, n, n))
     offset = 0
     for f in spec.factors:
         sl = slice(offset, offset + f.dim)
-        kmat[sl, sl] = f.curvature
+        kmat[0, sl, sl] = f.curvature
         offset += f.dim
-    return _from_sectional(kmat)
+    return _from_sectional(kmat)[0]
 
 
 def build_from_shape(c: float, lambdas: Sequence[float]) -> CurvatureTensor:
@@ -275,13 +296,27 @@ def build_from_shape(c: float, lambdas: Sequence[float]) -> CurvatureTensor:
 
     Applies the Gauss equation in a basis diagonalizing the shape operator:
     sectional(e_i, e_j) = c + lambda_i * lambda_j, and components whose index
-    pairs {i,j}, {k,l} differ as unordered pairs vanish.
+    pairs {i,j}, {k,l} differ as unordered pairs vanish.  The spectrum is
+    flattened; this is build_from_shapes((c,), [lambdas]), its one-row case.
     """
-    lams = np.asarray(lambdas, dtype=float).ravel()
-    n = lams.size
-    if n < 4:
-        raise ValueError(f"need at least 4 principal curvatures, got {n}")
-    return _from_sectional(c + lams[:, None] * lams)
+    return build_from_shapes((c,), np.asarray(lambdas, dtype=float).reshape(1, -1))[0]
+
+
+def build_from_shapes(cs: Sequence[float], lambdas: np.ndarray) -> list[CurvatureTensor]:
+    """build_from_shape(cs[j], lambdas[j]) for each row j of a (T, n) stack of spectra.
+
+    The T sectional matrices c_j + lambda_i * lambda_k are one (T, n, n)
+    broadcast, checked as one stack (_from_sectional): each tensor equals
+    building its row alone, and an error names its first bad member.
+    """
+    lams = np.asarray(lambdas, dtype=float)
+    curvatures = np.asarray(cs, dtype=float)
+    if lams.ndim != 2 or curvatures.shape != lams.shape[:1]:
+        raise ValueError(f"need T curvatures and a (T, n) stack of spectra, "
+                         f"got shapes {curvatures.shape} and {lams.shape}")
+    if lams.shape[1] < 4:
+        raise ValueError(f"need at least 4 principal curvatures, got {lams.shape[1]}")
+    return _from_sectional(curvatures[:, None, None] + lams[:, :, None] * lams[:, None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +426,17 @@ def _orthonormalize(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         for a in range(4):
             v = q[a]
             norms = np.sqrt(np.einsum("im,im->m", v, v))
-            for idx in np.flatnonzero(norms < REDRAW_RESIDUAL):
-                while True:
-                    w = rng.standard_normal(n)
-                    for b in range(a):
-                        w = w - (w @ q[b, :, idx]) * q[b, :, idx]
-                    nw = np.linalg.norm(w)
-                    if nw >= REDRAW_RESIDUAL:
-                        v[:, idx] = w
-                        norms[idx] = nw
-                        break
+            if norms.min() < REDRAW_RESIDUAL:  # rare: only then look for the vectors to re-draw
+                for idx in np.flatnonzero(norms < REDRAW_RESIDUAL):
+                    while True:
+                        w = rng.standard_normal(n)
+                        for b in range(a):
+                            w = w - (w @ q[b, :, idx]) * q[b, :, idx]
+                        nw = np.linalg.norm(w)
+                        if nw >= REDRAW_RESIDUAL:
+                            v[:, idx] = w
+                            norms[idx] = nw
+                            break
             v /= norms
             rest = q[a + 1 :]
             rest -= np.einsum("bim,im->bm", rest, v)[:, None] * v
@@ -507,10 +543,12 @@ def cic_probes(
     The stack shares one frame batch and is evaluated in chunks of
     max(1, STACK_GEMM_DOUBLES // (3 count n)) tensors, one
     _isotropic_batch call per chunk.  Its (T_b, count) values are reduced
-    chunk-wide: row means (numpy's pairwise sum of each contiguous row),
-    finiteness, argmin and argmax, and the values there; only the
-    ProbeReports are made one by one.  The reports equal those of probing
-    each tensor alone.  Raises
+    chunk-wide: row means (numpy's pairwise sum of each contiguous row;
+    a row with a non-finite value has a non-finite mean, so the means are
+    the finiteness check), argmin and argmax, and the values there; only
+    the ProbeReports are made one by one.  Each member's max |R_ijkl| is
+    the scale its build kept.  The reports equal those of probing each
+    tensor alone.  Raises
     ValueError on an empty stack or mixed dimensions, and as cic_probe
     does for a member, whose index the message names when the stack has
     more than one.
@@ -523,9 +561,7 @@ def cic_probes(
     if len(dims) > 1:
         raise ValueError(f"a probed stack needs one dimension, got dimensions {dims}")
     n = dims[0]
-    # max |R_ijkl| = max_{i != j} |K_ij| for a tensor of sectional form
-    scales = [float(np.abs(t.comp if t.sectional_matrix is None else t.sectional_matrix).max())
-              for t in tensors]
+    scales = [t._scale for t in tensors]  # max |R_ijkl|, kept from each tensor's build
     tiny = np.finfo(float).tiny
     for j, scale in enumerate(scales):
         if 0.0 < scale < tiny:
@@ -538,7 +574,7 @@ def cic_probes(
         with np.errstate(over="ignore", invalid="ignore"):
             rows = _isotropic_batch(tensors[lo : lo + size], frames).T
             means = rows.mean(axis=1)
-        finite = np.isfinite(rows).all(axis=1) & np.isfinite(means)
+        finite = np.isfinite(means)  # a non-finite value makes its row's sum, so its mean, non-finite
         if not finite.all():
             j = lo + int(finite.argmin())  # the first member that overflows
             raise ValueError(

@@ -257,17 +257,17 @@ class FirstFailure:
 def ode_residual(f: ProfileFamily, C: float, delta: int, s, h: float):
     """|central difference of x*x' minus (delta - (C/2)*x^2)| at s, step h.
 
-    s is a float or an array.  O(h^2) small when (C, delta) match the
-    family; order one otherwise.
+    s is a float (giving a float) or an array.  The family is evaluated
+    once, on the stacked points (s - h, s, s + h).  O(h^2) small when
+    (C, delta) match the family; order one otherwise.
     """
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
-    x_lo, v_lo, _ = f.eval(s - h)
-    x_hi, v_hi, _ = f.eval(s + h)
-    x_mid, _, _ = f.eval(s)
+    (x_lo, x_mid, x_hi), (v_lo, _, v_hi), _ = f.eval(np.array((s - h, s, s + h)))
     lhs = (x_hi * v_hi - x_lo * v_lo) / (2.0 * h)
     rhs = delta - 0.5 * C * x_mid * x_mid
-    return abs(lhs - rhs)
+    residual = abs(lhs - rhs)
+    return float(residual) if np.ndim(s) == 0 else residual
 
 
 def _evaluate(f: ProfileFamily, ambient: AmbientSpec, s: np.ndarray, window: tuple[float, float]):

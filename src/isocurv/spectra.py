@@ -13,7 +13,11 @@ import math
 
 
 def cic_from_spectrum(c: float, lam: float, mu: float) -> float:
-    """Isotropic constant 4c + 2(lambda^2 + lambda*mu) of the spectrum (lambda, ..., lambda, mu)."""
+    """Isotropic constant 4c + 2(lambda^2 + lambda*mu) of the spectrum (lambda, ..., lambda, mu).
+
+    Elementwise on numpy arrays, with the same value for each element as
+    for its floats alone.
+    """
     return 4.0 * c + 2.0 * (lam * lam + lam * mu)
 
 

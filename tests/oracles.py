@@ -9,12 +9,21 @@ the pair-matrix gemm that `curvature._isotropic_batch` uses.
 against the component-major sampler `curvature._orthonormalize`, and
 `sectional_components` fills the n^4 components of a sectional matrix K
 eagerly, as the builders did before they built them on first read.
+`gauss_suite_per_spectrum` and `profile_ode_per_family` are the
+gauss-frame-identity and profile-ode suites as one loop over their
+members, each judged as it is drawn, against the suites' whole-array
+judgements; `suite_outcome` runs a suite as run_all reports it.  They call
+the library through its modules, so a test's monkeypatch reaches them too.
 """
 
 import math
 
 import numpy as np
 
+from isocurv import checks
+from isocurv import curvature as cv
+from isocurv import profiles as pf
+from isocurv import spectra as sp
 from isocurv.curvature import REDRAW_RESIDUAL
 from isocurv.profiles import AmbientSpec, DomainBreakdown
 
@@ -92,3 +101,60 @@ def sectional_components(kmat: np.ndarray) -> np.ndarray:
     comp[i, j, j, i] = k[i, j]
     comp[i, j, i, j] = -k[i, j]
     return comp
+
+
+def suite_outcome(suite, config) -> tuple[bool, str]:
+    """(passed, detail) of a check suite, as checks.run_all reports it."""
+    try:
+        return True, suite(config)
+    except AssertionError as exc:
+        return False, str(exc)
+
+
+# The loops raise AssertionError themselves, as a failed assert in the
+# library does: an assert in a module pytest rewrites would extend its message.
+
+
+def gauss_suite_per_spectrum(config) -> str:
+    """check_gauss_frame_identity one spectrum at a time."""
+    rng = np.random.default_rng(config.seed)
+    draws = [rng.uniform(-2.0, 2.0, size=3) for _ in range(200)]
+    tensors = [cv.build_from_shape(c, (lam, lam, lam, mu)) for c, lam, mu in draws]
+    worst = 0.0
+    for (c, lam, mu), report in zip(draws, cv.cic_probes(tensors, count=500, seed=config.seed)):
+        expected = sp.cic_from_spectrum(c, lam, mu)
+        err = max(abs(report.min - expected), abs(report.max - expected))
+        worst = max(worst, err)
+        if not err <= 1e-10:
+            raise AssertionError(f"(c={c}, lam={lam}, mu={mu}): error {err:.3e} > 1e-10")
+    return f"200 spectra x 500 frames, worst deviation {worst:.1e}"
+
+
+def profile_ode_per_family(config) -> str:
+    """check_profile_ode one family at a time, u evaluated at s, s + h and s - h apart."""
+    rng = np.random.default_rng(config.seed)
+    h = 1e-4
+    worst_resid = worst_lin = worst_diff = 0.0
+    for _ in range(50):
+        fam = checks._random_valid_family(rng)
+        s = rng.uniform(-2.0, 2.0, size=100)
+        C, delta = fam.ode_constant, fam.ode_delta
+        u, up, upp = fam.u(s)
+        terms = np.maximum(np.maximum(np.abs(upp), abs(2.0 * delta)), np.abs(C * u))
+        lin = np.abs(upp - (2.0 * delta - C * u)) / terms
+        i = int(np.argmax(lin))
+        worst_lin = max(worst_lin, float(lin[i]))
+        if not lin[i] <= 1e-14:
+            raise AssertionError(f"{fam!r}: u'' - (2*delta - C*u) is {lin[i]:.3e} of its terms at s={s[i]}")
+        diff = np.abs((fam.u(s + h)[0] - fam.u(s - h)[0]) / (2.0 * h) - up)
+        i = int(np.argmax(diff))
+        rel = float(diff[i]) / max(np.max(np.abs(up)), np.max(u))
+        worst_diff = max(worst_diff, rel)
+        if not rel <= 1e-6:
+            raise AssertionError(f"{fam!r}: u' is off the central difference of u by {rel:.3e} at s={s[i]}")
+        resid = pf.ode_residual(fam, C, delta, s, h)
+        i = int(np.argmax(resid))
+        worst_resid = max(worst_resid, float(resid[i]))
+        if not resid[i] <= 1e-6:
+            raise AssertionError(f"{fam!r}: residual {resid[i]:.3e} > 1e-6 at s={s[i]}")
+    return f"worst residual {worst_resid:.1e}, linear {worst_lin:.1e}, u' vs central difference {worst_diff:.1e}"

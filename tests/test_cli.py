@@ -609,10 +609,11 @@ def test_check_stdout_is_deterministic(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("seed", [1, 7, 42, 123])
+@pytest.mark.parametrize("seed", [1, 7, 42, 123, 101, 2027])
 def test_check_stdout_matches_the_record(capsys, seed):
     """Every figure `check` prints, byte for byte, against tests/data; a moved
-    figure fails here, where two runs of the same tree would still agree."""
+    figure fails here, where two runs of the same tree would still agree.
+    101 and 2027 are the seeds the benchmark's runs use."""
     code, out, _ = run_cli(capsys, "check", "--seed", str(seed))
     assert code == 0
     assert out == (DATA / f"check_stdout_seed{seed}.txt").read_text()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isocurv import checks, spectra
 from isocurv import curvature as cv
 from isocurv.curvature import (
     CurvatureTensor,
@@ -28,7 +29,14 @@ from isocurv.curvature import (
     tensor_from_json,
     tensor_to_json,
 )
-from oracles import frame_array, isotropic_component, orthonormalize, sectional_components
+from oracles import (
+    frame_array,
+    gauss_suite_per_spectrum,
+    isotropic_component,
+    orthonormalize,
+    sectional_components,
+    suite_outcome,
+)
 
 
 def sphere_line(sphere_dim=3, curvature=1.0):
@@ -195,6 +203,91 @@ def test_build_from_shape_rejects_short_spectrum():
         build_from_shape(0.0, (1.0, 1.0, 1.0))
 
 
+def gauss_sectional(c, lams):
+    """K = c + lambda_i * lambda_j with a zero diagonal, one spectrum at a time."""
+    k = c + np.outer(lams, lams)
+    np.fill_diagonal(k, 0.0)
+    return k
+
+
+@pytest.mark.parametrize("n,total", [(4, 1), (5, 7), (8, 30)])
+def test_a_stacked_build_is_its_rows_built_alone(n, total):
+    """Each row's read-only sectional matrix has the bytes of building the
+    row alone and of the one-spectrum formula."""
+    rng = np.random.default_rng(n * total)
+    cs, lams = rng.uniform(-2.0, 2.0, total), rng.uniform(-2.0, 2.0, (total, n))
+    stack = cv.build_from_shapes(cs, lams)
+    assert len(stack) == total and all(t.dim == n for t in stack)
+    for c, row, t in zip(cs, lams, stack):
+        k = t.sectional_matrix
+        assert k.tobytes() == build_from_shape(c, row).sectional_matrix.tobytes()
+        assert k.tobytes() == gauss_sectional(c, row).tobytes()
+        assert not k.flags.writeable
+        with pytest.raises(ValueError):
+            k.setflags(write=True)
+
+
+@pytest.mark.parametrize(
+    "cs,lams,message",
+    [
+        ([0.0, 0.5, math.nan, -1.0], [[1.0] * 4] * 4, "^tensor 2 of 4: sectional curvatures must be finite, got nan$"),
+        ([0.0, 0.5, 1.0], [[1.0] * 4, [1.0, 1.0, 1.0, math.inf], [math.nan] * 4],
+         "^tensor 1 of 3: sectional curvatures must be finite, got inf$"),
+        # only the diagonal c + lambda_0^2 overflows; it does not enter, but it is not finite
+        ([0.3, 0.0], [[1.0] * 4, [1e200, 1e-200, 1.0, 1.0]], "^tensor 1 of 2: sectional curvatures must be finite, got inf$"),
+        ([math.nan], [[1.0] * 4], "^sectional curvatures must be finite, got nan$"),
+        ([0.0, 0.0], [[1.0] * 3] * 2, "^need at least 4 principal curvatures, got 3$"),
+        ([0.0], [[1.0] * 4] * 2, r"need T curvatures and a \(T, n\) stack of spectra, got shapes \(1,\) and \(2, 4\)"),
+        ([0.0], [1.0] * 4, r"got shapes \(1,\) and \(4,\)"),
+    ],
+)
+def test_a_stacked_build_names_its_first_bad_member(cs, lams, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        cv.build_from_shapes(cs, lams)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: build_from_shape(math.nan, (1.0, 1.0, 1.0, 1.0)), "sectional curvatures must be finite, got nan"),
+        (lambda: build_from_shape(0.0, (1e200, 1e-200, 1.0, 1.0)), "sectional curvatures must be finite, got inf"),
+        (lambda: build_from_shape(0.0, (1.0, 1.0, 1.0)), "need at least 4 principal curvatures, got 3"),
+        (lambda: build_constant_curvature(4, math.inf), "sectional curvatures must be finite, got inf"),
+        (lambda: cv._from_sectional(np.ones((1, 4, 4)) + np.eye(4, k=1)),
+         "sectional matrix must be square and symmetric, got shape (4, 4)"),
+        (lambda: cv._from_sectional([np.ones((4, 4)), np.ones((4, 4)) + np.eye(4, k=1)]),
+         "tensor 1 of 2: sectional matrix must be square and symmetric, got shape (4, 4)"),
+    ],
+)
+def test_one_tensor_build_errors_name_no_stack_member(build, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@st.composite
+def spectrum_stacks(draw):
+    """(cs, lambdas, count, seed): up to two chunks of spectra at scales 1e-150 to 1e150."""
+    n = draw(st.sampled_from([4, 5, 8]))
+    count = draw(st.sampled_from([50, 200, 500]))
+    size = max(1, cv.STACK_GEMM_DOUBLES // (3 * count * n))
+    total = draw(st.integers(1, min(2 * size + 1, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e150]) | st.floats(-5.0, 5.0).map(lambda e: 10.0**e))
+    lams = scale * rng.uniform(-2.0, 2.0, (total, n))
+    cs = scale * scale * rng.uniform(-2.0, 2.0, total)
+    return cs, lams, count, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=spectrum_stacks())
+def test_a_stacked_build_probes_as_one_build_per_member(case):
+    cs, lams, count, seed = case
+    assert cv.cic_probes(cv.build_from_shapes(cs, lams), count, seed) == [
+        cic_probe(build_from_shape(c, row), count, seed) for c, row in zip(cs, lams)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # sectional / isotropic evaluation
 
@@ -256,7 +349,7 @@ def test_sectional_from_k_matches_the_dense_path(n):
     rng = np.random.default_rng(n)
     k = rng.standard_normal((n, n))
     k = k + k.T + np.diag(rng.uniform(1.0, 5.0, n))
-    t = cv._from_sectional(k)
+    (t,) = cv._from_sectional(k[None])
     dense = CurvatureTensor(n, t.comp)
     assert dense.sectional_matrix is None
     for x, y in rng.standard_normal((100, 2, n)):
@@ -357,7 +450,7 @@ def test_sectional_path_matches_the_dense_path(n, seed, size):
     rng = np.random.default_rng(seed)
     k = size * rng.standard_normal((n, n))
     k = k + k.T + np.diag(size * rng.uniform(1.0, 5.0, n))
-    t = cv._from_sectional(k)
+    (t,) = cv._from_sectional(k[None])
     assert np.all(np.diag(t.sectional_matrix) == 0.0) and not t.sectional_matrix.flags.writeable
     dense = CurvatureTensor(n, t.comp)
     assert dense.sectional_matrix is None
@@ -365,7 +458,7 @@ def test_sectional_path_matches_the_dense_path(n, seed, size):
     got = _isotropic_batch([t], frames)
     assert np.max(np.abs(got - _isotropic_batch([dense], frames))) <= 1e-12 * float(np.max(np.abs(k)))
     off_diagonal = k * (1.0 - np.eye(n))
-    assert np.array_equal(got, _isotropic_batch([cv._from_sectional(off_diagonal)], frames))
+    assert np.array_equal(got, _isotropic_batch(cv._from_sectional(off_diagonal[None]), frames))
 
 
 def test_built_tensors_skip_the_pair_matrix(monkeypatch):
@@ -382,7 +475,7 @@ def test_from_sectional_rejects_an_asymmetric_matrix():
     k = np.ones((4, 4))
     k[0, 1] = 2.0
     with pytest.raises(ValueError, match="symmetric"):
-        cv._from_sectional(k)
+        cv._from_sectional(k[None])
 
 
 def test_sectional_matrix_is_never_given_by_hand():
@@ -935,6 +1028,49 @@ def test_the_gauss_suite_stack_probes_in_little_memory():
     reports, peak = traced_peak(lambda: cv.cic_probes(stack, count=500, seed=42))
     assert len(reports) == 200 and all(r.samples == 500 for r in reports)
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("seed", [0, 3, 999])
+def test_the_gauss_suite_reads_as_one_spectrum_at_a_time(seed):
+    config = checks.RunConfig(seed=seed)
+    assert suite_outcome(checks.check_gauss_frame_identity, config) == (True, gauss_suite_per_spectrum(config))
+
+
+def _shift_expected(monkeypatch, members, by):
+    """Add `by` to cic_from_spectrum at the draws of the given suite members
+    (seed 42), for arrays and for one spectrum alone."""
+    draws = np.random.default_rng(42).uniform(-2.0, 2.0, size=(200, 3))
+    marked = draws[members, 0]
+    closed = spectra.cic_from_spectrum
+
+    def shifted(c, lam, mu):
+        value = np.where(np.isin(c, marked), closed(c, lam, mu) + by, closed(c, lam, mu))
+        return value if np.ndim(value) else float(value)
+
+    monkeypatch.setattr(spectra, "cic_from_spectrum", shifted)
+    return draws
+
+
+@pytest.mark.parametrize("members", [[0], [37, 150], [150, 199]])
+def test_the_gauss_suite_names_its_first_bad_member(monkeypatch, members):
+    """A member whose expected value is off by 1e-6 fails the suite with the
+    message of the per-spectrum loop, naming the first such member drawn."""
+    draws = _shift_expected(monkeypatch, members, 1e-6)
+    config = checks.RunConfig(seed=42)
+    passed, detail = suite_outcome(checks.check_gauss_frame_identity, config)
+    assert not passed and (passed, detail) == suite_outcome(gauss_suite_per_spectrum, config)
+    c, lam, mu = draws[members[0]]
+    assert detail.startswith(f"(c={c}, lam={lam}, mu={mu}): error 1.000e-06 > 1e-10")
+
+
+def test_a_nan_error_fails_the_gauss_suite(monkeypatch):
+    """A NaN error is not <= 1e-10: it fails, as in the per-spectrum loop."""
+    draws = _shift_expected(monkeypatch, [64], math.nan)
+    config = checks.RunConfig(seed=42)
+    passed, detail = suite_outcome(checks.check_gauss_frame_identity, config)
+    assert not passed and (passed, detail) == suite_outcome(gauss_suite_per_spectrum, config)
+    c, lam, mu = draws[64]
+    assert detail == f"(c={c}, lam={lam}, mu={mu}): error nan > 1e-10"
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])

@@ -2,6 +2,7 @@ import functools
 import gc
 import io
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocurv import checks
+from isocurv import profiles as pf
 from isocurv.profiles import (
     BLOCK,
     AmbientSpec,
@@ -25,7 +27,7 @@ from isocurv.profiles import (
     profile_columns,
     write_profile_csv,
 )
-from oracles import principal_curvatures
+from oracles import principal_curvatures, profile_ode_per_family, suite_outcome
 
 FLAT = AmbientSpec(c=0.0, delta=1)
 
@@ -253,6 +255,43 @@ def test_profile_ode_catches_a_u_second_without_its_2_delta(monkeypatch, family)
         checks.check_profile_ode(checks.RunConfig())
 
 
+@pytest.mark.parametrize("seed", [0, 3, 999])
+def test_profile_ode_reads_as_the_per_family_loop(seed):
+    config = checks.RunConfig(seed=seed)
+    assert suite_outcome(checks.check_profile_ode, config) == (True, profile_ode_per_family(config))
+
+
+def _scale_residual(monkeypatch, family, by):
+    """Multiply ode_residual by `by` for the members of one family."""
+    closed = pf.ode_residual
+    monkeypatch.setattr(pf, "ode_residual", lambda f, *args: closed(f, *args) * (by if isinstance(f, family) else 1.0))
+
+
+MUTATIONS = {
+    "u''": (lambda mp, family: _mutate_u(mp, family, lambda self, u, up, upp: (u, up, upp - 2.0 * self.ode_delta)),
+            r"u'' - \(2\*delta - C\*u\) is"),
+    "u'": (lambda mp, family: _mutate_u(mp, family, lambda self, u, up, upp: (u, 1.001 * up, upp)),
+           r"u' is off the central difference of u by"),
+    "residual": (lambda mp, family: _scale_residual(mp, family, 1e6), r"residual .* > 1e-6"),
+    "nan residual": (lambda mp, family: _scale_residual(mp, family, math.nan), r"residual nan > 1e-6"),
+}
+
+
+@pytest.mark.parametrize("seed", [42, 2027])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_a_mutated_family_fails_profile_ode_as_the_per_family_loop_did(monkeypatch, mutation, family, seed):
+    """The stacked judgement raises the per-family loop's message: the
+    first family of the mutated kind in draw order, the quantity checked
+    first, the same value and the same s."""
+    mutate, quantity = MUTATIONS[mutation]
+    mutate(monkeypatch, family)
+    config = checks.RunConfig(seed=seed)
+    passed, detail = suite_outcome(checks.check_profile_ode, config)
+    assert not passed and (passed, detail) == suite_outcome(profile_ode_per_family, config)
+    assert detail.startswith(f"{family.__name__}(") and re.search(quantity, detail)
+
+
 @pytest.mark.parametrize("fam,C,delta", FAMILY_GRID)
 def test_square_substitution_is_linear(fam, C, delta):
     """u = x^2 obeys u'' = 2*delta - C*u, checked by differencing 2*x*x'."""
@@ -472,7 +511,9 @@ def test_ode_residual_accepts_arrays():
     s = np.array([-1.0, 0.25, 1.0])
     got = ode_residual(fam, 2.0, 1, s, 1e-4)
     assert got.shape == (3,)
-    assert list(got) == [ode_residual(fam, 2.0, 1, float(v), 1e-4) for v in s]
+    alone = [ode_residual(fam, 2.0, 1, float(v), 1e-4) for v in s]
+    assert list(got) == alone and all(type(v) is float for v in alone)
+    assert type(ode_residual(fam, 2.0, 1, s[1], 1e-4)) is float  # a numpy scalar s too
 
 
 def test_samples_are_python_floats_on_the_exact_grid():
