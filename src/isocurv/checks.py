@@ -33,7 +33,7 @@ class RunConfig:
     builds (cv.build_from_shapes) and probes them as one stack, and
     product-family probes its four n = 4 constant products as one stack
     (cv.cic_probes), with the reports of one probe per tensor.
-    profile-ode judges its 50 families together after drawing them.
+    profile-ode evaluates its 50 families once each and judges them together.
     """
 
     seed: int = cv.DEFAULT_SEED
@@ -188,41 +188,35 @@ def check_profile_ode(config: RunConfig) -> str:
     nonlinear equation (x*x')' = delta - (C/2)*x^2.  So the closed form is
     the solution of the initial-value problem at its own (u(0), u'(0)).
     Each family's u is evaluated once, on the stacked grid (s - h, s, s + h);
-    the three judgements then run over the (50, 100) arrays of all families
-    and raise the first failure in draw order, each family's checked in the
-    order above.
+    the three judgements, `ode_residual`'s included, then run once over the
+    (50, 100) arrays of all families and raise the first failure in draw
+    order, each family's checked in the order above.
     """
     rng = np.random.default_rng(config.seed)
     h = 1e-4
     fams = []
     s = np.empty((50, 100))
-    u, up, upp = np.empty((3, 50, 3, 100))  # per family, at s - h, s and s + h
-    resid = np.empty((50, 100))
+    us = np.empty((3, 3, 50, 100))  # (u, u', u'') at s - h, s and s + h, per family
     for r in range(50):
-        fam = _random_valid_family(rng)
+        fams.append(_random_valid_family(rng))
         s[r] = rng.uniform(-2.0, 2.0, size=100)
-        u[r], up[r], upp[r] = fam.u(np.array((s[r] - h, s[r], s[r] + h)))
-        resid[r] = pf.ode_residual(fam, fam.ode_constant, fam.ode_delta, s[r], h)
-        fams.append(fam)
-    C = np.array([fam.ode_constant for fam in fams])[:, None]
-    delta = np.array([fam.ode_delta for fam in fams], dtype=float)[:, None]
-    rows = np.arange(50)
-    u0, up0, upp0 = u[:, 1], up[:, 1], upp[:, 1]
+        us[:, :, r] = fams[r].u(np.array((s[r] - h, s[r], s[r] + h)))
+    C, delta = np.array([(fam.ode_constant, fam.ode_delta) for fam in fams]).T[:, :, None]
+    (u_lo, u0, u_hi), (_, up0, _), (_, upp0, _) = us
     terms = np.maximum(np.maximum(np.abs(upp0), np.abs(2.0 * delta)), np.abs(C * u0))
     lin = np.abs(upp0 - (2.0 * delta - C * u0)) / terms
-    i_lin = lin.argmax(axis=1)
-    lin = lin[rows, i_lin]
-    diff = np.abs((u[:, 2] - u[:, 0]) / (2.0 * h) - up0)
-    i_diff = diff.argmax(axis=1)
+    diff = np.abs((u_hi - u_lo) / (2.0 * h) - up0)
+    resid = pf.ode_residual(C, delta, us, h)
+    lin_top, resid_top = lin.max(axis=1), resid.max(axis=1)  # per family, NaN-propagating
     top_up, top_u = np.abs(up0).max(axis=1), u0.max(axis=1)
-    rel = diff[rows, i_diff] / np.where(top_u > top_up, top_u, top_up)  # max(top_up, top_u), NaN too
-    i_resid = resid.argmax(axis=1)
-    resid = resid[rows, i_resid]
-    for r in np.flatnonzero(~((lin <= 1e-14) & (rel <= 1e-6) & (resid <= 1e-6)))[:1]:  # NaN fails
-        fam = fams[r]
-        assert lin[r] <= 1e-14, f"{fam!r}: u'' - (2*delta - C*u) is {lin[r]:.3e} of its terms at s={s[r, i_lin[r]]}"
-        assert rel[r] <= 1e-6, f"{fam!r}: u' is off the central difference of u by {rel[r]:.3e} at s={s[r, i_diff[r]]}"
-        assert resid[r] <= 1e-6, f"{fam!r}: residual {resid[r]:.3e} > 1e-6 at s={s[r, i_resid[r]]}"
+    rel = diff.max(axis=1) / np.where(top_u > top_up, top_u, top_up)  # max(top_up, top_u), NaN too
+    for r in np.flatnonzero(~((lin_top <= 1e-14) & (rel <= 1e-6) & (resid_top <= 1e-6)))[:1]:  # NaN fails
+        fam, at = fams[r], s[r]
+        assert lin_top[r] <= 1e-14, (
+            f"{fam!r}: u'' - (2*delta - C*u) is {lin_top[r]:.3e} of its terms at s={at[lin[r].argmax()]}"
+        )
+        assert rel[r] <= 1e-6, f"{fam!r}: u' is off the central difference of u by {rel[r]:.3e} at s={at[diff[r].argmax()]}"
+        assert resid_top[r] <= 1e-6, f"{fam!r}: residual {resid_top[r]:.3e} > 1e-6 at s={at[resid[r].argmax()]}"
     return f"worst residual {resid.max():.1e}, linear {lin.max():.1e}, u' vs central difference {rel.max():.1e}"
 
 

@@ -27,10 +27,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Union
 
 from .profiles import (
+    DEFAULT_GRID,
     FAMILIES,
     AmbientSpec,
     ExponentialProfile,
@@ -58,6 +59,12 @@ def _is_exact(v) -> bool:
     return isinstance(v, Rational) and not isinstance(v, bool)
 
 
+def _check_dimension(n) -> None:
+    """Reject an n that is not an integer (a bool is not one) of at least 4."""
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 4:
+        raise ValueError(f"classification needs an integer n >= 4, got n = {n!r}")
+
+
 def _boundary_tol(c, C) -> float:
     """Float boundary tolerance at the scale of (c, C)."""
     return BOUNDARY_TOL * max(abs(float(c)), abs(float(C)))
@@ -76,16 +83,15 @@ def _cmp(lhs, rhs, tol: float) -> int:
 
 @dataclass(frozen=True)
 class ClassQuery:
-    """Classification input: hypersurface dimension n, ambient curvature c,
-    isotropic constant C; c and C must be finite."""
+    """Classification input: hypersurface dimension n, an integer >= 4, ambient
+    curvature c and isotropic constant C, both finite."""
 
     n: int
     c: Number
     C: Number
 
     def __post_init__(self):
-        if self.n < 4:
-            raise ValueError(f"classification needs n >= 4, got {self.n}")
+        _check_dimension(self.n)
         for name in ("c", "C"):
             value = getattr(self, name)
             try:
@@ -325,10 +331,9 @@ def minimal_classify(n: int, c: Number, C: Number) -> MinimalVerdict:
     n = 4, c > 0 with C = 8c/3: the Clifford product of a 3-sphere and a
     circle, of constant profile sqrt(3/(4c)), the alpha = 0 trig member.
     8c/3 is matched as 4c is: exactly for exact inputs, else within
-    BOUNDARY_TOL * max(|c|, |C|).
+    BOUNDARY_TOL * max(|c|, |C|).  n is checked as ClassQuery checks it.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    _check_dimension(n)
     if _side_of_4c(c, C) == 0:
         return MinimalVerdict(MinimalKind.TOTALLY_GEODESIC, lam=0.0, mu=0.0)
     if n == 4 and c > 0 and _cmp(C, Fraction(8, 3) * c, _boundary_tol(c, C)) == 0:
@@ -345,7 +350,7 @@ def witness(outcome: ClassificationOutcome, q: ClassQuery) -> ProfileFamily | st
 
 
 def nonexistence_witness(
-    q: ClassQuery, s_max: float | None = None, grid_n: int = 2001
+    q: ClassQuery, s_max: float | None = None, grid_n: int = DEFAULT_GRID
 ) -> NonexistenceEvidence:
     """Exhibit the obstruction of an Empty query: the domain failure of the
     candidate profile `classify` attached, scanning s in [0, s_max].

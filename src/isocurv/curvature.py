@@ -340,12 +340,14 @@ def sectional(t: CurvatureTensor, x: Sequence[float], y: Sequence[float]) -> flo
 
     x and y are first divided by their largest |component|, so no square
     overflows or underflows and scaling either does not change the answer
-    at any finite size.  Rejects a zero or non-finite vector and
-    (numerically) dependent spans: sin^2 of their angle must exceed 1e-14.
+    at any finite size.  Rejects an x or y not of shape (t.dim,), zero or
+    not finite, and dependent spans: sin^2 of their angle must exceed 1e-14.
     A tensor with a sectional matrix K takes R(x, y, y, x) =
     (x*x).K.(y*y) - (x*y).K.(x*y) in O(n^2); any other is contracted densely.
     """
     xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not xv.shape == yv.shape == (t.dim,):
+        raise ValueError(f"x and y must have shape (t.dim,) = ({t.dim},), got {xv.shape} and {yv.shape}")
     tops = (float(np.max(np.abs(xv))), float(np.max(np.abs(yv))))
     if not all(0.0 < top < math.inf for top in tops):
         raise ValueError(f"degenerate plane: max |component| of x and y is {tops}")

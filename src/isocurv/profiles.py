@@ -9,7 +9,7 @@ derives x = sqrt(u), x' = u'/(2x) and x'' = (u'' - 2x'^2)/(2x).  A family
 is accepted when its fields are finite and u_min > 0.
 `integrate_profile` solves the linear equation from initial data by RK4,
 one exact affine step map applied step by step; the `check` suites verify
-the closed forms without it, against the equation itself.
+the closed forms without it, by `ode_residual` on their evaluated u.
 Principal curvatures of the hypersurface in an ambient space form of
 curvature c are
 
@@ -254,20 +254,18 @@ class FirstFailure:
     reason: str
 
 
-def ode_residual(f: ProfileFamily, C: float, delta: int, s, h: float):
+def ode_residual(C, delta, us, h: float):
     """|central difference of x*x' minus (delta - (C/2)*x^2)| at s, step h.
 
-    s is a float (giving a float) or an array.  The family is evaluated
-    once, on the stacked points (s - h, s, s + h).  O(h^2) small when
-    (C, delta) match the family; order one otherwise.
+    us is a family's u(np.array((s - h, s, s + h))), its (u, u', u'') at
+    the three stacked points; C and delta broadcast against s.  O(h^2)
+    small when (C, delta) match the family; order one otherwise.
     """
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
-    (x_lo, x_mid, x_hi), (v_lo, _, v_hi), _ = f.eval(np.array((s - h, s, s + h)))
+    (x_lo, x_mid, x_hi), (v_lo, _, v_hi), _ = _sqrt_chain(*us)
     lhs = (x_hi * v_hi - x_lo * v_lo) / (2.0 * h)
-    rhs = delta - 0.5 * C * x_mid * x_mid
-    residual = abs(lhs - rhs)
-    return float(residual) if np.ndim(s) == 0 else residual
+    return np.abs(lhs - (delta - 0.5 * C * x_mid * x_mid))
 
 
 def _evaluate(f: ProfileFamily, ambient: AmbientSpec, s: np.ndarray, window: tuple[float, float]):

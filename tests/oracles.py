@@ -131,7 +131,9 @@ def gauss_suite_per_spectrum(config) -> str:
 
 
 def profile_ode_per_family(config) -> str:
-    """check_profile_ode one family at a time, u evaluated at s, s + h and s - h apart."""
+    """check_profile_ode one family at a time: u evaluated at s, s + h and s - h
+    apart for the linear and difference judgements, and on the stacked
+    (s - h, s, s + h) for the residual."""
     rng = np.random.default_rng(config.seed)
     h = 1e-4
     worst_resid = worst_lin = worst_diff = 0.0
@@ -152,7 +154,7 @@ def profile_ode_per_family(config) -> str:
         worst_diff = max(worst_diff, rel)
         if not rel <= 1e-6:
             raise AssertionError(f"{fam!r}: u' is off the central difference of u by {rel:.3e} at s={s[i]}")
-        resid = pf.ode_residual(fam, C, delta, s, h)
+        resid = pf.ode_residual(C, delta, fam.u(np.array((s - h, s, s + h))), h)
         i = int(np.argmax(resid))
         worst_resid = max(worst_resid, float(resid[i]))
         if not resid[i] <= 1e-6:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -112,6 +113,22 @@ def test_hyperbolic_ambient_branches():
 def test_query_validation():
     with pytest.raises(ValueError):
         ClassQuery(3, 1, 1)
+
+
+@pytest.mark.parametrize("n", [4.5, 5.0, 4.0, Fraction(4), True, "4"])
+def test_a_non_integer_n_is_rejected(n):
+    """A dimension is an integer: a float n, a whole one too, a Fraction, a
+    bool or a string is rejected with a message naming it, by ClassQuery
+    and by minimal_classify alike."""
+    with pytest.raises(ValueError, match=f"integer n >= 4, got n = {re.escape(repr(n))}"):
+        ClassQuery(n, 1, 3)
+    with pytest.raises(ValueError, match=f"integer n >= 4, got n = {re.escape(repr(n))}"):
+        minimal_classify(n, 1, Fraction(8, 3))
+
+
+def test_a_numpy_integer_n_is_an_integer():
+    assert classify(ClassQuery(np.int64(4), 1, 3)) == classify(ClassQuery(4, 1, 3))
+    assert minimal_classify(np.int64(4), 1, Fraction(8, 3)).kind is MinimalKind.CLIFFORD
 
 
 def test_nan_ambient_curvature_is_rejected():

@@ -305,6 +305,22 @@ def test_sectional_rejects_a_zero_vector():
         sectional(t, np.zeros(4), np.eye(4)[1])
 
 
+@pytest.mark.parametrize("path", ["K", "dense"])
+@pytest.mark.parametrize("x,y", [
+    ([1, 0, 0, 0, 0], [0, 1, 0, 0, 0]),
+    ([1, 0, 0, 0], [0, 1, 0]),
+    ([[1, 0, 0, 0]], [[0, 1, 0, 0]]),
+    (1.0, 2.0),
+])
+def test_sectional_rejects_vectors_not_of_the_tensors_dimension(path, x, y):
+    t = build_constant_curvature(4, 1.0)
+    if path == "dense":
+        t = CurvatureTensor(4, t.comp)
+        assert t.sectional_matrix is None
+    with pytest.raises(ValueError, match=re.escape("x and y must have shape (t.dim,) = (4,)")):
+        sectional(t, x, y)
+
+
 @pytest.mark.parametrize("size", [1e-4, 1e-160, 5e-324, 1e160, 1e308])
 def test_sectional_of_an_orthogonal_plane_at_any_size(size):
     """The degeneracy test is on sin^2 of the angle, not on the Gram determinant,

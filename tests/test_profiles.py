@@ -204,22 +204,33 @@ def test_ambient_spec_validation():
 # the profile equation
 
 
+def residual(fam, C, delta, s, h=1e-4):
+    """ode_residual of fam's u evaluated on the stacked points (s - h, s, s + h)."""
+    return ode_residual(C, delta, fam.u(np.array((s - h, s, s + h))), h)
+
+
 def test_ode_residual_parabolic_is_exact():
     # x*x' = s exactly, so the central difference is exact too
     fam = ParabolicProfile(beta=1.0)
     for s in (-3.0, 0.0, 0.7, 5.0):
-        assert ode_residual(fam, 0.0, 1, s, 1e-4) <= 1e-11
+        assert residual(fam, 0.0, 1, s) <= 1e-11
 
 
 def test_ode_residual_closed_forms():
-    assert ode_residual(TrigProfile(C=2.0, alpha=0.5), 2.0, 1, 1.0, 1e-4) < 1e-6
-    assert ode_residual(ExponentialProfile(C=-1.0, A=1.0, B=1.0, delta=1), -1.0, 1, 2.0, 1e-4) < 1e-6
+    assert residual(TrigProfile(C=2.0, alpha=0.5), 2.0, 1, 1.0) < 1e-6
+    assert residual(ExponentialProfile(C=-1.0, A=1.0, B=1.0, delta=1), -1.0, 1, 2.0) < 1e-6
 
 
 def test_ode_residual_detects_wrong_constants():
     fam = TrigProfile(C=2.0, alpha=0.5)
-    assert ode_residual(fam, 3.0, 1, 1.0, 1e-4) > 1e-2
-    assert ode_residual(fam, 2.0, 0, 1.0, 1e-4) > 1e-2
+    assert residual(fam, 3.0, 1, 1.0) > 1e-2
+    assert residual(fam, 2.0, 0, 1.0) > 1e-2
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan])
+def test_ode_residual_rejects_a_non_positive_step(h):
+    with pytest.raises(ValueError, match="step must be positive"):
+        ode_residual(2.0, 1, TrigProfile(C=2.0, alpha=0.5).u(np.array((0.9, 1.0, 1.1))), h)
 
 
 @pytest.mark.parametrize("fam,C,delta", FAMILY_GRID)
@@ -229,7 +240,7 @@ def test_ode_residual_scales_with_h_squared(fam, C, delta):
     for s in rng.uniform(-3.0, 3.0, size=25):
         x = fam.eval(s)[0]
         scale = max(1.0, abs(C * C * x * x - 2.0 * C * delta))
-        assert ode_residual(fam, C, delta, float(s), h) <= 5.0 * h * h * scale
+        assert residual(fam, C, delta, float(s), h) <= 5.0 * h * h * scale
 
 
 FAMILIES = [TrigProfile, ParabolicProfile, ExponentialProfile, QuadraticProfile]
@@ -261,10 +272,25 @@ def test_profile_ode_reads_as_the_per_family_loop(seed):
     assert suite_outcome(checks.check_profile_ode, config) == (True, profile_ode_per_family(config))
 
 
-def _scale_residual(monkeypatch, family, by):
-    """Multiply ode_residual by `by` for the members of one family."""
-    closed = pf.ode_residual
-    monkeypatch.setattr(pf, "ode_residual", lambda f, *args: closed(f, *args) * (by if isinstance(f, family) else 1.0))
+def _scale_outer_slopes(monkeypatch, family, by):
+    """Multiply u' by `by` at the outer points of a stacked (s - h, s, s + h)
+    evaluation of one family's members, a (3, points) one: of the suite's
+    judgements only ode_residual reads those, and the 1-d evaluations of
+    the per-family loop's other judgements are left as they are."""
+    outer = np.array([[by], [1.0], [by]])
+    _mutate_u(monkeypatch, family, lambda self, u, up, upp: (u, up * outer if np.ndim(up) == 2 else up, upp))
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_profile_ode_evaluates_each_family_once(monkeypatch, seed):
+    """One u call per family per pass, 50 in all: the residual judges the
+    suite's own stacked evaluation and does not evaluate the family again."""
+    calls = []
+    for family in FAMILIES:
+        closed = family.u
+        monkeypatch.setattr(family, "u", lambda self, s, closed=closed: calls.append(id(self)) or closed(self, s))
+    checks.check_profile_ode(checks.RunConfig(seed=seed))
+    assert len(calls) == 50 and len(set(calls)) == 50
 
 
 MUTATIONS = {
@@ -272,8 +298,8 @@ MUTATIONS = {
             r"u'' - \(2\*delta - C\*u\) is"),
     "u'": (lambda mp, family: _mutate_u(mp, family, lambda self, u, up, upp: (u, 1.001 * up, upp)),
            r"u' is off the central difference of u by"),
-    "residual": (lambda mp, family: _scale_residual(mp, family, 1e6), r"residual .* > 1e-6"),
-    "nan residual": (lambda mp, family: _scale_residual(mp, family, math.nan), r"residual nan > 1e-6"),
+    "residual": (lambda mp, family: _scale_outer_slopes(mp, family, 1e6), r"residual .* > 1e-6"),
+    "nan residual": (lambda mp, family: _scale_outer_slopes(mp, family, math.nan), r"residual nan > 1e-6"),
 }
 
 
@@ -509,11 +535,24 @@ def test_array_eval_is_the_scalar_eval(fam, C, delta):
 def test_ode_residual_accepts_arrays():
     fam = TrigProfile(C=2.0, alpha=0.5)
     s = np.array([-1.0, 0.25, 1.0])
-    got = ode_residual(fam, 2.0, 1, s, 1e-4)
+    got = residual(fam, 2.0, 1, s)
     assert got.shape == (3,)
-    alone = [ode_residual(fam, 2.0, 1, float(v), 1e-4) for v in s]
-    assert list(got) == alone and all(type(v) is float for v in alone)
-    assert type(ode_residual(fam, 2.0, 1, s[1], 1e-4)) is float  # a numpy scalar s too
+    assert list(got) == [residual(fam, 2.0, 1, float(v)) for v in s]
+
+
+def test_ode_residual_on_a_stack_is_one_family_at_a_time():
+    """A (families, points) stack, C and delta as (families, 1) columns,
+    gives each family's residual bit for bit."""
+    h = 1e-4
+    rng = np.random.default_rng(5)
+    s = rng.uniform(-3.0, 3.0, size=(len(FAMILY_GRID), 40))
+    us = np.empty((3, 3, *s.shape))
+    for r, (fam, _, _) in enumerate(FAMILY_GRID):
+        us[:, :, r] = fam.u(np.array((s[r] - h, s[r], s[r] + h)))
+    C, delta = (np.array(col, dtype=float)[:, None] for col in list(zip(*FAMILY_GRID))[1:])
+    got = ode_residual(C, delta, us, h)
+    alone = np.array([residual(fam, c_r, d_r, s[r], h) for r, (fam, c_r, d_r) in enumerate(FAMILY_GRID)])
+    assert got.shape == s.shape and got.tobytes() == alone.tobytes()
 
 
 def test_samples_are_python_floats_on_the_exact_grid():
