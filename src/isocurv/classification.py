@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from numbers import Integral, Rational
+from numbers import Rational
 from typing import Union
 
 from .profiles import (
@@ -42,6 +42,7 @@ from .profiles import (
     TrigProfile,
     domain_check,
 )
+from .spectra import check_dimension
 
 Number = Union[int, float, Fraction]
 
@@ -57,12 +58,6 @@ ROTATION_FAMILY = "RotationFamily"
 
 def _is_exact(v) -> bool:
     return isinstance(v, Rational) and not isinstance(v, bool)
-
-
-def _check_dimension(n) -> None:
-    """Reject an n that is not an integer (a bool is not one) of at least 4."""
-    if not isinstance(n, Integral) or isinstance(n, bool) or n < 4:
-        raise ValueError(f"classification needs an integer n >= 4, got n = {n!r}")
 
 
 def _boundary_tol(c, C) -> float:
@@ -91,7 +86,7 @@ class ClassQuery:
     C: Number
 
     def __post_init__(self):
-        _check_dimension(self.n)
+        check_dimension(self.n)
         for name in ("c", "C"):
             value = getattr(self, name)
             try:
@@ -333,7 +328,7 @@ def minimal_classify(n: int, c: Number, C: Number) -> MinimalVerdict:
     8c/3 is matched as 4c is: exactly for exact inputs, else within
     BOUNDARY_TOL * max(|c|, |C|).  n is checked as ClassQuery checks it.
     """
-    _check_dimension(n)
+    check_dimension(n)
     if _side_of_4c(c, C) == 0:
         return MinimalVerdict(MinimalKind.TOTALLY_GEODESIC, lam=0.0, mu=0.0)
     if n == 4 and c > 0 and _cmp(C, Fraction(8, 3) * c, _boundary_tol(c, C)) == 0:

@@ -104,10 +104,15 @@ class AmbientSpec:
             raise ValueError(f"delta must be 1 when c >= 0, got delta={self.delta}")
 
 
+def _sqrt_pair(u, up):
+    """(x, x') for x = sqrt(u) given u and u'."""
+    x = np.sqrt(u)
+    return x, up / (2.0 * x)
+
+
 def _sqrt_chain(u, up, upp):
     """(x, x', x'') for x = sqrt(u) given u and its derivatives."""
-    x = np.sqrt(u)
-    xp = up / (2.0 * x)
+    x, xp = _sqrt_pair(u, up)
     return x, xp, (upp - 2.0 * xp * xp) / (2.0 * x)
 
 
@@ -263,7 +268,7 @@ def ode_residual(C, delta, us, h: float):
     """
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
-    (x_lo, x_mid, x_hi), (v_lo, _, v_hi), _ = _sqrt_chain(*us)
+    (x_lo, x_mid, x_hi), (v_lo, _, v_hi) = _sqrt_pair(us[0], us[1])
     lhs = (x_hi * v_hi - x_lo * v_lo) / (2.0 * h)
     return np.abs(lhs - (delta - 0.5 * C * x_mid * x_mid))
 

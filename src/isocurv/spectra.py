@@ -4,12 +4,20 @@ A hypersurface of constant isotropic curvature has at most two distinct
 principal curvatures, lambda of multiplicity at least n-1 and mu.  This
 module works on that (lambda, mu) pair: it evaluates the isotropic constant
 4c + 2(lambda^2 + lambda*mu) and solves for the pairs with given isotropic
-and mean curvature.  Branch decisions live in `classification`.
+and mean curvature.  `check_dimension` is the one check of n, shared by
+`classification`.  Branch decisions live in `classification`.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Integral
+
+
+def check_dimension(n) -> None:
+    """Reject a hypersurface dimension n that is not an integer (a bool is not one) of at least 4."""
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 4:
+        raise ValueError(f"need an integer n >= 4, got n = {n!r}")
 
 
 def cic_from_spectrum(c: float, lam: float, mu: float) -> float:
@@ -27,10 +35,10 @@ def cmc_lambda_solve(n: int, c: float, C: float, H: float) -> list[tuple[float, 
     Solves (2-n)*lambda^2 + H*lambda - (C-4c)/2 = 0 with the numerically
     stable quadratic formula and pairs each real root with
     mu = H - (n-1)*lambda.  Returns 0, 1 or 2 pairs, ascending in lambda;
-    every pair reproduces C through cic_from_spectrum to ~1e-12.
+    every pair reproduces C through cic_from_spectrum to ~1e-12.  n is
+    checked as ClassQuery checks it (check_dimension).
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    check_dimension(n)
     a = float(2 - n)
     b = float(H)
     c0 = -(C - 4.0 * c) / 2.0

@@ -39,6 +39,7 @@ from isocurv.profiles import (
     domain_check,
     profile_columns,
 )
+from isocurv.spectra import cmc_lambda_solve
 from oracles import principal_curvatures
 
 
@@ -115,19 +116,25 @@ def test_query_validation():
         ClassQuery(3, 1, 1)
 
 
-@pytest.mark.parametrize("n", [4.5, 5.0, 4.0, Fraction(4), True, "4"])
+@pytest.mark.parametrize("n", [4.5, 5.0, 4.0, Fraction(4), True, "4", Fraction(9, 2), 3])
 def test_a_non_integer_n_is_rejected(n):
-    """A dimension is an integer: a float n, a whole one too, a Fraction, a
-    bool or a string is rejected with a message naming it, by ClassQuery
-    and by minimal_classify alike."""
+    """A dimension is an integer of at least 4: a float n, a whole one too, a
+    Fraction, a bool, a string or 3 is rejected with a message naming it, by
+    ClassQuery, minimal_classify and cmc_lambda_solve alike (one
+    spectra.check_dimension; cmc_lambda_solve(4.5, ...) used to give two pairs)."""
     with pytest.raises(ValueError, match=f"integer n >= 4, got n = {re.escape(repr(n))}"):
         ClassQuery(n, 1, 3)
     with pytest.raises(ValueError, match=f"integer n >= 4, got n = {re.escape(repr(n))}"):
         minimal_classify(n, 1, Fraction(8, 3))
+    with pytest.raises(ValueError, match=f"integer n >= 4, got n = {re.escape(repr(n))}"):
+        cmc_lambda_solve(n, 1.0, 3.0, 0.0)
 
 
 def test_a_numpy_integer_n_is_an_integer():
     assert classify(ClassQuery(np.int64(4), 1, 3)) == classify(ClassQuery(4, 1, 3))
+    assert minimal_classify(np.int64(5), 1, 4) == minimal_classify(5, 1, 4)
+    assert cmc_lambda_solve(np.int64(5), 1.0, 3.0, 0.0) == cmc_lambda_solve(5, 1.0, 3.0, 0.0)
+    assert len(cmc_lambda_solve(np.int64(5), 1.0, 3.0, 0.0)) == 2
     assert minimal_classify(np.int64(4), 1, Fraction(8, 3)).kind is MinimalKind.CLIFFORD
 
 

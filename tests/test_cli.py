@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from isocurv import cli
 from isocurv import profiles as pf
 from isocurv.cli import main, parse_number, parse_product
 from isocurv.curvature import Factor
@@ -635,3 +638,86 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["is_constant"] is True
+
+
+# ---------------------------------------------------------------------------
+# the parser, built on the first main call and reused
+
+
+def run_fresh(*argv, columns=80):
+    """(exit code, stdout, stderr) of `python -m isocurv.cli argv` in a new process."""
+    env = {**os.environ, "COLUMNS": str(columns)}
+    proc = subprocess.run([sys.executable, "-m", "isocurv.cli", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_in_process(capsys, *argv):
+    """run_cli that also takes argparse's exits (usage errors, --help) as exit codes."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_later_main_calls_construct_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    counts = []
+    for argv in (["classify", "4", "1", "3"], ["probe", "--product", "R4"], ["probe"], ["check", "--tol", "1"],
+                 ["profile", "parabolic", "--beta", "1", "--c", "0", "--grid", "3"]):
+        run_in_process(capsys, *argv)
+        counts.append(len(built))
+    assert counts[0] > 0  # the first call builds the parser and its subparsers
+    assert counts == [counts[0]] * len(counts)
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import isocurv.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "0\n"
+
+
+SEQUENCE = (
+    ("probe",),
+    ("probe", "--product", "S3:1 x R1", "--seed", "-1"),
+    ("classify", "4", "1", "3", "--witness", "--window", "-5", "5"),
+    ("classify", "4", "1", "3", "--witness"),
+    ("probe", "--product", "S3:1 x R1", "--frames", "50", "--seed", "3"),
+)
+
+
+def test_a_sequence_of_calls_matches_fresh_processes(capsys, monkeypatch):
+    """No default, --window included, carries over from one call to the next:
+    each call's exit code, stdout and stderr are those of the command run alone."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = [run_in_process(capsys, *argv) for argv in SEQUENCE]
+    assert [code for code, _, _ in got] == [2, 2, 0, 0, 0]
+    for argv, result in zip(SEQUENCE, got):
+        assert result == run_fresh(*argv), argv
+
+
+@pytest.mark.parametrize("columns", [60, 100])
+def test_help_matches_a_fresh_process(capsys, monkeypatch, columns):
+    """Help is formatted at the width of its own call, not of the first one."""
+    monkeypatch.setenv("COLUMNS", str(columns))
+    for argv in (["--help"], ["probe", "--help"]):
+        fresh = run_fresh(*argv, columns=columns)
+        assert fresh[0] == 0 and fresh[1].startswith("usage: isocurv")
+        first = run_in_process(capsys, *argv)
+        run_in_process(capsys, "classify", "4", "1", "3", "--witness", "--window", "-5", "5")
+        run_in_process(capsys, "probe")
+        assert first == run_in_process(capsys, *argv) == fresh
