@@ -54,6 +54,7 @@ from .profiles import (
     cic_mean_deviation,
     domain_check,
     integrate_profile,
+    mean_deviation,
     ode_residual,
     profile_columns,
     write_profile_csv,

@@ -129,7 +129,7 @@ def check_flat_rotation_profile(config: RunConfig) -> str:
     for beta in (0.5, 1.0, 4.0):
         blocks = pf.profile_columns(pf.ParabolicProfile(beta=beta), ambient)
         s, _, _, _, lam, mu, cic = map(np.concatenate, zip(*blocks))
-        deviation = np.max(np.abs(cic - np.mean(cic)))
+        _, deviation = pf.mean_deviation([cic])
         expected = -math.sqrt(beta) / (s * s + beta)
         worst_lam = max(worst_lam, np.max(np.abs(lam - expected)), np.max(np.abs(mu + expected)))
         worst_cic = max(worst_cic, np.max(np.abs(cic)))

@@ -265,9 +265,12 @@ def _obstruction(n: int, c, C, c_sign: int, C_sign: int) -> ClassificationOutcom
             detail = "the profile slope reaches |x'| >= 1 at moderate |s|, violating unit speed"
         return _empty(reason, "unit-speed", detail, ExponentialProfile(C=Cf, A=1.0, B=1.0, delta=1))
     if C_sign == 0:
+        # c*x^2 + x'^2 = c*(s^2 + 1) + s^2/(s^2 + 1) reaches 1 where c*(s^2 + 1)^2 = 1
         detail = (
             _at_origin("candidate x = sqrt(s^2 + 1)", "c", cf) if c >= 1
-            else "c*x^2 = c*(s^2 + beta) exceeds 1 for large |s|, killing the curvature radicand"
+            else "candidate x = sqrt(s^2 + 1): c*x^2 + x'^2 reaches 1 where c*(s^2 + 1)^2 = 1, "
+            f"at |s| = sqrt(1/sqrt(c) - 1) = {math.sqrt(1.0 / math.sqrt(cf) - 1.0):.6f}, "
+            "killing the curvature radicand"
         )
         return _empty(reason, "unbounded-growth", detail, ParabolicProfile(beta=1.0))
     return _empty(

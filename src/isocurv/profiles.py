@@ -32,9 +32,12 @@ column blocks (s, x, x', x'', lambda, mu, cic) of up to BLOCK points,
 stopping at the first invalid point.  `domain_check` scans those blocks,
 `cic_mean_deviation` reads only their cic column in constant memory,
 `write_profile_csv` writes them as CSV rows, and `cic_along_profile` gives
-their rows as ProfileSamples.  A profile that overflows the float range
-before it leaves its domain raises ValueError.  FAMILIES names the four
-family classes.
+their rows as ProfileSamples.  Both statistics are `mean_deviation`, whose
+sum is one numpy accumulate, strictly left to right, so it is the same on
+every Python version (sum() of floats is compensated since 3.12).  E is
+taken once per grid.  A profile that overflows the float range before it
+leaves its domain raises ValueError.  FAMILIES names the four family
+classes.
 """
 
 from __future__ import annotations
@@ -273,8 +276,15 @@ def ode_residual(C, delta, us, h: float):
     return np.abs(lhs - (delta - 0.5 * C * x_mid * x_mid))
 
 
-def _evaluate(f: ProfileFamily, ambient: AmbientSpec, s: np.ndarray, window: tuple[float, float]):
-    """(k, columns, failure) at the grid points s, by the first-integral radicand.
+def _first_integral(f: ProfileFamily):
+    """E = u'^2 - 4*delta_f*u + C*u^2 of the family, from one scalar evaluation of u at s = 0."""
+    u0, v0, _ = f.u(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return v0 * v0 - 4.0 * f.ode_delta * u0 + f.ode_constant * u0 * u0
+
+
+def _evaluate(f: ProfileFamily, ambient: AmbientSpec, s: np.ndarray, window: tuple[float, float], e):
+    """(k, columns, failure) at the grid points s, by the first-integral radicand E = e.
 
     k indexes the first invalid point (len(s) if none) and failure is the
     (value, s, reason) of its DomainBreakdown (None if none); columns are
@@ -284,8 +294,6 @@ def _evaluate(f: ProfileFamily, ambient: AmbientSpec, s: np.ndarray, window: tup
     """
     C, c = f.ode_constant, ambient.c
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        (u0,), (v0,), _ = f.u(np.zeros(1))
-        e = v0 * v0 - 4.0 * f.ode_delta * u0 + C * u0 * u0
         u, up, upp = f.u(s)
         quad, lin = (C - 4.0 * c) * u * u, 4.0 * (ambient.delta - f.ode_delta) * u
         n = quad + lin - e
@@ -336,9 +344,10 @@ def profile_columns(
     step = (hi - lo) / (grid_n - 1)
 
     def blocks() -> Iterator[tuple[np.ndarray, ...]]:
+        e = _first_integral(f)
         for i in range(0, grid_n, BLOCK):
             s = lo + np.arange(i, min(i + BLOCK, grid_n)) * step
-            k, columns, failure = _evaluate(f, ambient, s, s_window)
+            k, columns, failure = _evaluate(f, ambient, s, s_window, e)
             if k:
                 yield tuple(col[:k] for col in (s, *columns))
             if failure is not None:
@@ -368,21 +377,28 @@ def domain_check(
     return None
 
 
-def _mean_deviation(cics: Iterable[np.ndarray]) -> tuple[float, float]:
+def mean_deviation(cics: Iterable[np.ndarray]) -> tuple[float, float]:
     """Mean of the values in the blocks cics and their maximum deviation from it.
 
-    Keeps the count, one left-to-right sum of the values (sum() over each
-    block's floats, carrying the total) and the least and greatest value,
-    so any number of blocks takes constant memory.  Rounding is monotone,
-    so the deviation max(hi - mean, mean - lo) is max |cic - mean|, bitwise.
+    Keeps the count, the least and greatest value and one sum carried from
+    block to block, so any number of blocks takes constant memory.  The sum
+    is the last entry of np.add.accumulate over (total, *block), which adds
+    strictly left to right: the float loop `total += v` from 0.0, on every
+    Python version.  Rounding is monotone, so max(mean - lo, hi - mean) is
+    max |cic - mean|, bitwise; mean - lo goes first because hi - mean is
+    -0.0 when every value is -0.0.  No blocks, or an empty one, raise
+    ValueError.
     """
-    count, total, lo, hi = 0, 0, math.inf, -math.inf
+    count, total, lo, hi = 0, 0.0, math.inf, -math.inf
     for cic in cics:
         count += len(cic)
-        total = sum(cic.tolist(), total)
-        lo, hi = min(lo, float(cic.min())), max(hi, float(cic.max()))
+        with np.errstate(over="ignore", invalid="ignore"):  # as float addition does: inf, no warning
+            total = float(np.add.accumulate(np.concatenate(((total,), cic)))[-1])
+        lo, hi = min(lo, float(np.minimum.reduce(cic))), max(hi, float(np.maximum.reduce(cic)))
+    if not count:
+        raise ValueError("mean_deviation needs at least one value")
     mean = total / count
-    return mean, max(hi - mean, mean - lo)
+    return mean, max(mean - lo, hi - mean)
 
 
 def cic_mean_deviation(
@@ -396,7 +412,7 @@ def cic_mean_deviation(
     Reads only the cic column of `profile_columns`, in constant memory;
     propagates its ValueError and DomainBreakdown.
     """
-    return _mean_deviation(block[-1] for block in profile_columns(f, ambient, s_window, grid_n))
+    return mean_deviation(block[-1] for block in profile_columns(f, ambient, s_window, grid_n))
 
 
 def cic_along_profile(
@@ -413,7 +429,7 @@ def cic_along_profile(
     """
     blocks = list(profile_columns(f, ambient, s_window, grid_n))
     samples = [ProfileSample(*row) for block in blocks for row in zip(*(col.tolist() for col in block))]
-    return samples, _mean_deviation(block[-1] for block in blocks)[1]
+    return samples, mean_deviation(block[-1] for block in blocks)[1]
 
 
 def integrate_profile(

@@ -12,7 +12,9 @@ eagerly, as the builders did before they built them on first read.
 `gauss_suite_per_spectrum` and `profile_ode_per_family` are the
 gauss-frame-identity and profile-ode suites as one loop over their
 members, each judged as it is drawn, against the suites' whole-array
-judgements; `suite_outcome` runs a suite as run_all reports it.  They call
+judgements; `suite_outcome` runs a suite as run_all reports it.
+`mean_deviation` is the grid statistic as one explicit float loop over the
+values, against `profiles.mean_deviation`'s numpy accumulate.  They call
 the library through its modules, so a test's monkeypatch reaches them too.
 """
 
@@ -83,6 +85,24 @@ def orthonormalize(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
                         break
             q[:, a, :] = v / norms[:, None]
     return q
+
+
+def mean_deviation(blocks) -> tuple[float, float]:
+    """Mean of the values in the blocks and their largest |v - mean|.
+
+    The total is the explicit loop `total += v` from 0.0, left to right over
+    every value, not sum(), whose rounding changed in Python 3.12; the
+    deviation is a second pass over the values.
+    """
+    values = [v for block in blocks for v in np.asarray(block, dtype=float).tolist()]
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / len(values)
+    deviation = -math.inf
+    for v in values:
+        deviation = max(deviation, abs(v - mean))
+    return mean, deviation
 
 
 def frame_array(n: int, count: int, seed: int) -> np.ndarray:

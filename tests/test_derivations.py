@@ -26,7 +26,7 @@ import pytest
 import sympy as sp
 
 from isocurv import profiles as pf
-from isocurv.classification import ClassQuery, classify
+from isocurv.classification import ClassQuery, classify, nonexistence_witness
 
 s = sp.Symbol("s", real=True)
 ULPS = 8  # numpy against the exact value, in units of eps times the sample's largest |value|
@@ -274,6 +274,36 @@ def test_quadratic_u_min_is_the_old_condition():
     assert _zero(_N(form, u) - (-4 * c_sym * u**2 + 4 * form.inf))
     interval = _listed(-1, 0, "quadratic")
     assert (interval.lo, interval.lo_open, interval.hi) == (0.0, True, None)
+
+
+# ---------------------------------------------------------------------------
+# the flat-C candidate in a spherical ambient: where its radicand vanishes
+
+
+@pytest.mark.parametrize("c", map(sp.Rational, ("1/2", "1/3", "1/10", "9/10", "2/3")))
+def test_flat_candidate_fails_where_c_u_squared_reaches_1(c):
+    """For 0 < c < 1 and C = 0, classify's candidate x = sqrt(s^2 + 1) has
+    radicand 1 - c*x^2 - x'^2 = (1 - c*(s^2 + 1)^2) / (s^2 + 1), which is
+    N/(4u) with E = -4 (beta = 1), so it first vanishes at |s| =
+    sqrt(1/sqrt(c) - 1), not where c*x^2 reaches 1.  classify's detail
+    states that point and nonexistence_witness fails at the first grid
+    point at or past it."""
+    x = sp.sqrt(s**2 + 1)
+    radicand = 1 - c_sym * x**2 - sp.diff(x, s) ** 2
+    assert _zero(radicand - (1 - c_sym * (s**2 + 1) ** 2) / (s**2 + 1))
+    parabolic = FORMS[1]
+    beta = _symbols(parabolic)["beta"]
+    u = parabolic.u.subs(beta, 1)
+    assert _zero(radicand - _N(parabolic, u, parabolic.E.subs(beta, 1)) / (4 * u))
+    (at,) = [r for r in sp.solve(radicand.subs(c_sym, c), s) if r > 0]
+    assert _zero(at - sp.sqrt(1 / sp.sqrt(c) - 1))
+
+    ev = nonexistence_witness(ClassQuery(4, Fraction(str(c)), 0))
+    assert f"at |s| = sqrt(1/sqrt(c) - 1) = {float(at):.6f}" in ev.detail
+    step = 20.0 / np.sqrt(float(c)) / (pf.DEFAULT_GRID - 1)  # the witness scans [0, 20/sqrt(c)]
+    k = int(np.ceil(float(at) / step))
+    assert k * step - float(at) > 1e-6 * step  # no grid point within rounding of the root
+    assert ev.failure.s == k * step
 
 
 def test_isocurv_check_never_imports_sympy():

@@ -27,6 +27,7 @@ from isocurv.profiles import (
     profile_columns,
     write_profile_csv,
 )
+import oracles
 from oracles import principal_curvatures, profile_ode_per_family, suite_outcome
 
 FLAT = AmbientSpec(c=0.0, delta=1)
@@ -54,6 +55,27 @@ FAMILY_GRID = [
     (QuadraticProfile(A=0.0, B=1.0), 0.0, 1),
     (QuadraticProfile(A=1.5, B=2.0), 0.0, 1),
 ]
+
+
+@st.composite
+def _family_and_ambient(draw):
+    kind = draw(st.sampled_from(["trig", "parabolic", "exponential", "quadratic"]))
+    unit = st.floats(0.0, 1.0)
+    if kind == "trig":
+        fam = TrigProfile(C=0.2 + 4.8 * draw(unit), alpha=0.9 * draw(unit))
+    elif kind == "parabolic":
+        fam = ParabolicProfile(beta=0.3 + 3.7 * draw(unit))
+    elif kind == "exponential":
+        fam = ExponentialProfile(
+            C=-0.2 - 2.8 * draw(unit), A=0.6 + 1.4 * draw(unit), B=0.6 + 1.4 * draw(unit),
+            delta=draw(st.sampled_from([-1, 0, 1])),
+        )
+    else:
+        b = 0.5 + 2.5 * draw(unit)
+        fam = QuadraticProfile(A=(1.6 * draw(unit) - 0.8) * 2.0 * math.sqrt(b), B=b)
+    c = 4.0 * draw(unit) - 2.0
+    delta = draw(st.sampled_from([-1, 0, 1])) if c < 0 else 1
+    return fam, AmbientSpec(c, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +422,101 @@ def test_cic_along_profile_examples():
     assert samples[100].cic == pytest.approx(4.0, abs=1e-10)
 
 
+def _bits(values) -> tuple[str, ...]:
+    """The floats as exact hex strings, so -0.0 and 0.0 differ."""
+    return tuple(float.hex(float(v)) for v in values)
+
+
+def _assert_grid_statistic_is_the_loop(fam, ambient, window, grid_n):
+    want = oracles.mean_deviation(block[-1] for block in profile_columns(fam, ambient, window, grid_n))
+    assert _bits(cic_mean_deviation(fam, ambient, window, grid_n)) == _bits(want)
+    assert _bits(cic_along_profile(fam, ambient, window, grid_n)[1:]) == _bits(want[1:])
+
+
 @pytest.mark.parametrize("fam,C,delta", FAMILY_GRID)
 def test_streamed_mean_and_deviation_are_the_two_pass_ones_bitwise(fam, C, delta):
-    """max(hi - mean, mean - lo) equals max |cic - mean|, since rounding is monotone."""
-    blocks = profile_columns(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401)
-    cics = [v for block in blocks for v in block[-1].tolist()]
-    mean = sum(cics) / len(cics)
-    want = (mean, max(abs(v - mean) for v in cics))
-    assert cic_mean_deviation(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401) == want
-    assert cic_along_profile(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401)[1] == want[1]
+    """max(mean - lo, hi - mean) equals max |cic - mean|, since rounding is
+    monotone, and the sum is the oracle's left-to-right float loop."""
+    _assert_grid_statistic_is_the_loop(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), 401)
+
+
+@pytest.mark.parametrize("grid_n", [4096, 4097, 10_001])
+@pytest.mark.parametrize("fam,C,delta", FAMILY_GRID)
+def test_the_carried_total_crosses_block_boundaries_bitwise(fam, C, delta, grid_n):
+    """4096 points are one full block, 4097 end in a one-point block and
+    10,001 carry the total across two block boundaries."""
+    _assert_grid_statistic_is_the_loop(fam, AmbientSpec(-1.0, delta), (-3.0, 3.0), grid_n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_and_ambient(), st.floats(-15.0, 15.0), st.floats(0.01, 30.0), st.integers(2, 9000))
+def test_grid_statistic_is_the_float_loop_bitwise(case, lo, width, grid_n):
+    """Over families, ambients and windows, cic_mean_deviation and
+    cic_along_profile's deviation are the oracle's explicit loop, bitwise;
+    a grid that leaves its domain raises in both, and the statistic of the
+    valid prefix it yielded is still the loop's."""
+    fam, ambient = case
+    window = (lo, lo + width)
+    cics = []
+    try:
+        for block in profile_columns(fam, ambient, window, grid_n):
+            cics.append(block[-1])
+    except DomainBreakdown:
+        for stat in (cic_mean_deviation, cic_along_profile):
+            with pytest.raises(DomainBreakdown):
+                stat(fam, ambient, window, grid_n)
+        if cics:
+            assert _bits(pf.mean_deviation(cics)) == _bits(oracles.mean_deviation(cics))
+        return
+    _assert_grid_statistic_is_the_loop(fam, ambient, window, grid_n)
+
+
+_BLOCKS = st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40).map(np.array),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BLOCKS)
+def test_mean_deviation_is_the_float_loop_bitwise_on_any_blocks(blocks):
+    """Any finite values, of any sizes and signs, and a total that overflows
+    to inf, as float addition does, without a warning."""
+    assert _bits(pf.mean_deviation(blocks)) == _bits(oracles.mean_deviation(blocks))
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[2.5]],
+        [[-0.0]],
+        [[-0.0], [-0.0, -0.0]],
+        [[-0.0, 1e-300, -1e-300], [3.0]],
+        [[1.0, 1e-16, 1e-16, 1e-16, 1e-16]],  # the carried order: 1 + 1e-16 rounds back to 1 each time
+        [[1e16], [1.0], [1.0], [-1e16]],
+        [[1e308, 1e308], [-1.0]],
+    ],
+)
+def test_mean_deviation_edge_blocks(blocks):
+    """A one-point block, blocks that start with -0.0 (the total starts at
+    +0.0, so their mean is +0.0), sums that only the left-to-right order
+    gives, and a total that overflows to inf."""
+    blocks = [np.array(b, dtype=float) for b in blocks]
+    assert _bits(pf.mean_deviation(blocks)) == _bits(oracles.mean_deviation(blocks))
+
+
+@pytest.mark.parametrize("blocks", [[], [np.array([])], [np.array([1.0]), np.array([])]])
+def test_mean_deviation_of_no_values_is_a_value_error(blocks):
+    with pytest.raises(ValueError):
+        pf.mean_deviation(blocks)
+
+
+@pytest.mark.parametrize("fam,C,delta", FAMILY_GRID)
+def test_each_family_takes_its_first_integral_from_one_scalar(fam, C, delta):
+    """All four families: E at the scalar s = 0 is E from u(np.zeros(1)), bitwise."""
+    (u0,), (v0,), _ = fam.u(np.zeros(1))
+    want = v0 * v0 - 4.0 * fam.ode_delta * u0 + fam.ode_constant * u0 * u0
+    assert _bits([pf._first_integral(fam)]) == _bits([want])
 
 
 def test_column_blocks_give_the_row_statistics_bitwise_across_blocks():
@@ -422,10 +530,9 @@ def test_column_blocks_give_the_row_statistics_bitwise_across_blocks():
     assert [tuple(map(float, row)) for b in blocks for row in zip(*b)] == [
         (p.s, p.x, p.xp, p.xpp, p.lam, p.mu, p.cic) for p in samples
     ]
-    mean = sum(p.cic for p in samples) / len(samples)
-    deviation = max(abs(p.cic - mean) for p in samples)
-    assert cic_mean_deviation(fam, ambient, window, n) == (mean, deviation)
-    assert cic_along_profile(fam, ambient, window, n)[1] == deviation
+    mean, deviation = oracles.mean_deviation([[p.cic for p in samples]])
+    assert _bits(cic_mean_deviation(fam, ambient, window, n)) == _bits((mean, deviation))
+    assert _bits(cic_along_profile(fam, ambient, window, n)[1:]) == _bits((deviation,))
 
 
 def test_a_failure_in_the_second_block_yields_the_valid_prefix_then_raises():
@@ -657,27 +764,6 @@ def test_square_rounding_to_zero_is_a_domain_failure():
     assert failure is not None and failure.reason == "x^2 = 0.000000e+00 <= 0"
     with pytest.raises(DomainBreakdown, match=r"x\^2 = 0\.000000e\+00 <= 0 at s="):
         cic_along_profile(fam, FLAT, (-1e-15, 1e-15), 21)
-
-
-@st.composite
-def _family_and_ambient(draw):
-    kind = draw(st.sampled_from(["trig", "parabolic", "exponential", "quadratic"]))
-    unit = st.floats(0.0, 1.0)
-    if kind == "trig":
-        fam = TrigProfile(C=0.2 + 4.8 * draw(unit), alpha=0.9 * draw(unit))
-    elif kind == "parabolic":
-        fam = ParabolicProfile(beta=0.3 + 3.7 * draw(unit))
-    elif kind == "exponential":
-        fam = ExponentialProfile(
-            C=-0.2 - 2.8 * draw(unit), A=0.6 + 1.4 * draw(unit), B=0.6 + 1.4 * draw(unit),
-            delta=draw(st.sampled_from([-1, 0, 1])),
-        )
-    else:
-        b = 0.5 + 2.5 * draw(unit)
-        fam = QuadraticProfile(A=(1.6 * draw(unit) - 0.8) * 2.0 * math.sqrt(b), B=b)
-    c = 4.0 * draw(unit) - 2.0
-    delta = draw(st.sampled_from([-1, 0, 1])) if c < 0 else 1
-    return fam, AmbientSpec(c, delta)
 
 
 @settings(max_examples=150, deadline=None)
