@@ -36,8 +36,6 @@ from .curvature import (
     cic_probes,
     sample_frames,
     sectional,
-    tensor_from_json,
-    tensor_to_json,
 )
 from .profiles import (
     AmbientSpec,

@@ -14,12 +14,12 @@ Every builder here yields a tensor of sectional form,
 R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl), and the tensor keeps
 its sectional matrix K and its scale max |R_ijkl| and nothing else: the
 n^4 components are built from K only when comp is first read
-(check_symmetries, tensor_to_json), and building, probing and sectional
-never allocate them.  The builders hand their K matrices to
-_from_sectional as one (T, n, n) stack, checked and reduced to its scales
-in whole-stack operations: build_from_shapes a stack of Gauss tensors,
-the one-tensor builders a stack of one.  For those tensors the functional
-has the closed form
+(check_symmetries), and building, probing and sectional never allocate
+them.  The builders hand their K matrices to _from_sectional as one
+(T, n, n) stack, checked and reduced to its scales in whole-stack
+operations: build_from_shapes a stack of Gauss tensors, the one-tensor
+builders a stack of one.  For those tensors the functional has the closed
+form
 
     A.K.B - P.K.P - Q.K.Q,   A = e1*e1 + e2*e2,  B = e3*e3 + e4*e4,
                              P = e1*e3 - e2*e4,  Q = e1*e4 + e2*e3
@@ -37,12 +37,11 @@ chunks of max(1, STACK_GEMM_DOUBLES // (3 m n)) tensors, one
 stacked, and reduces each chunk's values to its reports in whole-chunk
 reductions; cic_probe is its one-tensor case.
 
-Any other tensor (tensor_from_json output, a hand-built
-CurvatureTensor(dim, comp)) is evaluated densely through the (n^2, n^2)
-pair matrix M[(i,j), (k,l)] = R_ijkl, so R(a, b, c, d) =
-(a (x) b)^T M (c (x) d): one (m, n^2) @ (n^2, n^2) product per term of the
-functional, O(m n^4) flops.  The dense path is also the tests' oracle for
-the sectional one.
+Any other tensor, one given its components as CurvatureTensor(dim, comp),
+is evaluated densely through the (n^2, n^2) pair matrix
+M[(i,j), (k,l)] = R_ijkl, so R(a, b, c, d) = (a (x) b)^T M (c (x) d): one
+(m, n^2) @ (n^2, n^2) product per term of the functional, O(m n^4) flops.
+The dense path is also the tests' oracle for the sectional one.
 
 Sign convention: components are stored so that the sectional curvature of
 span(X, Y) is R(X, Y, Y, X) / area^2, positive on round spheres.
@@ -51,12 +50,13 @@ span(X, Y) is R(X, Y, Y, X) / area^2, positive on round spheres.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .spectra import check_dimension
 
 ORTHO_TOL = 1e-12        # frame acceptance: |<e_a, e_b> - delta_ab|
 REDRAW_RESIDUAL = 1e-8   # Gram-Schmidt residual below which a vector is re-drawn
@@ -76,10 +76,11 @@ class FrameError(ValueError):
 class CurvatureTensor:
     """Components R[i,j,k,l] of a curvature tensor in an orthonormal basis.
 
-    CurvatureTensor(dim, comp) takes dense components.  Only the shape and
-    finiteness are checked: a hand-built array may break the curvature
-    symmetries (check_symmetries measures them), while the builders and
-    tensor_from_json keep them.  Tensors are immutable and safe to share.
+    CurvatureTensor(dim, comp), the one way in for dense components, checks
+    that dim is an integer >= 1 (spectra.check_dimension) and that comp is
+    a finite (dim, dim, dim, dim) array; a hand-built array may break the
+    curvature symmetries (check_symmetries measures them), while the
+    builders keep them.  Tensors are immutable and safe to share.
 
     sectional_matrix is the read-only symmetric K, with zero diagonal, of a
     tensor of sectional form, R_ijkl = K_ij (delta_il delta_jk - delta_ik
@@ -95,8 +96,7 @@ class CurvatureTensor:
     __slots__ = ("dim", "sectional_matrix", "_comp", "_scale")
 
     def __init__(self, dim: int, comp: np.ndarray):
-        if dim < 1:
-            raise ValueError(f"tensor dimension must be >= 1, got {dim}")
+        check_dimension(dim, 1, "tensor dim")
         arr = np.array(comp, dtype=float, copy=True)
         if arr.shape != (dim,) * 4:
             raise ValueError(f"component array must have shape {(dim,) * 4}, got {arr.shape}")
@@ -165,8 +165,7 @@ class Factor:
             raise ValueError(f"factor curvature must be finite, got {self.curvature}")
         if self.kind not in FACTOR_KINDS:
             raise ValueError(f"factor kind must be one of {FACTOR_KINDS}, got {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError(f"factor dimension must be >= 1, got {self.dim}")
+        check_dimension(self.dim, 1, "factor dim")
         if self.kind == "sphere" and not self.curvature > 0:
             raise ValueError("sphere factors need curvature > 0")
         if self.kind == "hyperbolic" and not self.curvature < 0:
@@ -269,8 +268,7 @@ def build_constant_curvature(n: int, k: float) -> CurvatureTensor:
     Every 2-plane has sectional curvature k; all genuinely mixed components
     vanish.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    check_dimension(n, 1)
     return _from_sectional(np.full((1, n, n), float(k)))[0]
 
 
@@ -602,7 +600,7 @@ def cic_probes(
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and serialization
+# diagnostics
 
 
 def check_symmetries(t: CurvatureTensor) -> SymmetryReport:
@@ -615,56 +613,3 @@ def check_symmetries(t: CurvatureTensor) -> SymmetryReport:
     pair = float(np.max(np.abs(r - np.transpose(r, (2, 3, 0, 1)))))
     bianchi = float(np.max(np.abs(r + np.transpose(r, (0, 2, 3, 1)) + np.transpose(r, (0, 3, 1, 2)))))
     return SymmetryReport(antisymmetry=anti, pair_symmetry=pair, bianchi=bianchi)
-
-
-def tensor_to_json(t: CurvatureTensor) -> str:
-    """Serialize to the canonical JSON form.
-
-    Only nonzero components with i < j, k < l and (i, j) <= (k, l)
-    lexicographically are listed (0-based indices); everything else follows
-    from the symmetries.
-    """
-    entries = []
-    n = t.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    if (i, j) <= (k, l) and t.comp[i, j, k, l] != 0.0:
-                        entries.append([i, j, k, l, float(t.comp[i, j, k, l])])
-    return json.dumps({"dim": n, "components": entries})
-
-
-def tensor_from_json(text: str) -> CurvatureTensor:
-    """Rebuild a tensor from its canonical JSON form by unfolding symmetries.  A document
-    other than {"dim": positive int, "components": [[i, j, k, l, finite number], ...]}, entries outside
-    the canonical form, or a Bianchi residual above 1e-12 * max |R_ijkl| raise ValueError."""
-    data = json.loads(text)
-    if not (isinstance(data, dict) and isinstance(data.get("components"), list)):
-        raise ValueError("tensor JSON must be an object with dim and a components list")
-    n = data.get("dim")
-    if type(n) is not int or n < 1:  # type(True) is bool, so booleans fail too
-        raise ValueError(f"dim must be a positive integer, got {n!r}")
-    comp = np.zeros((n, n, n, n))
-    for entry in data["components"]:
-        if not isinstance(entry, list) or len(entry) != 5:
-            raise ValueError(f"component {entry!r} must be [i, j, k, l, value]")
-        i, j, k, l, v = entry
-        in_range = all(type(a) is int and 0 <= a < n for a in (i, j, k, l))
-        if not (in_range and i < j and k < l and (i, j) <= (k, l)):
-            need = f"integers 0 <= i < j < {n}, k < l and (i, j) <= (k, l)"
-            raise ValueError(f"component {(i, j, k, l)} is not canonical: need {need}")
-        if type(v) not in (int, float) or not abs(v) <= float(np.finfo(float).max):  # exact for any int
-            raise ValueError(f"component {(i, j, k, l)} value must be a finite number, got {v!r}")
-        for (a, b, c, d), sign in (
-            ((i, j, k, l), 1.0),
-            ((j, i, k, l), -1.0),
-            ((i, j, l, k), -1.0),
-            ((j, i, l, k), 1.0),
-        ):
-            comp[a, b, c, d] = sign * v
-            comp[c, d, a, b] = sign * v
-    t = CurvatureTensor(n, comp)
-    if (bianchi := check_symmetries(t).bianchi) > 1e-12 * np.max(np.abs(comp)):
-        raise ValueError(f"components break the first Bianchi identity by {bianchi:.3e}")
-    return t

@@ -4,8 +4,9 @@ A hypersurface of constant isotropic curvature has at most two distinct
 principal curvatures, lambda of multiplicity at least n-1 and mu.  This
 module works on that (lambda, mu) pair: it evaluates the isotropic constant
 4c + 2(lambda^2 + lambda*mu) and solves for the pairs with given isotropic
-and mean curvature.  `check_dimension` is the one check of n, shared by
-`classification`.  Branch decisions live in `classification`.
+and mean curvature.  `check_dimension` is the one check of a dimension,
+shared by `classification` and `curvature`.  Branch decisions live in
+`classification`.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ import math
 from numbers import Integral
 
 
-def check_dimension(n) -> None:
-    """Reject a hypersurface dimension n that is not an integer (a bool is not one) of at least 4."""
-    if not isinstance(n, Integral) or isinstance(n, bool) or n < 4:
-        raise ValueError(f"need an integer n >= 4, got n = {n!r}")
+def check_dimension(n, least: int = 4, name: str = "n") -> None:
+    """Reject a dimension n unless it is an integer (a bool is not one) >= least.
+
+    least is 4 for a hypersurface; name is what the error calls n.
+    """
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < least:
+        raise ValueError(f"need an integer {name} >= {least}, got {name} = {n!r}")
 
 
 def cic_from_spectrum(c: float, lam: float, mu: float) -> float:
@@ -50,11 +54,7 @@ def cmc_lambda_solve(n: int, c: float, C: float, H: float) -> list[tuple[float, 
         return []
     if disc == 0.0:
         roots = [-b / (2.0 * a)]
-    else:
-        sq = math.sqrt(disc)
-        q = -(b + math.copysign(sq, b)) / 2.0
-        if q == 0.0:  # b == 0 and c0 == 0
-            roots = [0.0]
-        else:
-            roots = sorted({q / a, c0 / q})
-    return [(lam, H - (n - 1) * lam) for lam in sorted(roots)]
+    else:  # |q| >= sqrt(disc) / 2 > 0: b and copysign(sqrt(disc), b) never cancel
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+        roots = sorted({q / a, c0 / q})
+    return [(lam, H - (n - 1) * lam) for lam in roots]

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import re
 import tracemalloc
@@ -26,8 +25,6 @@ from isocurv.curvature import (
     cic_probe,
     sample_frames,
     sectional,
-    tensor_from_json,
-    tensor_to_json,
 )
 from oracles import (
     frame_array,
@@ -400,16 +397,23 @@ def kulkarni_nomizu_square(n, seed):
 
 
 def json_tensor(n):
-    """A tensor_from_json tensor with an R_0123 entry; R_0312 = R_0213 - R_0123 keeps Bianchi."""
-    entries = [
-        [0, 1, 0, 1, -1.3],
-        [0, 1, 2, 3, 0.7],
-        [0, 2, 1, 3, -0.4],
-        [0, 3, 1, 2, -1.1],
-        [1, 2, 1, 2, 0.9],
-        [0, n - 1, n - 2, n - 1, 0.25],
-    ]
-    return tensor_from_json(json.dumps({"dim": n, "components": entries}))
+    """A non-sectional tensor with an R_0123 entry, its dense components
+    unfolded by the curvature symmetries from six canonical entries
+    (i < j, k < l, (i, j) <= (k, l)); R_0312 = R_0213 - R_0123 keeps Bianchi."""
+    comp = np.zeros((n, n, n, n))
+    for i, j, k, l, v in (
+        (0, 1, 0, 1, -1.3),
+        (0, 1, 2, 3, 0.7),
+        (0, 2, 1, 3, -0.4),
+        (0, 3, 1, 2, -1.1),
+        (1, 2, 1, 2, 0.9),
+        (0, n - 1, n - 2, n - 1, 0.25),
+    ):
+        for a, b, c, d, sign in ((i, j, k, l, 1.0), (j, i, k, l, -1.0), (i, j, l, k, -1.0), (j, i, l, k, 1.0)):
+            comp[a, b, c, d] = comp[c, d, a, b] = sign * v
+    t = CurvatureTensor(n, comp)
+    assert check_symmetries(t).max_residual <= 1e-12 * np.abs(comp).max()
+    return t
 
 
 ORACLE_TENSORS = {
@@ -527,15 +531,15 @@ BUILT = {
 
 @pytest.mark.parametrize("name", sorted(BUILT))
 def test_builders_keep_the_sectional_matrix_of_their_components(name):
-    """The kept K's dense form is comp bit for bit, and the JSON round trip
-    (which keeps no K, so it probes densely) gives the same verdict; where
-    the functional varies, the same extreme frames and values within 1e-12
-    relative."""
+    """The kept K's dense form is comp bit for bit, and its dense twin
+    CurvatureTensor(t.dim, t.comp) (which keeps no K, so it probes densely)
+    gives the same verdict; where the functional varies, the same extreme
+    frames and values within 1e-12 relative."""
     t = BUILT[name]()
     k = t.sectional_matrix
     assert k is not None and np.all(np.diag(k) == 0.0)
     assert sectional_dense_form(k).tobytes() == t.comp.tobytes()
-    back = tensor_from_json(tensor_to_json(t))
+    back = CurvatureTensor(t.dim, t.comp)
     assert back.sectional_matrix is None
     fast, dense = cic_probe(t, count=300, seed=13), cic_probe(back, count=300, seed=13)
     assert fast.is_constant == dense.is_constant
@@ -829,6 +833,66 @@ def test_cic_probe_tolerance_is_relative_to_the_tensor(tensor):
 def test_cic_probe_rejects_nan_tensor():
     with pytest.raises(ValueError, match="components must be finite, got nan"):
         cic_probe(CurvatureTensor(4, np.full((4, 4, 4, 4), math.nan)))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_dense_components_must_be_finite(value):
+    """One infinite component among finite ones is named at the dense way in."""
+    comp = build_constant_curvature(4, 1.0).comp.copy()
+    comp[0, 1, 0, 1] = value
+    with pytest.raises(ValueError, match=f"curvature components must be finite, got {value}$"):
+        CurvatureTensor(4, comp)
+
+
+@pytest.mark.parametrize(
+    "dim,shape,message",
+    [
+        (4, (4, 4, 4), r"component array must have shape \(4, 4, 4, 4\), got \(4, 4, 4\)"),
+        (3, (4, 4, 4, 4), r"component array must have shape \(3, 3, 3, 3\), got \(4, 4, 4, 4\)"),
+        (4, (4, 4, 4, 5), r"must have shape \(4, 4, 4, 4\), got \(4, 4, 4, 5\)"),
+        (0, (0, 0, 0, 0), r"need an integer tensor dim >= 1, got tensor dim = 0$"),
+        (-1, (1, 1, 1, 1), r"need an integer tensor dim >= 1, got tensor dim = -1$"),
+        (4.0, (4, 4, 4, 4), r"need an integer tensor dim >= 1, got tensor dim = 4\.0$"),
+        (4.7, (4, 4, 4, 4), r"need an integer tensor dim >= 1, got tensor dim = 4\.7$"),
+        ("4", (4, 4, 4, 4), r"need an integer tensor dim >= 1, got tensor dim = '4'$"),
+        (True, (1, 1, 1, 1), r"need an integer tensor dim >= 1, got tensor dim = True$"),
+    ],
+)
+def test_dense_components_need_an_integer_dim_and_its_shape(dim, shape, message):
+    """CurvatureTensor(dim, comp), the one way in for dense components,
+    takes only an integer dim >= 1 (a whole float or a bool is not one)
+    and an array of shape (dim,) * 4."""
+    with pytest.raises(ValueError, match=message):
+        CurvatureTensor(dim, np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Factor("sphere", 2.5, 1.0), r"need an integer factor dim >= 1, got factor dim = 2\.5$"),
+        (lambda: Factor("flat", 1.0, 0.0), r"need an integer factor dim >= 1, got factor dim = 1\.0$"),
+        (lambda: Factor("sphere", True, 1.0), r"need an integer factor dim >= 1, got factor dim = True$"),
+        (lambda: Factor("hyperbolic", 0, -1.0), r"need an integer factor dim >= 1, got factor dim = 0$"),
+        (lambda: ProductSpec((Factor("sphere", 2.5, 1.0), Factor("flat", 1, 0.0))), r"got factor dim = 2\.5$"),
+        (lambda: build_constant_curvature(4.0, 1.0), r"need an integer n >= 1, got n = 4\.0$"),
+        (lambda: build_constant_curvature(False, 1.0), r"need an integer n >= 1, got n = False$"),
+        (lambda: build_constant_curvature(0, 1.0), r"need an integer n >= 1, got n = 0$"),
+    ],
+)
+def test_builders_need_integer_dimensions(build, message):
+    """A builder's dimension is an integer (spectra.check_dimension), so a
+    non-integer one is rejected by name, not carried into a sum or a shape
+    (Factor("sphere", 2.5, 1.0) made a ProductSpec of total_dim 4.5)."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_numpy_integer_dimensions_are_integers():
+    four, comp = np.int64(4), build_constant_curvature(4, 1.0).comp
+    assert cic_probe(CurvatureTensor(four, comp), count=50) == cic_probe(CurvatureTensor(4, comp), count=50)
+    assert build_constant_curvature(four, 1.0).comp.tobytes() == build_constant_curvature(4, 1.0).comp.tobytes()
+    spec = ProductSpec((Factor("sphere", np.int64(3), 1.0), Factor("flat", np.int64(1), 0.0)))
+    assert spec.total_dim == 4 and build_product(spec).comp.tobytes() == sphere_line().comp.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1162,56 +1226,6 @@ def test_check_symmetries_detects_bianchi_break():
 def test_gauss_form_satisfies_bianchi():
     rep = check_symmetries(build_from_shape(0.4, (-1.0, 0.2, 0.2, 0.2)))
     assert rep.bianchi == 0.0
-
-
-def test_json_round_trip():
-    for t in [build_from_shape(0.6, (-1.3, 0.8, 0.8, 0.8, 2.0))] + [build() for build in BUILT.values()]:
-        back = tensor_from_json(tensor_to_json(t))
-        assert back.dim == t.dim
-        assert np.array_equal(back.comp, t.comp)
-
-
-@pytest.mark.parametrize(
-    "entry,message",
-    [
-        ([0, 1, 0, 5, 1.0], "not canonical"),
-        ([0, 1, 0, -1, 1.0], "not canonical"),
-        ([0, 1, 0, 1.5, 1.0], "not canonical"),
-        ([1, 0, 1, 0, 1.0], "not canonical"),
-        ([0, 1, 3, 2, 1.0], "not canonical"),
-        ([2, 3, 0, 1, 1.0], "not canonical"),
-        ([0, 1, 2, 3, 1.0], "Bianchi identity by 1.000e"),
-    ],
-)
-def test_json_rejects_what_it_cannot_represent(entry, message):
-    with pytest.raises(ValueError, match=message):
-        tensor_from_json(json.dumps({"dim": 4, "components": [entry]}))
-
-
-@pytest.mark.parametrize(
-    "doc,message",
-    [
-        ({"dim": 4.7, "components": []}, "dim must be a positive integer, got 4.7"),
-        ({"dim": "4", "components": []}, "dim must be a positive integer, got '4'"),
-        ({"dim": True, "components": []}, "dim must be a positive integer, got True"),
-        ({"dim": 4, "components": [[0, 1, 0, 1, True]]}, "value must be a finite number, got True"),
-        ({"dim": 4, "components": [[0, 1, 0, 1, "1.5"]]}, "value must be a finite number, got '1.5'"),
-        ({"dim": 4, "components": [[0, 1, 0, 1, 10**400]]}, "value must be a finite number, got 1000"),
-        ([], "must be an object with dim and a components list"),
-        ({"dim": 4}, "must be an object with dim and a components list"),
-    ],
-)
-def test_json_rejects_malformed_documents(doc, message):
-    with pytest.raises(ValueError, match=message):
-        tensor_from_json(json.dumps(doc))
-
-
-def test_json_lists_canonical_entries_only():
-    data = json.loads(tensor_to_json(sphere_line()))
-    assert data["dim"] == 4
-    for i, j, k, l, v in data["components"]:
-        assert i < j and k < l and (i, j) <= (k, l)
-        assert v != 0.0
 
 
 def test_tensor_comp_is_immutable():

@@ -63,6 +63,7 @@ def test_cmc_solve_clifford_quadratic():
 
 def test_cmc_solve_double_and_empty():
     assert cmc_lambda_solve(5, 1.0, 4.0, 0.0) == [(0.0, 0.0)]
+    assert cmc_lambda_solve(4, 1, 4, 0) == [(0.0, 0.0)]  # b = c0 = 0: the one double root, once
     roots = cmc_lambda_solve(4, 0.0, 4.0, 4.0)
     assert len(roots) == 1
     assert roots[0][0] == pytest.approx(1.0, abs=1e-12)
