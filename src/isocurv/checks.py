@@ -25,7 +25,7 @@ STRADDLE = 1e-6
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Seed of the frame probes and random draws in the suites.
+    """Seed of the frame probes and random draws in the suites, an integer >= 0.
 
     Frame probes take cv.DEFAULT_FRAMES frames (500 in gauss-frame-identity)
     and cv.DEFAULT_PROBE_TOL, and profile grids pf.DEFAULT_WINDOW and
@@ -37,6 +37,9 @@ class RunConfig:
     """
 
     seed: int = cv.DEFAULT_SEED
+
+    def __post_init__(self):
+        sp.check_integer(self.seed, 0, "seed")
 
 
 @dataclass(frozen=True)

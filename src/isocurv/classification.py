@@ -42,7 +42,7 @@ from .profiles import (
     TrigProfile,
     domain_check,
 )
-from .spectra import check_dimension
+from .spectra import check_finite, check_integer
 
 Number = Union[int, float, Fraction]
 
@@ -79,22 +79,16 @@ def _cmp(lhs, rhs, tol: float) -> int:
 @dataclass(frozen=True)
 class ClassQuery:
     """Classification input: hypersurface dimension n, an integer >= 4, ambient
-    curvature c and isotropic constant C, both finite."""
+    curvature c and isotropic constant C, both finite (the `spectra` rules)."""
 
     n: int
     c: Number
     C: Number
 
     def __post_init__(self):
-        check_dimension(self.n)
-        for name in ("c", "C"):
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int or Fraction beyond the float range
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {value}")
+        check_integer(self.n, 4, "n")
+        check_finite(self.c, "c")
+        check_finite(self.C, "C")
 
 
 @dataclass(frozen=True)
@@ -329,9 +323,9 @@ def minimal_classify(n: int, c: Number, C: Number) -> MinimalVerdict:
     n = 4, c > 0 with C = 8c/3: the Clifford product of a 3-sphere and a
     circle, of constant profile sqrt(3/(4c)), the alpha = 0 trig member.
     8c/3 is matched as 4c is: exactly for exact inputs, else within
-    BOUNDARY_TOL * max(|c|, |C|).  n is checked as ClassQuery checks it.
+    BOUNDARY_TOL * max(|c|, |C|).  (n, c, C) is checked as a ClassQuery.
     """
-    check_dimension(n)
+    ClassQuery(n, c, C)  # raises ValueError on an invalid (n, c, C)
     if _side_of_4c(c, C) == 0:
         return MinimalVerdict(MinimalKind.TOTALLY_GEODESIC, lam=0.0, mu=0.0)
     if n == 4 and c > 0 and _cmp(C, Fraction(8, 3) * c, _boundary_tol(c, C)) == 0:

@@ -8,12 +8,11 @@ Subcommands:
   check     run the full verification suite
 
 Numeric arguments accept decimals or simple fractions (`8/3`) so branch
-boundaries can be hit exactly; non-finite numbers (nan, inf) are usage
-errors, and so are integers or fractions too large for a float.  `--seed`
-(default 42) is a non-negative integer, and the same command and seed give
-byte-identical stdout.  `probe` and `check` judge constancy at the
-library's tolerance, relative to the tensor (README), and `check` takes
-only `--seed`.  Exit codes:
+boundaries can be hit exactly; non-finite ones (spectra.check_finite) are
+usage errors.  `--seed` (default 42) is a non-negative integer, and the
+same command and seed give byte-identical stdout.  `probe` and `check`
+judge constancy at the library's tolerance, relative to the tensor
+(README), and `check` takes only `--seed`.  Exit codes:
 0 success, 1 verification/domain failure, 2 usage error (also when an
 array is too large to allocate).
 
@@ -31,7 +30,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -40,6 +38,7 @@ from fractions import Fraction
 from . import classification as cls
 from . import curvature as cv
 from . import profiles as pf
+from . import spectra as sp
 from .checks import RunConfig, run_all
 
 _FACTOR_RE = re.compile(r"^([SHR])(\d+)(?::(.+))?$")
@@ -53,7 +52,7 @@ class UsageError(ValueError):
 
 
 def parse_number(text: str):
-    """int, Fraction or float from a CLI numeric argument whose float value is finite."""
+    """int, Fraction or float from a CLI numeric argument, finite as sp.check_finite judges."""
     text = text.strip()
     try:
         if "/" in text:
@@ -62,13 +61,12 @@ def parse_number(text: str):
             value = int(text)
         else:
             value = float(text)
-        finite = math.isfinite(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse number {text!r}: {exc}") from exc
-    except OverflowError:  # an int or Fraction beyond the float range
-        finite = False
-    if not finite:
-        raise UsageError(f"number must be finite, got {text!r}")
+    try:
+        sp.check_finite(value, "number")
+    except ValueError:
+        raise UsageError(f"number must be finite, got {text!r}") from None
     return value
 
 

@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectra import check_dimension
+from .spectra import check_finite, check_integer
 
 ORTHO_TOL = 1e-12        # frame acceptance: |<e_a, e_b> - delta_ab|
 REDRAW_RESIDUAL = 1e-8   # Gram-Schmidt residual below which a vector is re-drawn
@@ -77,10 +77,10 @@ class CurvatureTensor:
     """Components R[i,j,k,l] of a curvature tensor in an orthonormal basis.
 
     CurvatureTensor(dim, comp), the one way in for dense components, checks
-    that dim is an integer >= 1 (spectra.check_dimension) and that comp is
-    a finite (dim, dim, dim, dim) array; a hand-built array may break the
-    curvature symmetries (check_symmetries measures them), while the
-    builders keep them.  Tensors are immutable and safe to share.
+    dim >= 1 (spectra.check_integer) and that comp is a finite (dim, dim,
+    dim, dim) array; a hand-built array may break the curvature symmetries
+    (check_symmetries measures them), while the builders keep them.
+    Tensors are immutable and safe to share.
 
     sectional_matrix is the read-only symmetric K, with zero diagonal, of a
     tensor of sectional form, R_ijkl = K_ij (delta_il delta_jk - delta_ik
@@ -96,7 +96,7 @@ class CurvatureTensor:
     __slots__ = ("dim", "sectional_matrix", "_comp", "_scale")
 
     def __init__(self, dim: int, comp: np.ndarray):
-        check_dimension(dim, 1, "tensor dim")
+        check_integer(dim, 1, "tensor dim")
         arr = np.array(comp, dtype=float, copy=True)
         if arr.shape != (dim,) * 4:
             raise ValueError(f"component array must have shape {(dim,) * 4}, got {arr.shape}")
@@ -161,11 +161,10 @@ class Factor:
     curvature: float
 
     def __post_init__(self):
-        if not math.isfinite(self.curvature):
-            raise ValueError(f"factor curvature must be finite, got {self.curvature}")
+        check_finite(self.curvature, "curvature")
         if self.kind not in FACTOR_KINDS:
             raise ValueError(f"factor kind must be one of {FACTOR_KINDS}, got {self.kind!r}")
-        check_dimension(self.dim, 1, "factor dim")
+        check_integer(self.dim, 1, "factor dim")
         if self.kind == "sphere" and not self.curvature > 0:
             raise ValueError("sphere factors need curvature > 0")
         if self.kind == "hyperbolic" and not self.curvature < 0:
@@ -181,11 +180,8 @@ class ProductSpec:
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
-        if not self.factors:
-            raise ValueError("product needs at least one factor")
         object.__setattr__(self, "factors", tuple(self.factors))
-        if self.total_dim < 4:
-            raise ValueError(f"total dimension must be >= 4, got {self.total_dim}")
+        check_integer(self.total_dim, 4, "total dim")
 
     @property
     def total_dim(self) -> int:
@@ -268,7 +264,7 @@ def build_constant_curvature(n: int, k: float) -> CurvatureTensor:
     Every 2-plane has sectional curvature k; all genuinely mixed components
     vanish.
     """
-    check_dimension(n, 1)
+    check_integer(n, 1, "n")
     return _from_sectional(np.full((1, n, n), float(k)))[0]
 
 
@@ -312,8 +308,7 @@ def build_from_shapes(cs: Sequence[float], lambdas: np.ndarray) -> list[Curvatur
     if lams.ndim != 2 or curvatures.shape != lams.shape[:1]:
         raise ValueError(f"need T curvatures and a (T, n) stack of spectra, "
                          f"got shapes {curvatures.shape} and {lams.shape}")
-    if lams.shape[1] < 4:
-        raise ValueError(f"need at least 4 principal curvatures, got {lams.shape[1]}")
+    check_integer(lams.shape[1], 4, "n")
     return _from_sectional(curvatures[:, None, None] + lams[:, :, None] * lams[:, None, :])
 
 
@@ -476,12 +471,11 @@ def _frame_blocks(frames: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1, typed=True)
 def _frame_array(n: int, count: int, seed: int) -> np.ndarray:
-    """The read-only (count, 4, n) batch; the last one is kept for the next
-    call, with its blocks (_frame_blocks)."""
-    if n < 4:
-        raise ValueError(f"4-frames need dimension >= 4, got {n}")
-    if count < 1:
-        raise ValueError(f"frame count must be >= 1, got {count}")
+    """The read-only (count, 4, n) batch, the one way into sampling; the
+    last one is kept for the next call, with its blocks (_frame_blocks)."""
+    check_integer(n, 4, "n")
+    check_integer(count, 1, "count")
+    check_integer(seed, 0, "seed")
     _KEPT_BLOCKS[:] = None, None  # free the replaced batch's blocks before drawing, off the memory peak
     rng = np.random.default_rng(seed)
     form = _orthonormalize(rng.standard_normal((count, 4, n)), rng)
@@ -553,8 +547,7 @@ def cic_probes(
     does for a member, whose index the message names when the stack has
     more than one.
     """
-    if count < 2:
-        raise ValueError(f"probe needs at least 2 frames, got {count}")
+    check_integer(count, 2, "count")
     if not tensors:
         raise ValueError("probe needs at least one tensor")
     dims = sorted({t.dim for t in tensors})

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
-from .spectra import cic_from_spectrum
+from .spectra import check_delta, check_finite, check_integer, cic_from_spectrum
 
 EPS_DOM = 1e-9            # breakdown threshold: N relative to its terms; RK4 stops at x^2 / x0^2
 DEFAULT_WINDOW = (-10.0, 10.0)
@@ -99,12 +99,10 @@ class AmbientSpec:
     delta: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise ValueError(f"ambient curvature must be finite, got {self.c}")
-        if self.delta not in (-1, 0, 1):
-            raise ValueError(f"delta must be -1, 0 or 1, got {self.delta}")
+        check_finite(self.c, "c")
+        check_delta(self.delta)
         if self.c >= 0 and self.delta != 1:
-            raise ValueError(f"delta must be 1 when c >= 0, got delta={self.delta}")
+            raise ValueError(f"an ambient with c >= 0 needs delta = 1, got delta = {self.delta}")
 
 
 def _sqrt_pair(u, up):
@@ -123,16 +121,22 @@ class _SquareProfile:
     """A profile family given by its square: u(s) returns (u, u', u'') at an array s.
 
     ode_constant and ode_delta, the (C, delta) of its profile equation, are
-    the family's fields C and delta, or 0 and 1 when it has none.  After its
-    own form checks (signs, delta), every family requires finite fields and u_min > 0.
+    the family's fields C and delta, or 0 and 1 when it has none.  Fields
+    pass the `spectra` rules, then the family's signs (_check_form), u_min > 0.
     """
 
     def __post_init__(self):
         for field, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{type(self).__name__} needs a finite {field}, got {value}")
+            if field == "delta":
+                check_delta(value)
+            else:
+                check_finite(value, field)
+        self._check_form()
         if not self.u_min > 0:
             raise ValueError(f"{self!r} needs inf u > 0 on R, got inf u = {self.u_min!r}")
+
+    def _check_form(self) -> None:
+        """The family's own sign conditions, checked before u_min is taken."""
 
     @property
     def ode_constant(self) -> float:
@@ -157,12 +161,11 @@ class TrigProfile(_SquareProfile):
     C: float
     alpha: float
 
-    def __post_init__(self):
+    def _check_form(self) -> None:
         if not self.C > 0:
             raise ValueError(f"Trig profile needs C > 0, got {self.C}")
         if not self.alpha >= 0.0:
             raise ValueError(f"Trig profile needs alpha >= 0, got {self.alpha}")
-        super().__post_init__()
 
     @property
     def u_min(self) -> float:
@@ -202,14 +205,11 @@ class ExponentialProfile(_SquareProfile):
     B: float
     delta: int = 1
 
-    def __post_init__(self):
+    def _check_form(self) -> None:
         if not self.C < 0:
             raise ValueError(f"Exponential profile needs C < 0, got {self.C}")
-        if self.delta not in (-1, 0, 1):
-            raise ValueError(f"delta must be -1, 0 or 1, got {self.delta}")
         if self.A < 0 or self.B < 0:
             raise ValueError(f"Exponential profile needs A, B >= 0, got A={self.A}, B={self.B}")
-        super().__post_init__()
 
     @property
     def u_min(self) -> float:
@@ -337,8 +337,7 @@ def profile_columns(
     before it.
     """
     lo, hi = s_window
-    if grid_n < 2:
-        raise ValueError(f"grid needs at least 2 points, got {grid_n}")
+    check_integer(grid_n, 2, "grid_n")
     if not (hi > lo and math.isfinite(hi - lo)):
         raise ValueError(f"window must be finite with lo < hi, got {s_window}")
     step = (hi - lo) / (grid_n - 1)
@@ -457,11 +456,9 @@ def integrate_profile(
     EPS_DOM of x0^2, forward sweep first, and ValueError naming s and the
     step at the first step where u or u' overflows the float range.
     """
-    for name, value in (("C", C), ("x0", x0), ("v0", v0), ("s_max", s_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if delta not in (-1, 0, 1):
-        raise ValueError(f"delta must be -1, 0 or 1, got {delta}")
+    for name, value in (("C", C), ("x0", x0), ("v0", v0), ("s_max", s_max), ("step", step)):
+        check_finite(value, name)
+    check_delta(delta)
     if not (x0 > 0 and x0 * x0 >= np.finfo(float).tiny):  # a subnormal x0^2 has too few digits
         raise ValueError(f"x0 must be positive with x0^2 a normal float, got {x0!r}")
     if not step > 0:

@@ -4,24 +4,36 @@ A hypersurface of constant isotropic curvature has at most two distinct
 principal curvatures, lambda of multiplicity at least n-1 and mu.  This
 module works on that (lambda, mu) pair: it evaluates the isotropic constant
 4c + 2(lambda^2 + lambda*mu) and solves for the pairs with given isotropic
-and mean curvature.  `check_dimension` is the one check of a dimension,
-shared by `classification` and `curvature`.  Branch decisions live in
-`classification`.
+and mean curvature.  Branch decisions live in `classification`.
+
+Every module takes its scalar checks from the three rules here, each raising
+ValueError naming the parameter: `check_integer` (dimensions, counts, grid
+sizes, seeds), `check_finite` (numbers) and `check_delta` (rotation types).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral
 
 
-def check_dimension(n, least: int = 4, name: str = "n") -> None:
-    """Reject a dimension n unless it is an integer (a bool is not one) >= least.
+def check_integer(value, least: int, name: str) -> None:
+    """Reject value unless it is an integer (a bool is not one) >= least."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"need an integer {name} >= {least}, got {name} = {value!r}")
 
-    least is 4 for a hypersurface; name is what the error calls n.
-    """
-    if not isinstance(n, Integral) or isinstance(n, bool) or n < least:
-        raise ValueError(f"need an integer {name} >= {least}, got {name} = {n!r}")
+
+def check_finite(value, name: str) -> None:
+    """Reject nan, +-inf and an int or Fraction beyond the float range (compared exactly)."""
+    if not abs(value) <= sys.float_info.max:  # nan fails every comparison
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_delta(delta) -> None:
+    """Reject a rotation type delta unless it is the integer -1, 0 or 1 (a bool is not one)."""
+    if not isinstance(delta, Integral) or isinstance(delta, bool) or delta not in (-1, 0, 1):
+        raise ValueError(f"delta must be -1, 0 or 1, got {delta!r}")
 
 
 def cic_from_spectrum(c: float, lam: float, mu: float) -> float:
@@ -39,10 +51,12 @@ def cmc_lambda_solve(n: int, c: float, C: float, H: float) -> list[tuple[float, 
     Solves (2-n)*lambda^2 + H*lambda - (C-4c)/2 = 0 with the numerically
     stable quadratic formula and pairs each real root with
     mu = H - (n-1)*lambda.  Returns 0, 1 or 2 pairs, ascending in lambda;
-    every pair reproduces C through cic_from_spectrum to ~1e-12.  n is
-    checked as ClassQuery checks it (check_dimension).
+    every pair reproduces C through cic_from_spectrum to ~1e-12.  n, c, C
+    and H are checked by the module's rules, as ClassQuery checks them.
     """
-    check_dimension(n)
+    check_integer(n, 4, "n")
+    for name, value in (("c", c), ("C", C), ("H", H)):
+        check_finite(value, name)
     a = float(2 - n)
     b = float(H)
     c0 = -(C - 4.0 * c) / 2.0

@@ -121,7 +121,7 @@ def test_a_non_integer_n_is_rejected(n):
     """A dimension is an integer of at least 4: a float n, a whole one too, a
     Fraction, a bool, a string or 3 is rejected with a message naming it, by
     ClassQuery, minimal_classify and cmc_lambda_solve alike (one
-    spectra.check_dimension; cmc_lambda_solve(4.5, ...) used to give two pairs)."""
+    spectra.check_integer; cmc_lambda_solve(4.5, ...) used to give two pairs)."""
     with pytest.raises(ValueError, match=f"integer n >= 4, got n = {re.escape(repr(n))}"):
         ClassQuery(n, 1, 3)
     with pytest.raises(ValueError, match=f"integer n >= 4, got n = {re.escape(repr(n))}"):
@@ -152,6 +152,29 @@ def test_infinite_isotropic_constant_is_rejected():
 def test_exact_value_beyond_float_range_is_rejected(big):
     with pytest.raises(ValueError, match="c must be finite"):
         ClassQuery(4, big, 1)
+
+
+@pytest.mark.parametrize(
+    "c,C,name",
+    [(1.0, math.inf, "C"), (-math.inf, 1.0, "c"), (10**400, 1, "c"), (math.nan, 1.0, "c"), (1.0, -(10**400), "C")],
+    ids=lambda v: "10**400" if v == 10**400 else "-10**400" if v == -(10**400) else None,
+)
+def test_the_minimal_claim_rejects_non_finite_input(c, C, name):
+    """minimal_classify checks (n, c, C) as ClassQuery does: an infinite C
+    used to read as TotallyGeodesic and 10**400 to raise OverflowError."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        minimal_classify(4, c, C)
+
+
+@pytest.mark.parametrize(
+    "c,C,H,name",
+    [(math.nan, 1.0, 0.0, "c"), (0.75, math.inf, 0.0, "C"), (0.75, 2.0, 10**400, "H")],
+    ids=lambda v: "10**400" if v == 10**400 else None,
+)
+def test_the_cmc_solver_rejects_non_finite_input(c, C, H, name):
+    """cmc_lambda_solve used to answer nan with NaN pairs."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        cmc_lambda_solve(4, c, C, H)
 
 
 @pytest.mark.parametrize("n,c,C,lambda_sq", [(5, -1e308, 0.0, 1e308), (4, -1e308, -1e308, 7.5e307)])

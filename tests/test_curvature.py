@@ -233,7 +233,7 @@ def test_a_stacked_build_is_its_rows_built_alone(n, total):
         # only the diagonal c + lambda_0^2 overflows; it does not enter, but it is not finite
         ([0.3, 0.0], [[1.0] * 4, [1e200, 1e-200, 1.0, 1.0]], "^tensor 1 of 2: sectional curvatures must be finite, got inf$"),
         ([math.nan], [[1.0] * 4], "^sectional curvatures must be finite, got nan$"),
-        ([0.0, 0.0], [[1.0] * 3] * 2, "^need at least 4 principal curvatures, got 3$"),
+        ([0.0, 0.0], [[1.0] * 3] * 2, "^need an integer n >= 4, got n = 3$"),
         ([0.0], [[1.0] * 4] * 2, r"need T curvatures and a \(T, n\) stack of spectra, got shapes \(1,\) and \(2, 4\)"),
         ([0.0], [1.0] * 4, r"got shapes \(1,\) and \(4,\)"),
     ],
@@ -248,7 +248,7 @@ def test_a_stacked_build_names_its_first_bad_member(cs, lams, message):
     [
         (lambda: build_from_shape(math.nan, (1.0, 1.0, 1.0, 1.0)), "sectional curvatures must be finite, got nan"),
         (lambda: build_from_shape(0.0, (1e200, 1e-200, 1.0, 1.0)), "sectional curvatures must be finite, got inf"),
-        (lambda: build_from_shape(0.0, (1.0, 1.0, 1.0)), "need at least 4 principal curvatures, got 3"),
+        (lambda: build_from_shape(0.0, (1.0, 1.0, 1.0)), "need an integer n >= 4, got n = 3"),
         (lambda: build_constant_curvature(4, math.inf), "sectional curvatures must be finite, got inf"),
         (lambda: cv._from_sectional(np.ones((1, 4, 4)) + np.eye(4, k=1)),
          "sectional matrix must be square and symmetric, got shape (4, 4)"),
@@ -719,8 +719,9 @@ def test_frame_array_keeps_one_batch():
     cv._frame_array(4, 5, 1)
     info = cv._frame_array.cache_info()
     assert info.maxsize == 1 and info.currsize == 1 and info.hits == 0
-    with pytest.raises(TypeError):  # a float seed is its own key, rejected as before
+    with pytest.raises(ValueError, match=r"integer seed >= 0, got seed = 1\.0$"):  # its own key, rejected by name
         cv._frame_array(4, 5, 1.0)
+    assert cv._frame_array.cache_info().currsize == 1  # the rejected call kept the last batch
 
 
 def test_probes_with_alternating_keys_match_a_cold_cache():
@@ -880,7 +881,7 @@ def test_dense_components_need_an_integer_dim_and_its_shape(dim, shape, message)
     ],
 )
 def test_builders_need_integer_dimensions(build, message):
-    """A builder's dimension is an integer (spectra.check_dimension), so a
+    """A builder's dimension is an integer (spectra.check_integer), so a
     non-integer one is rejected by name, not carried into a sum or a shape
     (Factor("sphere", 2.5, 1.0) made a ProductSpec of total_dim 4.5)."""
     with pytest.raises(ValueError, match=message):

@@ -1,6 +1,8 @@
 """Module boundaries inside the package: a module reaches another one only
 through its public names.  `_`-prefixed names are a module's own, so a
-change to one never has to look past the module that defines it."""
+change to one never has to look past the module that defines it.  And the
+rules for scalar inputs live in `spectra` alone, so a new input takes them
+from there instead of writing its own copy."""
 
 import ast
 from pathlib import Path
@@ -61,3 +63,53 @@ def test_no_module_reaches_another_modules_private_names(path):
 )
 def test_the_checker_sees_each_way_in(source, found):
     assert private_reaches(source) == found
+
+
+def rule_copies(source: str) -> list[str]:
+    """Each copy of a scalar-input rule, as 'line: text': a literal holding
+    exactly -1, 0 and 1 (delta's range, in any order) that is not the
+    iterable of a loop, and each isinstance(..., Integral)."""
+    tree = ast.parse(source)
+    loops = {id(node.iter) for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and id(node) not in loops:
+            try:
+                values = ast.literal_eval(node)
+            except ValueError:
+                continue
+            if all(type(v) in (int, float) for v in values) and sorted(values) == [-1, 0, 1]:
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            names = {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node.args[-1])}
+            if "Integral" in names:
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.stem != "spectra"], ids=lambda path: path.stem)
+def test_scalar_rules_are_only_in_spectra(path):
+    assert rule_copies(path.read_text()) == []
+
+
+def test_spectra_holds_the_rules():
+    """check_integer and check_delta test for Integral, check_delta for (-1, 0, 1)."""
+    assert len(rule_copies((PACKAGE / "spectra.py").read_text())) == 3
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("if delta not in (-1, 0, 1):\n    pass\n", ["1: (-1, 0, 1)"]),
+        ("ok = d in {1, 0, -1}\n", ["1: {1, 0, -1}"]),
+        ("ALLOWED = [0, 1.0, -1]\n", ["1: [0, 1.0, -1]"]),
+        ("isinstance(n, Integral)\n", ["1: isinstance(n, Integral)"]),
+        ("import numbers\nisinstance(n, numbers.Integral)\n", ["2: isinstance(n, numbers.Integral)"]),
+        ("isinstance(n, (int, Integral))\n", ["1: isinstance(n, (int, Integral))"]),
+        ("for d in (1, 0, -1):\n    pass\n", []),
+        ("[d for d in (-1, 0, 1)]\n", []),
+        ("isinstance(v, Rational)\nx = (-1, 0, 2)\ny = ('a', 0, 1)\n", []),
+    ],
+)
+def test_the_rule_checker_sees_each_copy(source, found):
+    assert rule_copies(source) == found

@@ -587,7 +587,7 @@ def test_a_breakdown_leaves_no_reference_cycle():
 
 def test_profile_columns_validates_on_the_call():
     fam = ParabolicProfile(beta=1.0)
-    with pytest.raises(ValueError, match="at least 2 points"):
+    with pytest.raises(ValueError, match=r"need an integer grid_n >= 2, got grid_n = 1$"):
         profile_columns(fam, FLAT, (-1.0, 1.0), 1)
     with pytest.raises(ValueError, match="window"):
         profile_columns(fam, FLAT, (1.0, -1.0), 11)

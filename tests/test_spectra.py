@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isocurv.classification import MinimalKind, minimal_classify
-from isocurv.curvature import build_from_shape, cic_probe
+from isocurv.checks import RunConfig
+from isocurv.classification import ClassQuery, MinimalKind, minimal_classify
+from isocurv.curvature import Factor, build_constant_curvature, build_from_shape, cic_probe, cic_probes, sample_frames
+from isocurv.profiles import (
+    AmbientSpec,
+    ExponentialProfile,
+    ParabolicProfile,
+    QuadraticProfile,
+    TrigProfile,
+    integrate_profile,
+    profile_columns,
+)
 from isocurv.spectra import cic_from_spectrum, cmc_lambda_solve
 
 moderate = st.floats(min_value=-3.0, max_value=3.0)
@@ -218,3 +230,94 @@ def test_pairing_failure_implies_probe_spread(lams):
     t = build_from_shape(0.0, lams)
     report = cic_probe(t, count=1000, seed=42)
     assert report.max - report.min > 1e-6 * np.max(np.abs(t.comp))
+
+
+# ---------------------------------------------------------------------------
+# the scalar-input rules (spectra.check_integer, check_finite, check_delta)
+# at every entry point that takes a scalar
+
+
+NUMBER, INTEGER, DELTA = "number", "integer", "delta"
+BAD = {
+    NUMBER: (math.nan, math.inf, -math.inf, 10**400),
+    INTEGER: (4.0, True, None, "4"),
+    DELTA: (1.0, 0.0, True, None, "1", 2),
+}
+T4 = build_constant_curvature(4, 1.0)
+
+# entry point: (a valid call, keywords overriding its arguments; {parameter: kind})
+ENTRY_POINTS = {
+    "ClassQuery": (functools.partial(ClassQuery, n=4, c=1.0, C=3.0), {"n": INTEGER, "c": NUMBER, "C": NUMBER}),
+    "minimal_classify": (functools.partial(minimal_classify, n=4, c=0.75, C=2.0),
+                         {"n": INTEGER, "c": NUMBER, "C": NUMBER}),
+    "cmc_lambda_solve": (functools.partial(cmc_lambda_solve, n=4, c=0.75, C=2.0, H=0.0),
+                         {"n": INTEGER, "c": NUMBER, "C": NUMBER, "H": NUMBER}),
+    "Factor": (functools.partial(Factor, kind="sphere", dim=3, curvature=1.0), {"dim": INTEGER, "curvature": NUMBER}),
+    "AmbientSpec": (functools.partial(AmbientSpec, c=-1.0, delta=1), {"c": NUMBER, "delta": DELTA}),
+    "TrigProfile": (functools.partial(TrigProfile, C=2.0, alpha=0.5), {"C": NUMBER, "alpha": NUMBER}),
+    "ParabolicProfile": (functools.partial(ParabolicProfile, beta=1.0), {"beta": NUMBER}),
+    "ExponentialProfile": (functools.partial(ExponentialProfile, C=-1.0, A=1.0, B=1.0, delta=1),
+                           {"C": NUMBER, "A": NUMBER, "B": NUMBER, "delta": DELTA}),
+    "QuadraticProfile": (functools.partial(QuadraticProfile, A=0.0, B=1.0), {"A": NUMBER, "B": NUMBER}),
+    "integrate_profile": (functools.partial(integrate_profile, C=2.0, delta=1, x0=1.0, v0=0.0, s_max=1.0, step=0.1),
+                          {"C": NUMBER, "delta": DELTA, "x0": NUMBER, "v0": NUMBER, "s_max": NUMBER, "step": NUMBER}),
+    "cic_probe": (functools.partial(cic_probe, T4, count=50, seed=1), {"count": INTEGER, "seed": INTEGER}),
+    "cic_probes": (functools.partial(cic_probes, [T4, T4], count=50, seed=1), {"count": INTEGER, "seed": INTEGER}),
+    "sample_frames": (functools.partial(sample_frames, n=4, count=5, seed=1),
+                      {"n": INTEGER, "count": INTEGER, "seed": INTEGER}),
+    "profile_columns": (functools.partial(profile_columns, ParabolicProfile(beta=1.0), AmbientSpec(0.0), grid_n=11),
+                        {"grid_n": INTEGER}),
+    "RunConfig": (functools.partial(RunConfig, seed=1), {"seed": INTEGER}),
+}
+SHOWN = {("Factor", "dim"): "factor dim"}  # where the message calls a parameter by another name
+
+
+def _expected_message(kind: str, name: str) -> str:
+    if kind == NUMBER:
+        return rf"^{name} must be finite, got "
+    if kind == INTEGER:
+        return rf"^need an integer {name} >= -?\d+, got {name} = "
+    return r"^delta must be -1, 0 or 1, got "
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_each_entry_point_accepts_its_valid_call(entry):
+    call, _ = ENTRY_POINTS[entry]
+    call()
+
+
+@pytest.mark.parametrize(
+    "entry,name,bad",
+    [
+        pytest.param(entry, name, bad, id=f"{entry}-{name}={'10**400' if bad == 10**400 else repr(bad)}")
+        for entry, (_, kinds) in ENTRY_POINTS.items()
+        for name, kind in kinds.items()
+        for bad in BAD[kind]
+    ],
+)
+def test_each_scalar_input_is_checked_by_its_rule(entry, name, bad):
+    """nan, +-inf and 10**400 where a number is expected, 4.0, True, None
+    and "4" where an integer is, and those and 0.0, 1.0 and 2 where delta
+    is: each a ValueError whose message names the parameter."""
+    call, kinds = ENTRY_POINTS[entry]
+    shown = re.escape(SHOWN.get((entry, name), name))
+    with pytest.raises(ValueError, match=_expected_message(kinds[name], shown)):
+        call(**{name: bad})
+
+
+def test_exact_and_numpy_inputs_stay_accepted():
+    """Ints, Fractions and numpy integers pass the rules and give the answers of their floats."""
+    i = np.int64
+    assert ClassQuery(i(4), Fraction(3, 4), 2) == ClassQuery(4, 0.75, 2.0)
+    assert minimal_classify(i(4), Fraction(3, 4), 2) == minimal_classify(4, 0.75, 2.0)
+    assert cmc_lambda_solve(i(4), Fraction(3, 4), 2, 0) == cmc_lambda_solve(4, 0.75, 2.0, 0.0)
+    assert Factor("sphere", i(3), Fraction(1)) == Factor("sphere", 3, 1.0)
+    assert AmbientSpec(Fraction(-1), i(-1)) == AmbientSpec(-1.0, -1)
+    assert ExponentialProfile(C=-1, A=1, B=1, delta=i(0)) == ExponentialProfile(C=-1.0, A=1.0, B=1.0, delta=0)
+    assert integrate_profile(2, i(1), 1, 0, 1, 0.1) == integrate_profile(2.0, 1, 1.0, 0.0, 1.0, 0.1)
+    assert cic_probe(T4, count=i(50), seed=i(3)) == cic_probe(T4, count=50, seed=3)
+    assert all(np.array_equal(a.vectors, b.vectors)
+               for a, b in zip(sample_frames(i(5), i(4), i(2)), sample_frames(5, 4, 2), strict=True))
+    got, want = (list(profile_columns(ParabolicProfile(beta=1), AmbientSpec(0), grid_n=g)) for g in (i(11), 11))
+    assert all(np.array_equal(a, b) for ga, wa in zip(got, want, strict=True) for a, b in zip(ga, wa, strict=True))
+    assert RunConfig(seed=i(7)).seed == 7
