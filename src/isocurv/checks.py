@@ -333,8 +333,9 @@ def check_minimal_clifford(config: RunConfig) -> str:
         v = cls.minimal_classify(4, c, 8.0 * c / 3.0)
         assert v.kind is cls.MinimalKind.CLIFFORD, f"c={c}: got {v.kind}"
         assert abs(3.0 * v.lam + v.mu) <= 1e-14, f"c={c}: H = {3.0 * v.lam + v.mu!r}"
-        assert abs(v.lam + math.sqrt(c / 3.0)) <= 1e-12
-        assert abs(v.x0 - math.sqrt(3.0 / (4.0 * c))) <= 1e-12
+        r, s = 1.0 / math.sqrt(4.0 * c / 3.0), 1.0 / math.sqrt(4.0 * c)  # radii of S^3(4c/3) x S^1(4c) in S^5(c)
+        assert abs(v.lam + math.sqrt(c) * s / r) <= 1e-12  # lambda = -sqrt(c)*s/r along the S^3 factor
+        assert abs(v.x0 - r) <= 1e-12  # the profile height is the S^3 radius
         assert abs(sp.cic_from_spectrum(c, v.lam, v.mu) - 8.0 * c / 3.0) <= 1e-12
     for n, c, C in ((4, 1.0, 5.0), (5, 1.0, 4.5), (4, -1.0, 1.0), (6, 0.0, 2.0)):
         assert cls.minimal_classify(n, c, C).kind is cls.MinimalKind.NONE, f"({n}, {c}, {C})"

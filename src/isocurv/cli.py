@@ -70,6 +70,11 @@ def parse_number(text: str):
     return value
 
 
+def _window(args) -> tuple[float, float]:
+    """The --window (LO, HI), each parsed as c and C are, else the library's default."""
+    return tuple(float(parse_number(text)) for text in args.window) if args.window else pf.DEFAULT_WINDOW
+
+
 def _seed(text: str) -> int:
     """argparse type of --seed: a non-negative integer."""
     if not re.fullmatch(r"\+?\d+", text.strip()):
@@ -115,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("c")
     p.add_argument("C")
     p.add_argument("--witness", action="store_true", help="attach verified rotation witnesses")
-    p.add_argument("--window", type=float, nargs=2, default=pf.DEFAULT_WINDOW, metavar=("LO", "HI"))
+    p.add_argument("--window", nargs=2, metavar=("LO", "HI"))
     p.add_argument("--grid", type=int, default=pf.DEFAULT_GRID)
 
     p = sub.add_parser("profile", help="emit CSV curvature samples along a profile")
@@ -127,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", default=None)
     p.add_argument("--delta", type=int, default=1, help="rotation type (exponential family and ambient)")
     p.add_argument("--c", required=True, help="ambient curvature")
-    p.add_argument("--window", type=float, nargs=2, default=pf.DEFAULT_WINDOW, metavar=("LO", "HI"))
+    p.add_argument("--window", nargs=2, metavar=("LO", "HI"))
     p.add_argument("--grid", type=int, default=pf.DEFAULT_GRID)
 
     p = sub.add_parser("check", help="run the verification suites")
@@ -164,11 +169,11 @@ def _cmd_probe(args) -> int:
 
 def _cmd_classify(args) -> int:
     q = cls.ClassQuery(n=args.n, c=parse_number(args.c), C=parse_number(args.C))
+    window = _window(args)
     outcomes = cls.classify(q)
     payload = cls.query_to_json(q, outcomes)
     failed = False  # a witness that breaks down in --window fails verification
     if args.witness:
-        window = tuple(args.window)
         for outcome, entry in zip(outcomes, payload["outcomes"]):
             if outcome.tag != cls.ROTATION_FAMILY:
                 entry["witness"] = {"symbolic": outcome.tag}
@@ -202,7 +207,7 @@ def _build_family(args) -> pf.ProfileFamily:
 def _cmd_profile(args) -> int:
     fam = _build_family(args)
     ambient = pf.AmbientSpec(c=float(parse_number(args.c)), delta=args.delta)
-    blocks = pf.profile_columns(fam, ambient, tuple(args.window), args.grid)
+    blocks = pf.profile_columns(fam, ambient, _window(args), args.grid)
     try:
         pf.write_profile_csv(blocks, sys.stdout)
     except pf.DomainBreakdown as exc:

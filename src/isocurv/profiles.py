@@ -267,8 +267,9 @@ def ode_residual(C, delta, us, h: float):
 
     us is a family's u(np.array((s - h, s, s + h))), its (u, u', u'') at
     the three stacked points; C and delta broadcast against s.  O(h^2)
-    small when (C, delta) match the family; order one otherwise.
+    small when (C, delta) match the family; order one otherwise; h finite, > 0.
     """
+    check_finite(h, "h")
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
     (x_lo, x_mid, x_hi), (v_lo, _, v_hi) = _sqrt_pair(us[0], us[1])

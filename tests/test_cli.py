@@ -456,6 +456,16 @@ def test_profile_stdout_is_the_library_csv(capsys, argv, fam, ambient):
 
 
 @pytest.mark.parametrize(
+    "command", [("profile", "parabolic", "--beta", "1", "--c", "0"), ("classify", "4", "1", "3", "--witness")]
+)
+def test_window_takes_fractions(capsys, command):
+    """--window is parsed as every other number: 1/2 reads as 0.5."""
+    half = run_cli(capsys, *command, "--window", "0", "1/2", "--grid", "3")
+    assert half[0] == 0 and half[1]
+    assert half == run_cli(capsys, *command, "--window", "0", "0.5", "--grid", "3")
+
+
+@pytest.mark.parametrize(
     "extra",
     [
         ("--grid", "1"),

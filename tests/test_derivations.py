@@ -10,7 +10,8 @@ these exact forms at sample points, so a mutated src formula fails here.
 The ends of `classify`'s parameter intervals are derived the same way, from
 N = (C - 4c)*u^2 - E (the radicand's numerator in an ambient of the
 family's rotation type) at the ends of the family's range of u, and
-compared with classify at exact (c, C).
+compared with classify at exact (c, C).  The minimal case is derived as the
+H = 0 case of the CMC quadratic, and its Clifford constants with it.
 sympy is imported only by this test module; `isocurv check` never imports it.
 """
 
@@ -26,7 +27,8 @@ import pytest
 import sympy as sp
 
 from isocurv import profiles as pf
-from isocurv.classification import ClassQuery, classify, nonexistence_witness
+from isocurv.classification import ClassQuery, MinimalKind, classify, minimal_classify, nonexistence_witness
+from isocurv.spectra import cic_from_spectrum
 
 s = sp.Symbol("s", real=True)
 ULPS = 8  # numpy against the exact value, in units of eps times the sample's largest |value|
@@ -304,6 +306,45 @@ def test_flat_candidate_fails_where_c_u_squared_reaches_1(c):
     k = int(np.ceil(float(at) / step))
     assert k * step - float(at) > 1e-6 * step  # no grid point within rounding of the root
     assert ev.failure.s == k * step
+
+
+# ---------------------------------------------------------------------------
+# the minimal case, H = 0, of the CMC quadratic: the Clifford constants
+
+
+def test_the_cmc_quadratic_is_the_isotropic_constant_at_fixed_H():
+    """With mu = H - (n-1)*lambda, C = cic_from_spectrum(c, lambda, mu) is
+    (n-2)*lambda^2 - H*lambda + 2*(C/4 - c) = 0, the equation
+    cmc_lambda_solve solves; H = 0 gives lambda^2 = 2(c - C/4)/(n - 2)."""
+    n, H, lam, C = sp.symbols("n H lambda C", real=True)
+    mu = H - (n - 1) * lam
+    quadratic = (n - 2) * lam**2 - H * lam + 2 * (C / 4 - c_sym)
+    assert _zero(quadratic + (sp.nsimplify(cic_from_spectrum(c_sym, lam, mu)) - C) / 2)
+    roots = sp.solve(quadratic.subs(H, 0), lam)
+    assert len(roots) == 2
+    for root in roots:
+        assert _zero(root**2 - 2 * (c_sym - C / 4) / (n - 2))
+
+
+def test_the_clifford_constants_are_the_h0_root_at_n4_and_C_8c_over_3():
+    """At n = 4 and C = 8c/3 (c > 0) the H = 0 roots are lambda = +-sqrt(c/3);
+    the Clifford lambda < 0 one has mu = -3*lambda = sqrt(3c), and the
+    alpha = 0 trig member's u_min = 2/C = 3/(4c) is its profile height
+    squared.  minimal_classify gives these at exact c."""
+    c = sp.Symbol("c", positive=True)
+    lam = sp.Symbol("lambda", real=True)
+    (root,) = [r for r in sp.solve(2 * lam**2 + 2 * (8 * c / 3 / 4 - c), lam) if r.is_negative]
+    assert _zero(root + sp.sqrt(c / 3))
+    assert _zero(-3 * root - sp.sqrt(3 * c))
+    trig = _symbols(FORMS[0])
+    u_min = FORMS[0].inf.subs({trig["alpha"]: 0, trig["C"]: 8 * c / 3})
+    assert _zero(u_min - 3 / (4 * c))
+    for value in map(sp.Rational, ("1/4", "3/4", "1", "2", "1/3")):
+        v = minimal_classify(4, Fraction(str(value)), Fraction(str(value)) * Fraction(8, 3))
+        assert v.kind is MinimalKind.CLIFFORD
+        exact = {c: value}
+        assert _close(v.lam, root.subs(exact)) and _close(v.mu, (-3 * root).subs(exact))
+        assert _close(v.x0, sp.sqrt(u_min.subs(exact)))
 
 
 def test_isocurv_check_never_imports_sympy():

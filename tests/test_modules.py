@@ -2,7 +2,8 @@
 through its public names.  `_`-prefixed names are a module's own, so a
 change to one never has to look past the module that defines it.  And the
 rules for scalar inputs live in `spectra` alone, so a new input takes them
-from there instead of writing its own copy."""
+from there instead of writing its own copy.  Machine epsilon has one
+spelling, `sys.float_info.epsilon`, not a hand-typed literal."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,35 @@ def test_spectra_holds_the_rules():
 )
 def test_the_rule_checker_sees_each_copy(source, found):
     assert rule_copies(source) == found
+
+
+def tiny_literals(source: str) -> list[str]:
+    """Each nonzero float literal below 1e-15 in magnitude, as 'line: text':
+    a hand-typed machine epsilon such as 2.3e-16 (a minus sign is an operator
+    outside the literal)."""
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0.0 < node.value < 1e-15
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_hand_types_machine_epsilon(path):
+    assert tiny_literals(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("tol = 64.0 * 2.3e-16\n", ["1: 2.3e-16"]),
+        ("x = -1e-16\n", ["1: 1e-16"]),
+        ("EPS = 2.220446049250313e-16\n", ["1: 2.220446049250313e-16"]),
+        ("def f(x, tol=5e-324):\n    return x\n", ["1: 5e-324"]),
+        ("tol = 1e-15\nBOUND = 1e-12\nzero = 0.0\n", []),
+        ("import sys\ntol = 64.0 * sys.float_info.epsilon\n", []),
+        ("s = '2.3e-16'\nn = 1\n", []),
+    ],
+)
+def test_the_literal_checker_sees_each_tiny_float(source, found):
+    assert tiny_literals(source) == found

@@ -251,7 +251,8 @@ def test_ode_residual_detects_wrong_constants():
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan])
 def test_ode_residual_rejects_a_non_positive_step(h):
-    with pytest.raises(ValueError, match="step must be positive"):
+    """A nan step meets the finiteness rule first, as at every entry point (tests/test_spectra.py)."""
+    with pytest.raises(ValueError, match="^h must be finite, got nan" if math.isnan(h) else "step must be positive"):
         ode_residual(2.0, 1, TrigProfile(C=2.0, alpha=0.5).u(np.array((0.9, 1.0, 1.1))), h)
 
 

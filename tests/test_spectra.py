@@ -3,6 +3,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +19,7 @@ from isocurv.profiles import (
     QuadraticProfile,
     TrigProfile,
     integrate_profile,
+    ode_residual,
     profile_columns,
 )
 from isocurv.spectra import cic_from_spectrum, cmc_lambda_solve
@@ -105,6 +107,78 @@ def test_cmc_round_trip(c, lam, mu, n):
         assert abs(cic_from_spectrum(c, rl, rm) - C) <= 1e-12
 
 
+SUBNORMAL_SLACK = 4 * math.ulp(0.0)  # four subnormal spacings
+
+
+def _wide():
+    """Log-uniform magnitudes in 1e-323..3e307 (subnormals included) with random signs."""
+    exponent = st.floats(min_value=-323.0, max_value=math.log10(3e307))
+    return st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), exponent)
+
+
+def _roots_200(n, c, C, H):
+    """The real roots of (n-2)*lambda^2 - H*lambda + 2*(C/4 - c) = 0 at 200 bits
+    (the larger by the stable formula, the other by Vieta), and whether the
+    discriminant is within 1e-12 of a double root, relative to its terms."""
+    with mpmath.workprec(200):
+        c, C, H = mpmath.mpf(c), mpmath.mpf(C), mpmath.mpf(H)
+        a, gap = n - 2, C / 4 - c
+        disc = H * H - 8 * a * gap
+        near_double = abs(disc) <= mpmath.mpf(1e-12) * (H * H + 8 * a * abs(gap))
+        if disc < 0:
+            return [], near_double
+        if disc == 0:
+            return [H / (2 * a)], near_double
+        big = (H + mpmath.sign(H) * mpmath.sqrt(disc)) / 2 if H else mpmath.sqrt(disc) / 2
+        return sorted([big / a, 2 * gap / big]), near_double
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.sampled_from((4, 5, 6, 9)), c=_wide(), C=_wide(), H=_wide())
+def test_cmc_solve_at_every_scale(n, c, C, H):
+    """Finite pairs, the root count of the 200-bit solve (except within 1e-12
+    of a double root), each lambda within 1e-14 relative of its root and each
+    mu within 1e-14 of |H| + (n-1)|lambda|, up to a few subnormal spacings
+    where the root lies below the normal range."""
+    got = cmc_lambda_solve(n, c, C, H)
+    assert all(math.isfinite(v) for pair in got for v in pair), got
+    want, near_double = _roots_200(n, c, C, H)
+    if near_double:
+        return
+    assert len(got) == len(want), (got, want)
+    for (lam, mu), root in zip(got, want):
+        assert abs(lam - root) <= 1e-14 * abs(root) + SUBNORMAL_SLACK, (lam, root)
+        assert abs(mu - (H - (n - 1) * root)) <= 1e-14 * (abs(H) + (n - 1) * abs(root)) + SUBNORMAL_SLACK, (mu, root)
+
+
+@pytest.mark.parametrize(
+    "args,lams",
+    [
+        ((4, -1e308, 1e308, 0.0), []),  # C - 4c overflows; (C/4 - c) > 0 has no real root at H = 0
+        ((4, -1.7e308, 1.7e308, 0.0), []),  # C/4 - c itself overflows
+        ((4, 1.7e308, -1.7e308, 0.0), [-math.sqrt(2.125) * 1e154, math.sqrt(2.125) * 1e154]),
+        ((4, 1.0, 3.0, 1e300), [-5e-301, 5e299]),  # H^2 overflows
+        ((5, 0.0, 0.0, 1e200), [0.0, 1e200 / 3.0]),
+        ((4, 0.0, 0.0, 1.7e308), [0.0, 8.5e307]),  # 3*lambda overflows, mu = -H/2 does not
+        ((int(1.7e308), 1.0, 0.0, 0.0), [-math.sqrt(2.0) / math.sqrt(1.7e308), math.sqrt(2.0) / math.sqrt(1.7e308)]),
+        ((int(1.7e308), -1.7e308, 1.7e308, 0.0), []),  # 16(n-2)(C/8 - c/2) overflows
+    ],
+)
+def test_cmc_solve_beyond_the_squares_range(args, lams):
+    got = cmc_lambda_solve(*args)
+    assert [lam for lam, _ in got] == pytest.approx(lams, rel=1e-15)
+    n, _, _, H = args
+    for lam, mu in got:  # mu = H - (n-1)*lambda, formed where (n-1)*lambda cannot overflow
+        with mpmath.workprec(200):
+            assert mu == pytest.approx(float(mpmath.mpf(H) - (n - 1) * mpmath.mpf(lam)), rel=1e-15)
+
+
+def test_cmc_solve_names_a_mu_outside_the_float_range():
+    n = int(1.7e308)
+    with pytest.raises(ValueError, match=rf"^cmc_lambda_solve\({n}, 1.7e\+308, 0.0, 0.0\): mu = H - \(n-1\)"):
+        cmc_lambda_solve(n, 1.7e308, 0.0, 0.0)
+
+
 def test_cmc_rejects_small_n():
     with pytest.raises(ValueError):
         cmc_lambda_solve(3, 0.0, 0.0, 0.0)
@@ -123,6 +197,37 @@ def test_minimal_clifford_data(c):
     assert v.mu == pytest.approx(math.sqrt(3.0 * c), abs=1e-12)
     assert v.x0 == pytest.approx(math.sqrt(3.0 / (4.0 * c)), abs=1e-14)
     assert cic_from_spectrum(c, v.lam, v.mu) == pytest.approx(8.0 * c / 3.0, abs=1e-12)
+
+
+CLIFFORD_ROWS = [(c, 8.0 * c / 3.0) for c in (0.25, 0.75, 1.0, 2.0)] + [(1, Fraction(8, 3)), (Fraction(3, 4), 2)]
+
+
+@pytest.mark.parametrize("c,C", CLIFFORD_ROWS)
+def test_minimal_clifford_is_the_h0_solve(c, C):
+    """The Clifford (lambda, mu) is the lambda < 0 pair of cmc_lambda_solve at H = 0, bit for bit."""
+    v = minimal_classify(4, c, C)
+    assert v.kind is MinimalKind.CLIFFORD
+    assert [x.hex() for x in (v.lam, v.mu)] == [x.hex() for x in cmc_lambda_solve(4, c, C, 0.0)[0]]
+
+
+def test_minimal_clifford_at_the_top_of_the_float_range():
+    """4c overflows at c = 6e307; the profile height sqrt(3/(4c)) does not (it read 0.0)."""
+    v = minimal_classify(4, 6e307, 8.0 / 3.0 * 6e307)
+    assert v.kind is MinimalKind.CLIFFORD
+    assert v.x0 == pytest.approx(1.118033988749895e-154, rel=1e-14)
+    assert v.lam == pytest.approx(-math.sqrt(2e307), rel=1e-14)
+    assert v.mu == pytest.approx(3.0 * math.sqrt(2e307), rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [1e-310, 1e-320])
+def test_minimal_clifford_from_subnormal_inputs(c):
+    """c and C are scaled into the normal range before their gap is formed, so
+    lambda is sqrt(c - C/4) of the float inputs to rounding (it was 1.9e-14
+    off at c = 1e-310 and 1.9e-4 at 1e-320)."""
+    C = 8.0 * c / 3.0
+    with mpmath.workprec(200):
+        want = -mpmath.sqrt(mpmath.mpf(c) - mpmath.mpf(C) / 4)
+    assert abs(minimal_classify(4, c, C).lam - want) <= 1e-15 * abs(want)
 
 
 def test_minimal_clifford_spec_instance():
@@ -265,6 +370,8 @@ ENTRY_POINTS = {
     "cic_probes": (functools.partial(cic_probes, [T4, T4], count=50, seed=1), {"count": INTEGER, "seed": INTEGER}),
     "sample_frames": (functools.partial(sample_frames, n=4, count=5, seed=1),
                       {"n": INTEGER, "count": INTEGER, "seed": INTEGER}),
+    "ode_residual": (functools.partial(ode_residual, C=2.0, delta=1, h=0.1,
+                                       us=TrigProfile(C=2.0, alpha=0.5).u(np.array((0.9, 1.0, 1.1)))), {"h": NUMBER}),
     "profile_columns": (functools.partial(profile_columns, ParabolicProfile(beta=1.0), AmbientSpec(0.0), grid_n=11),
                         {"grid_n": INTEGER}),
     "RunConfig": (functools.partial(RunConfig, seed=1), {"seed": INTEGER}),
