@@ -316,21 +316,22 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
 def minimal_classify(n: int, c: Number, C: Number) -> MinimalVerdict:
     """Which minimal hypersurface, if any, has isotropic constant C.
 
-    Minimality is H = 0, where `cmc_lambda_solve`'s quadratic gives
-    lambda^2 = 2(c - C/4)/(n - 2), so C <= 4c is necessary.  At C = 4c the
-    shape operator vanishes (totally geodesic): exactly where `classify`
-    lists a TotallyGeodesic, ConstantCurvature or FlatLocal outcome, from
-    the same comparison.  Below 4c only n = 4, c > 0, C = 8c/3 survives: the
-    Clifford S^3 x S^1, the lambda < 0 pair of the H = 0 solve, of constant
-    profile x0 = sqrt(u_min) of the alpha = 0 trig member.  8c/3 is matched
-    as 4c is: exactly for exact inputs, else within BOUNDARY_TOL * max(|c|,
-    |C|).  (n, c, C) is checked as a ClassQuery.
+    Minimality is H = 0.  At n = 4 `cmc_lambda_solve`'s quadratic then
+    gives lambda^2 = c - C/4, so C <= 4c is necessary; at n >= 5 a CIC
+    spectrum is umbilical or (0, ..., 0, mu), minimal only when it vanishes.
+    At C = 4c the shape operator vanishes (totally geodesic): exactly where
+    `classify` lists a TotallyGeodesic, ConstantCurvature or FlatLocal
+    outcome, from the same comparison.  Below 4c only n = 4, c > 0,
+    C = 8c/3 survives: the Clifford S^3 x S^1, the lambda < 0 pair of the
+    H = 0 solve, of constant profile x0 = sqrt(u_min) of the alpha = 0 trig
+    member.  8c/3 is matched as 4c is: exactly for exact inputs, else within
+    BOUNDARY_TOL * max(|c|, |C|).  (n, c, C) is checked as a ClassQuery.
     """
     ClassQuery(n, c, C)  # raises ValueError on an invalid (n, c, C)
     if _side_of_4c(c, C) == 0:
         return MinimalVerdict(MinimalKind.TOTALLY_GEODESIC, lam=0.0, mu=0.0)
     if n == 4 and c > 0 and _cmp(C, Fraction(8, 3) * c, _boundary_tol(c, C)) == 0:
-        lam, mu = cmc_lambda_solve(4, c, C, 0.0)[0]
+        lam, mu = cmc_lambda_solve(c, C, 0.0)[0]
         x0 = math.sqrt(TrigProfile(C=float(C), alpha=0.0).u_min)
         return MinimalVerdict(MinimalKind.CLIFFORD, lam=lam, mu=mu, x0=x0)
     return MinimalVerdict(MinimalKind.NONE)
@@ -360,6 +361,8 @@ def nonexistence_witness(
     inside the radicand's tolerance), the detail says so instead, with the
     radicand and its threshold.
     """
+    if s_max is not None:
+        check_finite(s_max, "s_max")
     empty = classify(q)[0]
     if empty.tag != EMPTY:
         raise ValueError(f"classify({q.n}, {q.c}, {q.C}) is non-empty; nothing to refute")

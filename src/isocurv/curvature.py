@@ -265,6 +265,7 @@ def build_constant_curvature(n: int, k: float) -> CurvatureTensor:
     vanish.
     """
     check_integer(n, 1, "n")
+    check_finite(k, "k")
     return _from_sectional(np.full((1, n, n), float(k)))[0]
 
 
@@ -293,6 +294,7 @@ def build_from_shape(c: float, lambdas: Sequence[float]) -> CurvatureTensor:
     pairs {i,j}, {k,l} differ as unordered pairs vanish.  The spectrum is
     flattened; this is build_from_shapes((c,), [lambdas]), its one-row case.
     """
+    check_finite(c, "c")
     return build_from_shapes((c,), np.asarray(lambdas, dtype=float).reshape(1, -1))[0]
 
 

@@ -339,7 +339,9 @@ def profile_columns(
     """
     lo, hi = s_window
     check_integer(grid_n, 2, "grid_n")
-    if not (hi > lo and math.isfinite(hi - lo)):
+    for end in s_window:
+        check_finite(end, "window")
+    if not (hi > lo and math.isfinite(float(hi) - float(lo))):
         raise ValueError(f"window must be finite with lo < hi, got {s_window}")
     step = (hi - lo) / (grid_n - 1)
 

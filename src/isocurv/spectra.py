@@ -1,12 +1,12 @@
 """Principal-curvature algebra for hypersurfaces of constant isotropic curvature.
 
 A hypersurface of constant isotropic curvature has at most two distinct
-principal curvatures, lambda of multiplicity at least n-1 and mu.  This
-module works on that (lambda, mu) pair: it evaluates the isotropic constant
+principal curvatures: any (lambda, lambda, lambda, mu) at n = 4, and at
+n >= 5 only lambda = mu or lambda = 0, `classify`'s outcomes there.  This
+module works on the n = 4 pair: it evaluates the isotropic constant
 4c + 2(lambda^2 + lambda*mu) and solves for the pairs with given isotropic
-and mean curvature, in the umbilical gap C/4 - c, at every finite scale (a
-mu beyond the float range is a ValueError); `classification` takes its
-Clifford pair from that solve at H = 0.  Branch decisions live there.
+and mean curvature, in the umbilical gap C/4 - c, at every finite scale;
+`classification` takes its Clifford pair from that solve at H = 0.
 
 Every module takes its scalar checks from the three rules here, each raising
 ValueError naming the parameter: `check_integer` (dimensions, counts, grid
@@ -39,35 +39,34 @@ def check_delta(delta) -> None:
 
 
 def cic_from_spectrum(c: float, lam: float, mu: float) -> float:
-    """Isotropic constant 4c + 2(lambda^2 + lambda*mu) of the spectrum (lambda, ..., lambda, mu).
+    """Isotropic constant 4c + 2(lambda^2 + lambda*mu) of (lambda, lambda, lambda, mu) at n = 4.
 
-    Elementwise on numpy arrays, with the same value for each element as
-    for its floats alone.
+    At n >= 5 it is the constant wherever one exists (lambda = mu or 0).
+    Elementwise on numpy arrays, the same value per element as for its floats alone.
     """
     return 4.0 * c + 2.0 * (lam * lam + lam * mu)
 
 
-def cmc_lambda_solve(n: int, c: float, C: float, H: float) -> list[tuple[float, float]]:
-    """Principal curvatures compatible with constants C (isotropic) and H (mean).
+def cmc_lambda_solve(c: float, C: float, H: float) -> list[tuple[float, float]]:
+    """Pairs (lambda, mu) of n = 4 spectra (lambda, lambda, lambda, mu) with constants C (isotropic) and H (mean).
 
-    Solves (n-2)*lambda^2 - H*lambda + 2*(C/4 - c) = 0 in the umbilical gap
+    Solves 2*lambda^2 - H*lambda + 2*(C/4 - c) = 0 in the umbilical gap
     C/4 - c (4c can overflow) by the stable formula and Vieta, in units of a
     power of two at its terms' scale, so nothing overflows or underflows for
     finite inputs (in the normal range the bits are the unscaled formula's);
-    pairs each real root with mu = H - (n-1)*lambda: 0, 1 or 2 pairs,
-    ascending in lambda.  n, c, C and H are checked by the module's rules,
-    as ClassQuery checks them; a mu beyond the float range is a ValueError.
+    pairs each real root with mu = H - 3*lambda: 0, 1 or 2 pairs, ascending
+    in lambda.  c, C and H are checked by the module's rules, as ClassQuery
+    checks them; a mu beyond the float range is a ValueError.
     """
-    check_integer(n, 4, "n")
     for name, value in (("c", c), ("C", C), ("H", H)):
         check_finite(value, name)
-    k, Hf, cf, Cf = float(n - 2), float(H), float(c), float(C)
+    Hf, cf, Cf = float(H), float(c), float(C)
     g = math.frexp(max(abs(cf), abs(Cf)))[1]
     gap = math.ldexp(Cf, -g) / 4.0 - math.ldexp(cf, -g)  # C/4 - c in units of 2**g: exact scalings, one rounding
-    # disc = H^2 - 8k*gap in units of 4**f, 2**f at the scale of the root of each term (capped for n > 1e307)
-    root_ac = math.sqrt(k) * math.ldexp(math.sqrt(math.ldexp(8.0 * abs(gap), g % 2)), g // 2)
-    f = math.frexp(min(max(abs(Hf), root_ac), sys.float_info.max))[1]
-    b, ac = math.ldexp(Hf, -f), 32.0 * math.ldexp(k * (gap / 4.0), g - 2 * f)
+    # disc = H^2 - 16*gap in units of 4**f, 2**f at the scale of the root of each term
+    root_ac = math.ldexp(math.sqrt(math.ldexp(16.0 * abs(gap), g % 2)), g // 2)
+    f = math.frexp(max(abs(Hf), root_ac))[1]
+    b, ac = math.ldexp(Hf, -f), math.ldexp(16.0 * gap, g - 2 * f)
     disc = b * b - ac
     # clamp roundoff-negative discriminants so exact double roots survive
     if disc < 0.0 and -disc <= 64.0 * sys.float_info.epsilon * (b * b + abs(ac)):
@@ -75,11 +74,11 @@ def cmc_lambda_solve(n: int, c: float, C: float, H: float) -> list[tuple[float, 
     if disc < 0.0:
         return []
     if disc == 0.0:
-        roots = [Hf / (2.0 * k)]
+        roots = [Hf / 4.0]
     else:  # |q| >= 1/4 in these units: b and copysign(sqrt(disc), b) never cancel
         q = (b + math.copysign(math.sqrt(disc), b)) / 2.0
-        roots = sorted({math.ldexp(q / k, f), math.ldexp(gap, 1 + g - f) / q})
-    mus = [b - (k + 1.0) * math.ldexp(lam, -f) for lam in roots]  # in units of 2**f: (n-1)*lambda stays finite
+        roots = sorted({math.ldexp(q / 2.0, f), math.ldexp(gap, 1 + g - f) / q})
+    mus = [b - 3.0 * math.ldexp(lam, -f) for lam in roots]  # in units of 2**f: 3*lambda stays finite
     if not all(math.isfinite(mu) and math.frexp(mu)[1] + f <= sys.float_info.max_exp for mu in mus):
-        raise ValueError(f"cmc_lambda_solve({n}, {c}, {C}, {H}): mu = H - (n-1)*lambda is outside the float range")
+        raise ValueError(f"cmc_lambda_solve({c}, {C}, {H}): mu = H - 3*lambda is outside the float range")
     return [(lam, math.ldexp(mu, f)) for lam, mu in zip(roots, mus)]

@@ -246,10 +246,11 @@ def test_a_stacked_build_names_its_first_bad_member(cs, lams, message):
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: build_from_shape(math.nan, (1.0, 1.0, 1.0, 1.0)), "sectional curvatures must be finite, got nan"),
+        (lambda: build_from_shape(math.nan, (1.0, 1.0, 1.0, 1.0)), "c must be finite, got nan"),
+        (lambda: build_from_shape(0.0, (math.nan, 1.0, 1.0, 1.0)), "sectional curvatures must be finite, got nan"),
         (lambda: build_from_shape(0.0, (1e200, 1e-200, 1.0, 1.0)), "sectional curvatures must be finite, got inf"),
         (lambda: build_from_shape(0.0, (1.0, 1.0, 1.0)), "need an integer n >= 4, got n = 3"),
-        (lambda: build_constant_curvature(4, math.inf), "sectional curvatures must be finite, got inf"),
+        (lambda: build_constant_curvature(4, math.inf), "k must be finite, got inf"),
         (lambda: cv._from_sectional(np.ones((1, 4, 4)) + np.eye(4, k=1)),
          "sectional matrix must be square and symmetric, got shape (4, 4)"),
         (lambda: cv._from_sectional([np.ones((4, 4)), np.ones((4, 4)) + np.eye(4, k=1)]),

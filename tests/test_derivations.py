@@ -11,7 +11,9 @@ The ends of `classify`'s parameter intervals are derived the same way, from
 N = (C - 4c)*u^2 - E (the radicand's numerator in an ambient of the
 family's rotation type) at the ends of the family's range of u, and
 compared with classify at exact (c, C).  The minimal case is derived as the
-H = 0 case of the CMC quadratic, and its Clifford constants with it.
+H = 0 case of the n = 4 CMC quadratic, and its Clifford constants with it;
+at n = 5 the Gauss tensor of (lambda^4, mu) is shown CIC only at lambda = mu
+or lambda = 0, why that quadratic is n = 4's alone.
 sympy is imported only by this test module; `isocurv check` never imports it.
 """
 
@@ -28,6 +30,7 @@ import sympy as sp
 
 from isocurv import profiles as pf
 from isocurv.classification import ClassQuery, MinimalKind, classify, minimal_classify, nonexistence_witness
+from isocurv.curvature import build_from_shape, cic_probe
 from isocurv.spectra import cic_from_spectrum
 
 s = sp.Symbol("s", real=True)
@@ -313,17 +316,58 @@ def test_flat_candidate_fails_where_c_u_squared_reaches_1(c):
 
 
 def test_the_cmc_quadratic_is_the_isotropic_constant_at_fixed_H():
-    """With mu = H - (n-1)*lambda, C = cic_from_spectrum(c, lambda, mu) is
-    (n-2)*lambda^2 - H*lambda + 2*(C/4 - c) = 0, the equation
-    cmc_lambda_solve solves; H = 0 gives lambda^2 = 2(c - C/4)/(n - 2)."""
-    n, H, lam, C = sp.symbols("n H lambda C", real=True)
-    mu = H - (n - 1) * lam
-    quadratic = (n - 2) * lam**2 - H * lam + 2 * (C / 4 - c_sym)
+    """At n = 4, with mu = H - 3*lambda, C = cic_from_spectrum(c, lambda, mu)
+    is 2*lambda^2 - H*lambda + 2*(C/4 - c) = 0, the equation
+    cmc_lambda_solve solves; H = 0 gives lambda^2 = c - C/4."""
+    H, lam, C = sp.symbols("H lambda C", real=True)
+    mu = H - 3 * lam
+    quadratic = 2 * lam**2 - H * lam + 2 * (C / 4 - c_sym)
     assert _zero(quadratic + (sp.nsimplify(cic_from_spectrum(c_sym, lam, mu)) - C) / 2)
     roots = sp.solve(quadratic.subs(H, 0), lam)
     assert len(roots) == 2
     for root in roots:
-        assert _zero(root**2 - 2 * (c_sym - C / 4) / (n - 2))
+        assert _zero(root**2 - (c_sym - C / 4))
+
+
+def _frame_functional(c, ks, frame):
+    """K(e1,e3) + K(e1,e4) + K(e2,e3) + K(e2,e4) - 2 R(e1,e2,e3,e4) of the Gauss
+    tensor R_ijkl = (c + k_i k_j)(delta_il delta_jk - delta_ik delta_jl), on the
+    coordinate frame (e_a, e_b, e_g, e_d) given by its four indices."""
+
+    def R(i, j, k, l):
+        return (c + ks[i] * ks[j]) * (int(i == l and j == k) - int(i == k and j == l))
+
+    a, b, g, d = frame
+    return R(a, g, g, a) + R(a, d, d, a) + R(b, g, g, b) + R(b, d, d, b) - 2 * R(a, b, g, d)
+
+
+def test_at_n5_the_spectrum_lambda4_mu_is_cic_only_when_lambda_is_mu_or_0():
+    """The n >= 5 half of the pointwise lemma, at n = 5: on the coordinate
+    frames (e1, e2, e3, e4) and (e1, e2, e3, e5) the Gauss tensor of
+    (lambda, lambda, lambda, lambda, mu) takes 4c + 4*lambda^2 and
+    4c + 2*lambda^2 + 2*lambda*mu, which differ by 2*lambda*(lambda - mu).
+    So the isotropic curvature is constant only at lambda = mu (umbilical,
+    C = 4c + 4*lambda^2) or lambda = 0 (C = 4c), where every sectional
+    curvature c + k_i*k_j is one number: n = 4's relation
+    C = 4c + 2(lambda^2 + lambda*mu) does not carry over, and the probe
+    sees the spread."""
+    lam, mu = sp.symbols("lambda mu", real=True)
+    ks = (lam, lam, lam, lam, mu)
+    first, last = _frame_functional(c_sym, ks, (0, 1, 2, 3)), _frame_functional(c_sym, ks, (0, 1, 2, 4))
+    assert _zero(first - (4 * c_sym + 4 * lam**2))
+    assert _zero(last - (4 * c_sym + 2 * lam**2 + 2 * lam * mu))
+    assert _zero(first - last - 2 * lam * (lam - mu))
+    assert set(sp.solve(first - last, lam)) == {0, mu}
+    for at in ({lam: mu}, {lam: 0}):
+        sectionals = {sp.expand((c_sym + ks[i] * ks[j]).subs(at)) for i in range(5) for j in range(i)}
+        assert len(sectionals) == 1
+    # lambda*(lambda - mu) != 0: the probe spreads; the last two are the roots (3 -+ sqrt(3))/6 of
+    # (n - 2)*lambda^2 - H*lambda + 2*(C/4 - c) = 0 at n = 5, (c, C, H) = (1, 5, 3), with mu = H - 4*lambda
+    spread = [(1, 2), (-1, 1), (2, -1)] + [((3 + r) / 6, 3 - 4 * (3 + r) / 6) for r in (-np.sqrt(3), np.sqrt(3))]
+    for lam_v, mu_v in spread:
+        assert not cic_probe(build_from_shape(1.0, (lam_v,) * 4 + (mu_v,)), count=200, seed=3).is_constant
+    for lam_v, mu_v in ((1, 1), (0, 2)):
+        assert cic_probe(build_from_shape(1.0, (lam_v,) * 4 + (mu_v,)), count=200, seed=3).is_constant
 
 
 def test_the_clifford_constants_are_the_h0_root_at_n4_and_C_8c_over_3():

@@ -1,7 +1,9 @@
 import functools
+import inspect
 import math
 import re
 from fractions import Fraction
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -9,15 +11,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import isocurv
 from isocurv.checks import RunConfig
-from isocurv.classification import ClassQuery, MinimalKind, minimal_classify
-from isocurv.curvature import Factor, build_constant_curvature, build_from_shape, cic_probe, cic_probes, sample_frames
+from isocurv.classification import ClassQuery, MinimalKind, minimal_classify, nonexistence_witness
+from isocurv.curvature import (
+    CurvatureTensor,
+    Factor,
+    build_constant_curvature,
+    build_from_shape,
+    cic_probe,
+    cic_probes,
+    sample_frames,
+)
 from isocurv.profiles import (
     AmbientSpec,
     ExponentialProfile,
     ParabolicProfile,
     QuadraticProfile,
     TrigProfile,
+    cic_along_profile,
+    cic_mean_deviation,
+    domain_check,
     integrate_profile,
     ode_residual,
     profile_columns,
@@ -65,7 +79,7 @@ def test_cic_from_spectrum_values(c, lam, mu, expected):
 
 
 def test_cmc_solve_clifford_quadratic():
-    roots = cmc_lambda_solve(4, 0.75, 2.0, 0.0)
+    roots = cmc_lambda_solve(0.75, 2.0, 0.0)
     assert len(roots) == 2
     (lam1, mu1), (lam2, mu2) = roots
     assert lam1 == pytest.approx(-0.5, abs=1e-14)
@@ -76,30 +90,29 @@ def test_cmc_solve_clifford_quadratic():
 
 
 def test_cmc_solve_double_and_empty():
-    assert cmc_lambda_solve(5, 1.0, 4.0, 0.0) == [(0.0, 0.0)]
-    assert cmc_lambda_solve(4, 1, 4, 0) == [(0.0, 0.0)]  # b = c0 = 0: the one double root, once
-    roots = cmc_lambda_solve(4, 0.0, 4.0, 4.0)
+    assert cmc_lambda_solve(1, 4, 0) == [(0.0, 0.0)]  # b = c0 = 0: the one double root, once
+    roots = cmc_lambda_solve(0.0, 4.0, 4.0)
     assert len(roots) == 1
     assert roots[0][0] == pytest.approx(1.0, abs=1e-12)
     assert roots[0][1] == pytest.approx(1.0, abs=1e-12)
-    assert cmc_lambda_solve(4, 1.0, 10.0, 0.0) == []
+    assert cmc_lambda_solve(1.0, 10.0, 0.0) == []
 
 
 def test_cmc_solve_exact_umbilical_double_root():
     # analytically a double root; roundoff must not drop it
-    roots = cmc_lambda_solve(4, 0.3, cic_from_spectrum(0.3, 1.1, 1.1), 4 * 1.1)
+    roots = cmc_lambda_solve(0.3, cic_from_spectrum(0.3, 1.1, 1.1), 4 * 1.1)
     assert len(roots) >= 1
     assert any(abs(lam - 1.1) < 1e-7 for lam, _ in roots)
 
 
 @settings(max_examples=100, deadline=None)
-@given(c=st.floats(-2, 2), lam=moderate, mu=moderate, n=st.integers(4, 6))
-def test_cmc_round_trip(c, lam, mu, n):
+@given(c=st.floats(-2, 2), lam=moderate, mu=moderate)
+def test_cmc_round_trip(c, lam, mu):
     """Solving with the derived (C, H) recovers the generating pair."""
-    assume(abs(lam * (n - 2) - (lam + mu)) > 0.05)  # away from the double root
+    assume(abs(lam - mu) > 0.05)  # away from the double root (lambda + mu)/2 = lambda
     C = cic_from_spectrum(c, lam, mu)
-    H = (n - 1) * lam + mu
-    roots = cmc_lambda_solve(n, c, C, H)
+    H = 3 * lam + mu
+    roots = cmc_lambda_solve(c, C, H)
     assert any(
         abs(rl - lam) <= 1e-10 and abs(rm - mu) <= 1e-10 for rl, rm in roots
     ), f"no root matches ({lam}, {mu}) in {roots}"
@@ -116,13 +129,13 @@ def _wide():
     return st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), exponent)
 
 
-def _roots_200(n, c, C, H):
-    """The real roots of (n-2)*lambda^2 - H*lambda + 2*(C/4 - c) = 0 at 200 bits
+def _roots_200(c, C, H):
+    """The real roots of 2*lambda^2 - H*lambda + 2*(C/4 - c) = 0 at 200 bits
     (the larger by the stable formula, the other by Vieta), and whether the
     discriminant is within 1e-12 of a double root, relative to its terms."""
     with mpmath.workprec(200):
         c, C, H = mpmath.mpf(c), mpmath.mpf(C), mpmath.mpf(H)
-        a, gap = n - 2, C / 4 - c
+        a, gap = 2, C / 4 - c
         disc = H * H - 8 * a * gap
         near_double = abs(disc) <= mpmath.mpf(1e-12) * (H * H + 8 * a * abs(gap))
         if disc < 0:
@@ -134,58 +147,60 @@ def _roots_200(n, c, C, H):
 
 
 @settings(max_examples=400, deadline=None)
-@given(n=st.sampled_from((4, 5, 6, 9)), c=_wide(), C=_wide(), H=_wide())
-def test_cmc_solve_at_every_scale(n, c, C, H):
+@given(c=_wide(), C=_wide(), H=_wide())
+def test_cmc_solve_at_every_scale(c, C, H):
     """Finite pairs, the root count of the 200-bit solve (except within 1e-12
     of a double root), each lambda within 1e-14 relative of its root and each
-    mu within 1e-14 of |H| + (n-1)|lambda|, up to a few subnormal spacings
+    mu within 1e-14 of |H| + 3|lambda|, up to a few subnormal spacings
     where the root lies below the normal range."""
-    got = cmc_lambda_solve(n, c, C, H)
+    got = cmc_lambda_solve(c, C, H)
     assert all(math.isfinite(v) for pair in got for v in pair), got
-    want, near_double = _roots_200(n, c, C, H)
+    want, near_double = _roots_200(c, C, H)
     if near_double:
         return
     assert len(got) == len(want), (got, want)
     for (lam, mu), root in zip(got, want):
         assert abs(lam - root) <= 1e-14 * abs(root) + SUBNORMAL_SLACK, (lam, root)
-        assert abs(mu - (H - (n - 1) * root)) <= 1e-14 * (abs(H) + (n - 1) * abs(root)) + SUBNORMAL_SLACK, (mu, root)
+        assert abs(mu - (H - 3 * root)) <= 1e-14 * (abs(H) + 3 * abs(root)) + SUBNORMAL_SLACK, (mu, root)
 
 
 @pytest.mark.parametrize(
     "args,lams",
     [
-        ((4, -1e308, 1e308, 0.0), []),  # C - 4c overflows; (C/4 - c) > 0 has no real root at H = 0
-        ((4, -1.7e308, 1.7e308, 0.0), []),  # C/4 - c itself overflows
-        ((4, 1.7e308, -1.7e308, 0.0), [-math.sqrt(2.125) * 1e154, math.sqrt(2.125) * 1e154]),
-        ((4, 1.0, 3.0, 1e300), [-5e-301, 5e299]),  # H^2 overflows
-        ((5, 0.0, 0.0, 1e200), [0.0, 1e200 / 3.0]),
-        ((4, 0.0, 0.0, 1.7e308), [0.0, 8.5e307]),  # 3*lambda overflows, mu = -H/2 does not
-        ((int(1.7e308), 1.0, 0.0, 0.0), [-math.sqrt(2.0) / math.sqrt(1.7e308), math.sqrt(2.0) / math.sqrt(1.7e308)]),
-        ((int(1.7e308), -1.7e308, 1.7e308, 0.0), []),  # 16(n-2)(C/8 - c/2) overflows
+        ((-1e308, 1e308, 0.0), []),  # C - 4c overflows; (C/4 - c) > 0 has no real root at H = 0
+        ((-1.7e308, 1.7e308, 0.0), []),  # C/4 - c itself overflows
+        ((1.7e308, -1.7e308, 0.0), [-math.sqrt(2.125) * 1e154, math.sqrt(2.125) * 1e154]),
+        ((1.0, 3.0, 1e300), [-5e-301, 5e299]),  # H^2 overflows
+        ((0.0, 0.0, 1.7e308), [0.0, 8.5e307]),  # 3*lambda overflows, mu = -H/2 does not
     ],
 )
 def test_cmc_solve_beyond_the_squares_range(args, lams):
     got = cmc_lambda_solve(*args)
     assert [lam for lam, _ in got] == pytest.approx(lams, rel=1e-15)
-    n, _, _, H = args
-    for lam, mu in got:  # mu = H - (n-1)*lambda, formed where (n-1)*lambda cannot overflow
+    H = args[-1]
+    for lam, mu in got:  # mu = H - 3*lambda, formed where 3*lambda cannot overflow
         with mpmath.workprec(200):
-            assert mu == pytest.approx(float(mpmath.mpf(H) - (n - 1) * mpmath.mpf(lam)), rel=1e-15)
-
-
-def test_cmc_solve_names_a_mu_outside_the_float_range():
-    n = int(1.7e308)
-    with pytest.raises(ValueError, match=rf"^cmc_lambda_solve\({n}, 1.7e\+308, 0.0, 0.0\): mu = H - \(n-1\)"):
-        cmc_lambda_solve(n, 1.7e308, 0.0, 0.0)
-
-
-def test_cmc_rejects_small_n():
-    with pytest.raises(ValueError):
-        cmc_lambda_solve(3, 0.0, 0.0, 0.0)
+            assert mu == pytest.approx(float(mpmath.mpf(H) - 3 * mpmath.mpf(lam)), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # minimal classification (classification.minimal_classify, on (lambda, mu))
+
+
+def test_every_pair_the_solve_returns_is_cic():
+    """Each (lambda, mu) the solve gives for 300 seeded draws of (c, C, H) in
+    [-3, 3] builds a Gauss tensor (lambda, lambda, lambda, mu) that the probe
+    calls constant at C, with mean curvature 3*lambda + mu = H: the n = 4
+    relation, which (lambda^4, mu) at n = 5 does not satisfy."""
+    pairs = 0
+    for c, C, H in np.random.default_rng(31).uniform(-3.0, 3.0, size=(300, 3)).tolist():
+        for lam, mu in cmc_lambda_solve(c, C, H):
+            report = cic_probe(build_from_shape(c, (lam, lam, lam, mu)), 200, seed=5)
+            assert report.is_constant, (c, C, H, lam, mu)
+            assert abs(report.mean - C) <= 1e-9 * max(1.0, abs(C)), (c, C, H, report)
+            assert abs(3.0 * lam + mu - H) <= 1e-12 * max(1.0, abs(H)), (c, C, H, lam, mu)
+            pairs += 1
+    assert pairs >= 250
 
 
 @pytest.mark.parametrize("c", [0.25, 0.75, 1.0, 2.0])
@@ -207,7 +222,7 @@ def test_minimal_clifford_is_the_h0_solve(c, C):
     """The Clifford (lambda, mu) is the lambda < 0 pair of cmc_lambda_solve at H = 0, bit for bit."""
     v = minimal_classify(4, c, C)
     assert v.kind is MinimalKind.CLIFFORD
-    assert [x.hex() for x in (v.lam, v.mu)] == [x.hex() for x in cmc_lambda_solve(4, c, C, 0.0)[0]]
+    assert [x.hex() for x in (v.lam, v.mu)] == [x.hex() for x in cmc_lambda_solve(c, C, 0.0)[0]]
 
 
 def test_minimal_clifford_at_the_top_of_the_float_range():
@@ -350,13 +365,19 @@ BAD = {
 }
 T4 = build_constant_curvature(4, 1.0)
 
+
+def _window_ends(lo=0.0, hi=1.0):
+    """profile_columns on the window (lo, hi), so each end is a row of its own."""
+    return profile_columns(ParabolicProfile(beta=1.0), AmbientSpec(0.0), (lo, hi), 11)
+
+
 # entry point: (a valid call, keywords overriding its arguments; {parameter: kind})
 ENTRY_POINTS = {
     "ClassQuery": (functools.partial(ClassQuery, n=4, c=1.0, C=3.0), {"n": INTEGER, "c": NUMBER, "C": NUMBER}),
     "minimal_classify": (functools.partial(minimal_classify, n=4, c=0.75, C=2.0),
                          {"n": INTEGER, "c": NUMBER, "C": NUMBER}),
-    "cmc_lambda_solve": (functools.partial(cmc_lambda_solve, n=4, c=0.75, C=2.0, H=0.0),
-                         {"n": INTEGER, "c": NUMBER, "C": NUMBER, "H": NUMBER}),
+    "cmc_lambda_solve": (functools.partial(cmc_lambda_solve, c=0.75, C=2.0, H=0.0),
+                         {"c": NUMBER, "C": NUMBER, "H": NUMBER}),
     "Factor": (functools.partial(Factor, kind="sphere", dim=3, curvature=1.0), {"dim": INTEGER, "curvature": NUMBER}),
     "AmbientSpec": (functools.partial(AmbientSpec, c=-1.0, delta=1), {"c": NUMBER, "delta": DELTA}),
     "TrigProfile": (functools.partial(TrigProfile, C=2.0, alpha=0.5), {"C": NUMBER, "alpha": NUMBER}),
@@ -374,9 +395,26 @@ ENTRY_POINTS = {
                                        us=TrigProfile(C=2.0, alpha=0.5).u(np.array((0.9, 1.0, 1.1)))), {"h": NUMBER}),
     "profile_columns": (functools.partial(profile_columns, ParabolicProfile(beta=1.0), AmbientSpec(0.0), grid_n=11),
                         {"grid_n": INTEGER}),
+    "profile_columns(s_window)": (_window_ends, {"lo": NUMBER, "hi": NUMBER}),
+    "domain_check": (functools.partial(domain_check, ParabolicProfile(beta=1.0), AmbientSpec(0.0), grid_n=11),
+                     {"grid_n": INTEGER}),
+    "cic_mean_deviation": (functools.partial(cic_mean_deviation, ParabolicProfile(beta=1.0), AmbientSpec(0.0),
+                                             grid_n=11), {"grid_n": INTEGER}),
+    "cic_along_profile": (functools.partial(cic_along_profile, ParabolicProfile(beta=1.0), AmbientSpec(0.0),
+                                            grid_n=11), {"grid_n": INTEGER}),
+    "nonexistence_witness": (functools.partial(nonexistence_witness, ClassQuery(4, 1.0, 1.5), s_max=20.0, grid_n=101),
+                             {"s_max": NUMBER, "grid_n": INTEGER}),
+    "build_constant_curvature": (functools.partial(build_constant_curvature, n=4, k=1.0), {"n": INTEGER, "k": NUMBER}),
+    "build_from_shape": (functools.partial(build_from_shape, c=0.75, lambdas=(-0.5, -0.5, -0.5, 1.5)), {"c": NUMBER}),
+    "CurvatureTensor": (functools.partial(CurvatureTensor, dim=4, comp=np.zeros((4, 4, 4, 4))), {"dim": INTEGER}),
     "RunConfig": (functools.partial(RunConfig, seed=1), {"seed": INTEGER}),
 }
-SHOWN = {("Factor", "dim"): "factor dim"}  # where the message calls a parameter by another name
+SHOWN = {  # where the message calls a parameter by another name
+    ("Factor", "dim"): "factor dim",
+    ("CurvatureTensor", "dim"): "tensor dim",
+    ("profile_columns(s_window)", "lo"): "window",
+    ("profile_columns(s_window)", "hi"): "window",
+}
 
 
 def _expected_message(kind: str, name: str) -> str:
@@ -412,12 +450,73 @@ def test_each_scalar_input_is_checked_by_its_rule(entry, name, bad):
         call(**{name: bad})
 
 
+# every public scalar parameter has its rows: the callables isocurv exports,
+# less the results and errors it hands out and the elementwise formula
+NOT_INPUTS = {
+    "ClassificationOutcome", "Interval", "MinimalVerdict", "ProbeReport", "SymmetryReport", "FirstFailure",
+    "ProfileSample", "DomainBreakdown", "FrameError", "NonPositiveProfile",
+    "cic_from_spectrum",  # elementwise on numpy arrays, as the profile grids call it
+}
+SCALAR_ANNOTATIONS = {"int", "float", "Number"}
+
+
+def scalar_parameters(obj) -> list[str]:
+    """The parameters of obj annotated int, float or Number, alone or or-ed with None."""
+    names = []
+    for p in inspect.signature(obj).parameters.values():
+        text = p.annotation if isinstance(p.annotation, str) else inspect.formatannotation(p.annotation)
+        parts = {part.strip() for part in text.split("|")} - {"None"}
+        if parts and parts <= SCALAR_ANNOTATIONS:
+            names.append(p.name)
+    return names
+
+
+def uncovered(exports: dict, table: dict) -> list[str]:
+    """Each 'name.parameter' of a scalar parameter of exports with no row in table."""
+    return [
+        f"{name}.{p}" for name, obj in exports.items() for p in scalar_parameters(obj)
+        if p not in table.get(name, (None, {}))[1]
+    ]
+
+
+def _exports() -> dict:
+    return {name: obj for name, obj in vars(isocurv).items()
+            if callable(obj) and not name.startswith("_") and name not in NOT_INPUTS}
+
+
+def test_the_boundary_table_covers_every_scalar_parameter():
+    assert NOT_INPUTS <= set(vars(isocurv))
+    assert uncovered(_exports(), ENTRY_POINTS) == []
+
+
+def _planted(n: int, x: float, s_max: float | None = None, xs: Sequence[float] = (), w: tuple[float, float] = (0, 1)):
+    pass
+
+
+def _planted_postponed(c: "Number", dim: "int", comp: "np.ndarray", tag: "str", lo: "float | None" = None):
+    pass
+
+
+@pytest.mark.parametrize(
+    "exports,table,found",
+    [
+        ({"f": _planted}, {}, ["f.n", "f.x", "f.s_max"]),
+        ({"f": _planted}, {"f": (None, {"n": INTEGER, "s_max": NUMBER})}, ["f.x"]),
+        ({"f": _planted}, {"f": (None, {"n": INTEGER, "x": NUMBER, "s_max": NUMBER})}, []),
+        ({"f": _planted}, {"g": (None, {"n": INTEGER, "x": NUMBER, "s_max": NUMBER})}, ["f.n", "f.x", "f.s_max"]),
+        ({"g": _planted_postponed}, {"g": (None, {"c": NUMBER})}, ["g.dim", "g.lo"]),
+    ],
+)
+def test_the_coverage_checker_sees_each_uncovered_parameter(exports, table, found):
+    assert uncovered(exports, table) == found
+
+
 def test_exact_and_numpy_inputs_stay_accepted():
     """Ints, Fractions and numpy integers pass the rules and give the answers of their floats."""
     i = np.int64
     assert ClassQuery(i(4), Fraction(3, 4), 2) == ClassQuery(4, 0.75, 2.0)
     assert minimal_classify(i(4), Fraction(3, 4), 2) == minimal_classify(4, 0.75, 2.0)
-    assert cmc_lambda_solve(i(4), Fraction(3, 4), 2, 0) == cmc_lambda_solve(4, 0.75, 2.0, 0.0)
+    assert cmc_lambda_solve(Fraction(3, 4), 2, 0) == cmc_lambda_solve(0.75, 2.0, 0.0)
     assert Factor("sphere", i(3), Fraction(1)) == Factor("sphere", 3, 1.0)
     assert AmbientSpec(Fraction(-1), i(-1)) == AmbientSpec(-1.0, -1)
     assert ExponentialProfile(C=-1, A=1, B=1, delta=i(0)) == ExponentialProfile(C=-1.0, A=1.0, B=1.0, delta=0)
