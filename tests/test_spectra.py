@@ -171,6 +171,7 @@ def test_cmc_solve_at_every_scale(c, C, H):
         ((-1.7e308, 1.7e308, 0.0), []),  # C/4 - c itself overflows
         ((1.7e308, -1.7e308, 0.0), [-math.sqrt(2.125) * 1e154, math.sqrt(2.125) * 1e154]),
         ((1.0, 3.0, 1e300), [-5e-301, 5e299]),  # H^2 overflows
+        ((0.0, 0.0, 1e200), [0.0, 5e199]),  # C = 4c: the roots 0 and H/2
         ((0.0, 0.0, 1.7e308), [0.0, 8.5e307]),  # 3*lambda overflows, mu = -H/2 does not
     ],
 )
