@@ -204,7 +204,8 @@ def check_profile_ode(config: RunConfig) -> str:
         fams.append(_random_valid_family(rng))
         s[r] = rng.uniform(-2.0, 2.0, size=100)
         us[:, :, r] = fams[r].u(np.array((s[r] - h, s[r], s[r] + h)))
-    C, delta = np.array([(fam.ode_constant, fam.ode_delta) for fam in fams]).T[:, :, None]
+    C = np.array([fam.ode_constant for fam in fams])[:, None]
+    delta = np.array([fam.ode_delta for fam in fams])[:, None]  # integers, as ode_residual checks them
     (u_lo, u0, u_hi), (_, up0, _), (_, upp0, _) = us
     terms = np.maximum(np.maximum(np.abs(upp0), np.abs(2.0 * delta)), np.abs(C * u0))
     lin = np.abs(upp0 - (2.0 * delta - C * u0)) / terms

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
@@ -223,12 +224,14 @@ def _at_origin(candidate: str, bound: str, value: float) -> str:
     )
 
 
-def _obstruction(n: int, c, C, c_sign: int, C_sign: int) -> ClassificationOutcome:
+def _obstruction(n: int, c, C, c_sign: int, C_sign: int, lambda_sq: float) -> ClassificationOutcome:
     """The Empty outcome of a query with neither part: its violated bound,
     its obstruction and, at n = 4, the candidate of the rotation family for
-    the sign of C."""
+    the sign of C.  lambda_sq, C/4 - c, is what an umbilical outcome would
+    need to be >= 0; beyond the float range it is shown exactly."""
     cf, Cf = float(c), float(C)
-    lambda_sq = Cf / 4.0 - cf  # what an umbilical outcome would need to be >= 0
+    if not math.isfinite(lambda_sq):
+        lambda_sq = Decimal(Cf) / 4 - Decimal(cf)
     if n >= 5:
         return _empty(
             f"C < 4c for n = {n} >= 5: umbilical needs lambda^2 = (C-4c)/4 >= 0 "
@@ -254,7 +257,7 @@ def _obstruction(n: int, c, C, c_sign: int, C_sign: int) -> ClassificationOutcom
     if C_sign < 0:
         # the candidate has x(0)^2 = 2/|C| and x'(0) = 0, so it fails at s = 0 when 2c >= |C|
         if 2 * c >= -C:
-            detail = _at_origin("candidate x(0) = sqrt(2/|C|), x'(0) = 0", "2c/|C|", 2.0 * cf / -Cf)
+            detail = _at_origin("candidate x(0) = sqrt(2/|C|), x'(0) = 0", "2c/|C|", 2.0 * (cf / -Cf))
         else:
             detail = "the profile slope reaches |x'| >= 1 at moderate |s|, violating unit speed"
         return _empty(reason, "unit-speed", detail, ExponentialProfile(C=Cf, A=1.0, B=1.0, delta=1))
@@ -270,7 +273,7 @@ def _obstruction(n: int, c, C, c_sign: int, C_sign: int) -> ClassificationOutcom
     return _empty(
         reason,
         "positive-bound-at-origin",
-        _at_origin("constant candidate x = sqrt(2/C)", "2c/C", 2.0 * cf / Cf),
+        _at_origin("constant candidate x = sqrt(2/C)", "2c/C", 2.0 * (cf / Cf)),
         TrigProfile(C=Cf, alpha=0.0),
     )
 
@@ -291,6 +294,7 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
     the midpoint of the alpha range, else beta = 1, (A, B) = (0, 1) or
     A = B = 1 with the outcome's delta.  A C matched to 4c within the
     tolerance is taken as 4c, and at n = 4 a c or C matched to 0 as 0.
+    An umbilical lambda^2 beyond the float range raises ValueError.
     """
     n, c, C = q.n, q.c, q.C
     tol = _boundary_tol(c, C)
@@ -300,17 +304,21 @@ def classify(q: ClassQuery) -> list[ClassificationOutcome]:
         cf, Cf = (cf if c_sign else 0.0), (Cf if C_sign else 0.0)
     if vs4c == 0:
         Cf = 4.0 * cf
+    lambda_sq = Cf / 4.0 - cf  # C = 4c + 4 lambda^2 for the spectrum (lambda^n); C/4 - c, as 4c can overflow
 
     outcomes = []
-    if vs4c > 0:  # C = 4c + 4 lambda^2 for the spectrum (lambda^n); C/4 - c, as 4c can overflow
-        outcomes.append(ClassificationOutcome(tag=UMBILICAL, lambda_sq=Cf / 4.0 - cf))
+    if vs4c > 0:
+        if not math.isfinite(lambda_sq):
+            raise ValueError(f"classify(n = {n}, c = {c}, C = {C}): "
+                             "umbilical lambda^2 = C/4 - c is outside the float range")
+        outcomes.append(ClassificationOutcome(tag=UMBILICAL, lambda_sq=lambda_sq))
     elif vs4c == 0:
         tag = TOTALLY_GEODESIC if c_sign > 0 else FLAT_LOCAL if n == 4 and c_sign == 0 else CONSTANT_CURVATURE
         outcomes.append(ClassificationOutcome(tag, curvature=cf if tag == CONSTANT_CURVATURE else None))
     vs2c = _cmp(C, 2 * c, tol)
     if n == 4 and (vs4c >= 0 or vs2c > 0):
         outcomes += _rotation_outcomes(c_sign, C_sign, cf, Cf, vs4c, vs2c)
-    return outcomes or [_obstruction(n, c, C, c_sign, C_sign)]
+    return outcomes or [_obstruction(n, c, C, c_sign, C_sign, lambda_sq)]
 
 
 def minimal_classify(n: int, c: Number, C: Number) -> MinimalVerdict:
@@ -352,6 +360,7 @@ def nonexistence_witness(
 
     s_max defaults to 20 / sqrt(max(|c|, |C|)), the query's own length
     scale, so scaling (c, C) scales the window with the failure point.
+    s_max and grid_n are checked at every n, by the `spectra` rules.
     Rejected with ValueError when classify(q) is non-empty.  For n >= 5 the
     obstruction is algebraic (no profile family is involved) and the
     evidence carries no candidate.
@@ -363,6 +372,7 @@ def nonexistence_witness(
     """
     if s_max is not None:
         check_finite(s_max, "s_max")
+    check_integer(grid_n, 2, "grid_n")  # at every n, as profile_columns checks it at n = 4
     empty = classify(q)[0]
     if empty.tag != EMPTY:
         raise ValueError(f"classify({q.n}, {q.c}, {q.C}) is non-empty; nothing to refute")

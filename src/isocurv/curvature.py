@@ -15,10 +15,10 @@ R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl), and the tensor keeps
 its sectional matrix K and its scale max |R_ijkl| and nothing else: the
 n^4 components are built from K only when comp is first read
 (check_symmetries), and building, probing and sectional never allocate
-them.  The builders hand their K matrices to _from_sectional as one
-(T, n, n) stack, checked and reduced to its scales in whole-stack
-operations: build_from_shapes a stack of Gauss tensors, the one-tensor
-builders a stack of one.  For those tensors the functional has the closed
+them.  The builders hand the K matrices they made to _from_sectional as
+one (T, n, n) stack, checked for finiteness and reduced to its scales in
+whole-stack operations: build_from_shapes a stack of Gauss tensors, the
+one-tensor builders a stack of one.  For those tensors the functional has the closed
 form
 
     A.K.B - P.K.P - Q.K.Q,   A = e1*e1 + e2*e2,  B = e3*e3 + e4*e4,
@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectra import check_finite, check_integer
+from .spectra import check_finite, check_integer, float_array
 
 ORTHO_TOL = 1e-12        # frame acceptance: |<e_a, e_b> - delta_ab|
 REDRAW_RESIDUAL = 1e-8   # Gram-Schmidt residual below which a vector is re-drawn
@@ -77,27 +77,27 @@ class CurvatureTensor:
     """Components R[i,j,k,l] of a curvature tensor in an orthonormal basis.
 
     CurvatureTensor(dim, comp), the one way in for dense components, checks
-    dim >= 1 (spectra.check_integer) and that comp is a finite (dim, dim,
-    dim, dim) array; a hand-built array may break the curvature symmetries
-    (check_symmetries measures them), while the builders keep them.
-    Tensors are immutable and safe to share.
+    dim >= 1 (spectra.check_integer) and that comp (spectra.float_array) is
+    a finite (dim, dim, dim, dim) array; a hand-built array may break the
+    curvature symmetries (check_symmetries measures them), while the
+    builders keep them.  Tensors are immutable and safe to share.
 
     sectional_matrix is the read-only symmetric K, with zero diagonal, of a
     tensor of sectional form, R_ijkl = K_ij (delta_il delta_jk - delta_ik
-    delta_jl).  Only the builders set it, and they store K alone: comp is
-    built from K on its first read and kept, so probing a built tensor
-    never allocates the n^4 components.  A tensor given its components
-    directly has None and is evaluated densely.  Either way comp is a
-    read-only (dim, dim, dim, dim) array, the same object on every read.
-    Each tensor keeps max |R_ijkl|, taken with its finiteness check, as the
-    scale cic_probes judges it by.
+    delta_jl).  Only the builders set it, to the K they made, neither copied
+    nor re-checked, and store K alone: comp is built from K on its first
+    read and kept, so probing a built tensor never allocates the n^4
+    components.  A tensor given its components directly has None and is
+    evaluated densely.  Either way comp is a read-only (dim, dim, dim, dim)
+    array, the same object on every read.  Each tensor keeps max |R_ijkl|,
+    taken with its finiteness check, as the scale cic_probes judges it by.
     """
 
     __slots__ = ("dim", "sectional_matrix", "_comp", "_scale")
 
     def __init__(self, dim: int, comp: np.ndarray):
         check_integer(dim, 1, "tensor dim")
-        arr = np.array(comp, dtype=float, copy=True)
+        arr = float_array(comp, "comp").copy()
         if arr.shape != (dim,) * 4:
             raise ValueError(f"component array must have shape {(dim,) * 4}, got {arr.shape}")
         scale = float(np.abs(arr).max())  # NaN and inf propagate: the finiteness check too
@@ -137,12 +137,12 @@ class OrthoFrame4:
     vectors: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.vectors, dtype=float, copy=True)
+        arr = float_array(self.vectors, "vectors").copy()
         if arr.ndim != 2 or arr.shape[0] != 4:
             raise FrameError(f"expected 4 row vectors, got array of shape {arr.shape}")
         gram = arr @ arr.T
         err = np.max(np.abs(gram - np.eye(4)))
-        if err > ORTHO_TOL:
+        if not err <= ORTHO_TOL:  # a NaN error fails too
             raise FrameError(f"frame is not orthonormal: max |<e_a,e_b> - delta_ab| = {err:.3e}")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
@@ -225,28 +225,22 @@ class SymmetryReport:
 # constructors
 
 
-def _from_sectional(kmats: np.ndarray) -> list[CurvatureTensor]:
-    """R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl) for each symmetric K of a (T, n, n) stack.
+def _from_sectional(k: np.ndarray) -> list[CurvatureTensor]:
+    """R_ijkl = K_ij (delta_il delta_jk - delta_ik delta_jl) for each K of a (T, n, n) stack.
 
     K_ij (i != j) is the sectional curvature of span(e_i, e_j); the diagonal
-    of K does not enter.  Every builder here yields tensors of this form.
-    The stack is copied once and checked for finiteness and symmetry in one
-    pass, and an error names its first bad member as cic_probes does
-    (_member).  Each tensor keeps its K, diagonal zeroed, as a read-only
-    view of that copy, and max_{i != j} |K_ij|, one reduction for the stack,
-    as its scale.
+    does not enter.  Its callers, the builders, each pass a fresh float64 stack,
+    symmetric bit for bit (float products commute in c + lambda_i*lambda_j),
+    frozen here in place with no copy, shape or symmetry check; only finiteness
+    is checked (lambda_i*lambda_j can overflow), an error naming the first bad
+    member as cic_probes does (_member).  Each tensor keeps its K, diagonal
+    zeroed, as a read-only view, and max_{i != j} |K_ij| as its scale.
     """
-    k = np.array(kmats, dtype=float, copy=True)
-    if k.ndim != 3 or k.shape[1] != k.shape[2]:
-        raise ValueError(f"sectional matrices must be a (T, n, n) stack, got shape {k.shape}")
     total, n = k.shape[:2]
-    ok = np.isfinite(k) & (k == k.swapaxes(1, 2))
-    if np.count_nonzero(ok) != k.size:  # one pass; on failure, finiteness is named first
-        j = int(ok.all(axis=(1, 2)).argmin())  # the first bad member
-        bad = k[j][~np.isfinite(k[j])]
-        if bad.size:
-            raise ValueError(f"{_member(j, total)}sectional curvatures must be finite, got {bad[0]}")
-        raise ValueError(f"{_member(j, total)}sectional matrix must be square and symmetric, got shape {(n, n)}")
+    finite = np.isfinite(k)
+    if not finite.all():
+        j = int(finite.all(axis=(1, 2)).argmin())  # the first bad member
+        raise ValueError(f"{_member(j, total)}sectional curvatures must be finite, got {k[j][~finite[j]][0]}")
     k.reshape(total, n * n)[:, :: n + 1] = 0.0  # the diagonals
     scales = np.abs(k).max(axis=(1, 2)).tolist()
     k.setflags(write=False)
@@ -295,7 +289,7 @@ def build_from_shape(c: float, lambdas: Sequence[float]) -> CurvatureTensor:
     flattened; this is build_from_shapes((c,), [lambdas]), its one-row case.
     """
     check_finite(c, "c")
-    return build_from_shapes((c,), np.asarray(lambdas, dtype=float).reshape(1, -1))[0]
+    return build_from_shapes((c,), float_array(lambdas, "lambdas").reshape(1, -1))[0]
 
 
 def build_from_shapes(cs: Sequence[float], lambdas: np.ndarray) -> list[CurvatureTensor]:
@@ -305,8 +299,8 @@ def build_from_shapes(cs: Sequence[float], lambdas: np.ndarray) -> list[Curvatur
     broadcast, checked as one stack (_from_sectional): each tensor equals
     building its row alone, and an error names its first bad member.
     """
-    lams = np.asarray(lambdas, dtype=float)
-    curvatures = np.asarray(cs, dtype=float)
+    lams = float_array(lambdas, "lambdas")
+    curvatures = float_array(cs, "cs")
     if lams.ndim != 2 or curvatures.shape != lams.shape[:1]:
         raise ValueError(f"need T curvatures and a (T, n) stack of spectra, "
                          f"got shapes {curvatures.shape} and {lams.shape}")
@@ -340,7 +334,7 @@ def sectional(t: CurvatureTensor, x: Sequence[float], y: Sequence[float]) -> flo
     A tensor with a sectional matrix K takes R(x, y, y, x) =
     (x*x).K.(y*y) - (x*y).K.(x*y) in O(n^2); any other is contracted densely.
     """
-    xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    xv, yv = float_array(x, "x"), float_array(y, "y")
     if not xv.shape == yv.shape == (t.dim,):
         raise ValueError(f"x and y must have shape (t.dim,) = ({t.dim},), got {xv.shape} and {yv.shape}")
     tops = (float(np.max(np.abs(xv))), float(np.max(np.abs(yv))))
@@ -418,7 +412,7 @@ def _orthonormalize(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     (4, n, m) array the sweeps ran on: vector a of frame k is [a, :, k].
     """
     n = raw.shape[2]
-    q = np.ascontiguousarray(np.transpose(raw, (1, 2, 0)), dtype=float)
+    q = np.ascontiguousarray(np.transpose(raw, (1, 2, 0)))
     for _ in range(2):  # second sweep keeps Gram error at machine precision
         for a in range(4):
             v = q[a]

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
-from .spectra import check_delta, check_finite, check_integer, cic_from_spectrum
+from .spectra import check_delta, check_finite, check_integer, cic_from_spectrum, float_array
 
 EPS_DOM = 1e-9            # breakdown threshold: N relative to its terms; RK4 stops at x^2 / x0^2
 DEFAULT_WINDOW = (-10.0, 10.0)
@@ -148,7 +148,7 @@ class _SquareProfile:
 
     def eval(self, s):
         """(x, x', x'') at s, a float (giving floats) or an array."""
-        x, xp, xpp = _sqrt_chain(*self.u(np.asarray(s, dtype=float)))
+        x, xp, xpp = _sqrt_chain(*self.u(float_array(s, "s")))
         if np.ndim(s) == 0:
             return float(x), float(xp), float(xpp)
         return x, xp, xpp
@@ -262,17 +262,24 @@ class FirstFailure:
     reason: str
 
 
-def ode_residual(C, delta, us, h: float):
+def ode_residual(C: float | np.ndarray, delta: int | np.ndarray, us: np.ndarray, h: float):
     """|central difference of x*x' minus (delta - (C/2)*x^2)| at s, step h.
 
     us is a family's u(np.array((s - h, s, s + h))), its (u, u', u'') at
     the three stacked points; C and delta broadcast against s.  O(h^2)
-    small when (C, delta) match the family; order one otherwise; h finite, > 0.
+    small when (C, delta) match the family; order one otherwise.  Each
+    value of C must be finite and each of delta an integer -1, 0 or 1 (the
+    `spectra` rules, also over an array's values); h finite, > 0.
     """
+    C = float_array(C, "C")
+    for value in C.ravel().tolist():
+        check_finite(value, "C")
+    for value in np.ravel(delta).tolist():
+        check_delta(value)
     check_finite(h, "h")
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
-    (x_lo, x_mid, x_hi), (v_lo, _, v_hi) = _sqrt_pair(us[0], us[1])
+    (x_lo, x_mid, x_hi), (v_lo, _, v_hi) = _sqrt_pair(*float_array(us, "us")[:2])
     lhs = (x_hi * v_hi - x_lo * v_lo) / (2.0 * h)
     return np.abs(lhs - (delta - 0.5 * C * x_mid * x_mid))
 
@@ -388,11 +395,11 @@ def mean_deviation(cics: Iterable[np.ndarray]) -> tuple[float, float]:
     strictly left to right: the float loop `total += v` from 0.0, on every
     Python version.  Rounding is monotone, so max(mean - lo, hi - mean) is
     max |cic - mean|, bitwise; mean - lo goes first because hi - mean is
-    -0.0 when every value is -0.0.  No blocks, or an empty one, raise
-    ValueError.
+    -0.0 when every value is -0.0.  Blocks pass spectra.float_array; no
+    blocks, or an empty one, raise ValueError.
     """
     count, total, lo, hi = 0, 0.0, math.inf, -math.inf
-    for cic in cics:
+    for cic in (float_array(block, "cics") for block in cics):
         count += len(cic)
         with np.errstate(over="ignore", invalid="ignore"):  # as float addition does: inf, no warning
             total = float(np.add.accumulate(np.concatenate(((total,), cic)))[-1])

@@ -8,9 +8,10 @@ module works on the n = 4 pair: it evaluates the isotropic constant
 and mean curvature, in the umbilical gap C/4 - c, at every finite scale;
 `classification` takes its Clifford pair from that solve at H = 0.
 
-Every module takes its scalar checks from the three rules here, each raising
+Every module takes its input checks from the four rules here, each raising
 ValueError naming the parameter: `check_integer` (dimensions, counts, grid
-sizes, seeds), `check_finite` (numbers) and `check_delta` (rotation types).
+sizes, seeds), `check_finite` (numbers), `check_delta` (rotation types) and
+`float_array`, the one conversion of a number array to floats.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 import sys
 from numbers import Integral
+
+import numpy as np
 
 
 def check_integer(value, least: int, name: str) -> None:
@@ -36,6 +39,14 @@ def check_delta(delta) -> None:
     """Reject a rotation type delta unless it is the integer -1, 0 or 1 (a bool is not one)."""
     if not isinstance(delta, Integral) or isinstance(delta, bool) or delta not in (-1, 0, 1):
         raise ValueError(f"delta must be -1, 0 or 1, got {delta!r}")
+
+
+def float_array(value, name: str) -> np.ndarray:
+    """np.asarray(value, dtype=float); an int or Fraction entry beyond the float range is rejected, nan and inf pass."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number beyond the float range") from None
 
 
 def cic_from_spectrum(c: float, lam: float, mu: float) -> float:

@@ -181,6 +181,32 @@ def test_umbilical_lambda_sq_near_the_float_range(n, c, C, lambda_sq):
     json.dumps(query_to_json(q, outcomes), allow_nan=False)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_umbilical_lambda_sq_beyond_the_float_range_is_rejected(n):
+    """C/4 - c = 2.125e308 is beyond the float range: a ValueError naming c
+    and C, not lambda_sq = inf (which json then refused to write)."""
+    message = rf"^classify\(n = {n}, c = -1.7e\+308, C = 1.7e\+308\): umbilical lambda\^2 = C/4 - c is outside"
+    with pytest.raises(ValueError, match=message):
+        classify(ClassQuery(n, -1.7e308, 1.7e308))
+
+
+@pytest.mark.parametrize(
+    "n,C,shown",
+    [
+        (5, -1.7e308, "lambda^2 = (C-4c)/4 = -2.125000e+308 >= 0"),
+        (4, -1.7e308, "c*x(0)^2 = 2c/|C| = 2.000000 >= 1"),
+        (4, 1.7e308, "c*x(0)^2 = 2c/C = 2.000000 >= 1"),
+    ],
+)
+def test_empty_detail_beyond_the_float_range_has_no_inf(n, C, shown):
+    """At c = 1.7e308 the Empty outcome stays Empty and its detail shows the
+    true values: C/4 - c = -2.125e308 read -inf, and 2c/|C| and 2c/C, where
+    2c overflows, read inf."""
+    (outcome,) = classify(ClassQuery(n, 1.7e308, C))
+    assert outcome.tag == "Empty"
+    assert shown in outcome.detail and "inf" not in outcome.detail.replace("infinity", "")
+
+
 def test_exact_fraction_boundaries():
     # C = 4c exactly, via rationals a float grid would miss
     out = classify(ClassQuery(4, Fraction(1, 3), Fraction(4, 3)))

@@ -167,6 +167,23 @@ def test_probe_overflow_is_a_usage_error(capsys, fmt):
     assert err.startswith("error: isotropic curvature overflows") and "max |R_ijkl| = 1.000000e+308" in err
 
 
+@pytest.mark.parametrize("n", ["4", "5"])
+def test_classify_umbilical_beyond_the_float_range_is_a_usage_error(capsys, n):
+    """It exited 2 with json's "Out of range float values are not JSON compliant: inf"."""
+    code, out, err = run_cli(capsys, "classify", n, "--", "-1.7e308", "1.7e308")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: classify(n = {n}, c = -1.7e+308, C = 1.7e+308): "
+                   "umbilical lambda^2 = C/4 - c is outside the float range\n")
+
+
+@pytest.mark.parametrize("n", ["4", "5"])
+def test_classify_empty_beyond_the_float_range_stays_empty(capsys, n):
+    code, out, _ = run_cli(capsys, "classify", n, "--", "1.7e308", "-1.7e308")
+    assert code == 0
+    assert [o["tag"] for o in json.loads(out)["outcomes"]] == ["Empty"]
+
+
 def test_probe_large_finite_curvature_is_constant(capsys):
     code, out, _ = run_cli(capsys, "probe", "--product", "S3:1e200 x R1", "--format", "csv")
     assert code == 0

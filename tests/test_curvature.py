@@ -251,10 +251,6 @@ def test_a_stacked_build_names_its_first_bad_member(cs, lams, message):
         (lambda: build_from_shape(0.0, (1e200, 1e-200, 1.0, 1.0)), "sectional curvatures must be finite, got inf"),
         (lambda: build_from_shape(0.0, (1.0, 1.0, 1.0)), "need an integer n >= 4, got n = 3"),
         (lambda: build_constant_curvature(4, math.inf), "k must be finite, got inf"),
-        (lambda: cv._from_sectional(np.ones((1, 4, 4)) + np.eye(4, k=1)),
-         "sectional matrix must be square and symmetric, got shape (4, 4)"),
-        (lambda: cv._from_sectional([np.ones((4, 4)), np.ones((4, 4)) + np.eye(4, k=1)]),
-         "tensor 1 of 2: sectional matrix must be square and symmetric, got shape (4, 4)"),
     ],
 )
 def test_one_tensor_build_errors_name_no_stack_member(build, message):
@@ -363,7 +359,7 @@ def test_sectional_from_k_matches_the_dense_path(n):
     rng = np.random.default_rng(n)
     k = rng.standard_normal((n, n))
     k = k + k.T + np.diag(rng.uniform(1.0, 5.0, n))
-    (t,) = cv._from_sectional(k[None])
+    (t,) = cv._from_sectional(k[None].copy())
     dense = CurvatureTensor(n, t.comp)
     assert dense.sectional_matrix is None
     for x, y in rng.standard_normal((100, 2, n)):
@@ -471,7 +467,7 @@ def test_sectional_path_matches_the_dense_path(n, seed, size):
     rng = np.random.default_rng(seed)
     k = size * rng.standard_normal((n, n))
     k = k + k.T + np.diag(size * rng.uniform(1.0, 5.0, n))
-    (t,) = cv._from_sectional(k[None])
+    (t,) = cv._from_sectional(k[None].copy())
     assert np.all(np.diag(t.sectional_matrix) == 0.0) and not t.sectional_matrix.flags.writeable
     dense = CurvatureTensor(n, t.comp)
     assert dense.sectional_matrix is None
@@ -479,7 +475,7 @@ def test_sectional_path_matches_the_dense_path(n, seed, size):
     got = _isotropic_batch([t], frames)
     assert np.max(np.abs(got - _isotropic_batch([dense], frames))) <= 1e-12 * float(np.max(np.abs(k)))
     off_diagonal = k * (1.0 - np.eye(n))
-    assert np.array_equal(got, _isotropic_batch(cv._from_sectional(off_diagonal[None]), frames))
+    assert np.array_equal(got, _isotropic_batch(cv._from_sectional(off_diagonal[None].copy()), frames))
 
 
 def test_built_tensors_skip_the_pair_matrix(monkeypatch):
@@ -490,13 +486,6 @@ def test_built_tensors_skip_the_pair_matrix(monkeypatch):
     assert cic_probe(build_from_shape(0.2, (0.9, -1.3, 0.4, 2.2, -0.7, 0.1, 1.1, -2.5)), count=50).samples == 50
     with pytest.raises(AssertionError, match="pair-matrix"):
         cic_probe(json_tensor(8), count=50)
-
-
-def test_from_sectional_rejects_an_asymmetric_matrix():
-    k = np.ones((4, 4))
-    k[0, 1] = 2.0
-    with pytest.raises(ValueError, match="symmetric"):
-        cv._from_sectional(k[None])
 
 
 def test_sectional_matrix_is_never_given_by_hand():
@@ -1243,3 +1232,6 @@ def test_orthoframe_rejects_skew_vectors():
         OrthoFrame4(bad)
     with pytest.raises(FrameError):
         OrthoFrame4(np.ones((4, 4)))
+    for value in (np.nan, np.inf):  # a NaN Gram error fails the comparison as an inf one does
+        with pytest.raises(FrameError, match="not orthonormal"):
+            OrthoFrame4(np.full((4, 5), value))

@@ -1,8 +1,9 @@
 """Module boundaries inside the package: a module reaches another one only
 through its public names.  `_`-prefixed names are a module's own, so a
 change to one never has to look past the module that defines it.  And the
-rules for scalar inputs live in `spectra` alone, so a new input takes them
-from there instead of writing its own copy.  Machine epsilon has one
+rules for scalar inputs and the one conversion of a number array to floats
+live in `spectra` alone, so a new input takes them from there instead of
+writing its own copy.  Machine epsilon has one
 spelling, `sys.float_info.epsilon`, not a hand-typed literal."""
 
 import ast
@@ -114,6 +115,48 @@ def test_spectra_holds_the_rules():
 )
 def test_the_rule_checker_sees_each_copy(source, found):
     assert rule_copies(source) == found
+
+
+CONVERSIONS = {"asarray", "array", "ascontiguousarray"}
+FLOAT_DTYPES = {"float", "np.float64"}
+
+
+def float_conversions(source: str) -> list[str]:
+    """Each np.asarray, np.array or np.ascontiguousarray call given dtype
+    float (or np.float64), by keyword or as its second argument, as 'line: text'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in CONVERSIONS:
+            dtypes = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
+            if any(ast.unparse(dtype) in FLOAT_DTYPES for dtype in dtypes):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.stem != "spectra"], ids=lambda path: path.stem)
+def test_float_conversion_is_only_in_spectra(path):
+    assert float_conversions(path.read_text()) == []
+
+
+def test_spectra_holds_the_conversion():
+    """float_array is the one np.asarray(value, dtype=float)."""
+    assert len(float_conversions((PACKAGE / "spectra.py").read_text())) == 1
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("import numpy as np\nx = np.asarray(v, dtype=float)\n", ["2: np.asarray(v, dtype=float)"]),
+        ("y = np.array(v, dtype=float, copy=True)\n", ["1: np.array(v, dtype=float, copy=True)"]),
+        ("q = np.ascontiguousarray(a.T, dtype=float)\n", ["1: np.ascontiguousarray(a.T, dtype=float)"]),
+        ("q = numpy.asarray(v, float)\n", ["1: numpy.asarray(v, float)"]),
+        ("q = np.array(v, dtype=np.float64)\n", ["1: np.array(v, dtype=np.float64)"]),
+        ("q = np.asarray(v)\nk = np.array([1, 2])\nb = np.zeros(3, dtype=float)\n", []),
+        ("m = np.eye(4, dtype=bool)\nz = np.array(v, dtype=int)\n", []),
+    ],
+)
+def test_the_conversion_checker_sees_each_copy(source, found):
+    assert float_conversions(source) == found
 
 
 def tiny_literals(source: str) -> list[str]:

@@ -657,10 +657,26 @@ def test_ode_residual_on_a_stack_is_one_family_at_a_time():
     us = np.empty((3, 3, *s.shape))
     for r, (fam, _, _) in enumerate(FAMILY_GRID):
         us[:, :, r] = fam.u(np.array((s[r] - h, s[r], s[r] + h)))
-    C, delta = (np.array(col, dtype=float)[:, None] for col in list(zip(*FAMILY_GRID))[1:])
+    C, delta = (np.array(col)[:, None] for col in list(zip(*FAMILY_GRID))[1:])  # delta as integers, as checked
     got = ode_residual(C, delta, us, h)
     alone = np.array([residual(fam, c_r, d_r, s[r], h) for r, (fam, c_r, d_r) in enumerate(FAMILY_GRID)])
     assert got.shape == s.shape and got.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize(
+    "C,delta,message",
+    [
+        ([[2.0], [math.nan]], [[1], [1]], "^C must be finite, got nan$"),
+        ([[2.0], [-1.0]], [[1], [7]], "^delta must be -1, 0 or 1, got 7$"),
+        ([[2.0], [-1.0]], np.array([[1.0], [1.0]]), "^delta must be -1, 0 or 1, got 1.0$"),
+    ],
+)
+def test_ode_residual_checks_each_value_of_a_stack(C, delta, message):
+    """C and delta columns pass the scalar rules value by value: a nan C
+    gave a nan residual and delta = 7 a residual of 6."""
+    us = np.stack([TrigProfile(C=2.0, alpha=0.5).u(np.array((0.9, 1.0, 1.1)))] * 2, axis=2)
+    with pytest.raises(ValueError, match=message):
+        ode_residual(C, delta, us, 0.1)
 
 
 def test_samples_are_python_floats_on_the_exact_grid():

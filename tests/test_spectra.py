@@ -17,11 +17,14 @@ from isocurv.classification import ClassQuery, MinimalKind, minimal_classify, no
 from isocurv.curvature import (
     CurvatureTensor,
     Factor,
+    OrthoFrame4,
     build_constant_curvature,
     build_from_shape,
+    build_from_shapes,
     cic_probe,
     cic_probes,
     sample_frames,
+    sectional,
 )
 from isocurv.profiles import (
     AmbientSpec,
@@ -33,6 +36,7 @@ from isocurv.profiles import (
     cic_mean_deviation,
     domain_check,
     integrate_profile,
+    mean_deviation,
     ode_residual,
     profile_columns,
 )
@@ -354,8 +358,8 @@ def test_pairing_failure_implies_probe_spread(lams):
 
 
 # ---------------------------------------------------------------------------
-# the scalar-input rules (spectra.check_integer, check_finite, check_delta)
-# at every entry point that takes a scalar
+# the input rules (spectra.check_integer, check_finite, check_delta for
+# scalars, float_array for arrays) at every entry point that takes an input
 
 
 NUMBER, INTEGER, DELTA = "number", "integer", "delta"
@@ -365,6 +369,7 @@ BAD = {
     DELTA: (1.0, 0.0, True, None, "1", 2),
 }
 T4 = build_constant_curvature(4, 1.0)
+US = TrigProfile(C=2.0, alpha=0.5).u(np.array((0.9, 1.0, 1.1)))
 
 
 def _window_ends(lo=0.0, hi=1.0):
@@ -392,8 +397,8 @@ ENTRY_POINTS = {
     "cic_probes": (functools.partial(cic_probes, [T4, T4], count=50, seed=1), {"count": INTEGER, "seed": INTEGER}),
     "sample_frames": (functools.partial(sample_frames, n=4, count=5, seed=1),
                       {"n": INTEGER, "count": INTEGER, "seed": INTEGER}),
-    "ode_residual": (functools.partial(ode_residual, C=2.0, delta=1, h=0.1,
-                                       us=TrigProfile(C=2.0, alpha=0.5).u(np.array((0.9, 1.0, 1.1)))), {"h": NUMBER}),
+    "ode_residual": (functools.partial(ode_residual, C=2.0, delta=1, h=0.1, us=US),
+                     {"C": NUMBER, "delta": DELTA, "h": NUMBER}),
     "profile_columns": (functools.partial(profile_columns, ParabolicProfile(beta=1.0), AmbientSpec(0.0), grid_n=11),
                         {"grid_n": INTEGER}),
     "profile_columns(s_window)": (_window_ends, {"lo": NUMBER, "hi": NUMBER}),
@@ -405,6 +410,8 @@ ENTRY_POINTS = {
                                             grid_n=11), {"grid_n": INTEGER}),
     "nonexistence_witness": (functools.partial(nonexistence_witness, ClassQuery(4, 1.0, 1.5), s_max=20.0, grid_n=101),
                              {"s_max": NUMBER, "grid_n": INTEGER}),
+    "nonexistence_witness(n = 5)": (functools.partial(nonexistence_witness, ClassQuery(5, 1.0, 3.0), s_max=20.0,
+                                                      grid_n=101), {"s_max": NUMBER, "grid_n": INTEGER}),
     "build_constant_curvature": (functools.partial(build_constant_curvature, n=4, k=1.0), {"n": INTEGER, "k": NUMBER}),
     "build_from_shape": (functools.partial(build_from_shape, c=0.75, lambdas=(-0.5, -0.5, -0.5, 1.5)), {"c": NUMBER}),
     "CurvatureTensor": (functools.partial(CurvatureTensor, dim=4, comp=np.zeros((4, 4, 4, 4))), {"dim": INTEGER}),
@@ -451,7 +458,51 @@ def test_each_scalar_input_is_checked_by_its_rule(entry, name, bad):
         call(**{name: bad})
 
 
-# every public scalar parameter has its rows: the callables isocurv exports,
+# entry point: (a valid call, {array parameter: its value in that call}); an
+# array parameter's entries are judged by its scalar kind's rule, a number's
+# by default
+ARRAY_ENTRY_POINTS = {
+    "CurvatureTensor": (functools.partial(CurvatureTensor, dim=4), {"comp": np.zeros((4, 4, 4, 4))}),
+    "OrthoFrame4": (OrthoFrame4, {"vectors": np.eye(4)}),
+    "build_from_shape": (functools.partial(build_from_shape, c=0.75), {"lambdas": (-0.5, -0.5, -0.5, 1.5)}),
+    "build_from_shapes": (build_from_shapes, {"cs": (0.75, 0.0), "lambdas": ((-0.5, -0.5, -0.5, 1.5), (1, 1, 1, 1))}),
+    "sectional": (functools.partial(sectional, T4), {"x": (1.0, 0.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0, 0.0)}),
+    **{f"{type(fam).__name__}.eval": (fam.eval, {"s": (0.0, 1.0)}) for fam in (
+        TrigProfile(C=2.0, alpha=0.5), ParabolicProfile(beta=1.0),
+        ExponentialProfile(C=-1.0, A=1.0, B=1.0), QuadraticProfile(A=0.0, B=1.0))},
+    "mean_deviation": (mean_deviation, {"cics": (np.array((1.0, 2.0)), np.array((3.0,)))}),
+    "ode_residual": (functools.partial(ode_residual, h=0.1), {"C": 2.0, "delta": 1, "us": US}),
+}
+
+
+def _with_huge_entry(value):
+    """value as nested lists with 10**400 in its first entry."""
+    bad = np.array(value, dtype=object)
+    bad.flat[0] = 10**400
+    return bad.tolist()
+
+
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_each_array_entry_point_accepts_its_valid_call(entry):
+    call, arrays = ARRAY_ENTRY_POINTS[entry]
+    call(**arrays)
+
+
+@pytest.mark.parametrize(
+    "entry,name",
+    [pytest.param(entry, name, id=f"{entry}-{name}") for entry, (_, arrays) in ARRAY_ENTRY_POINTS.items()
+     for name in arrays],
+)
+def test_each_array_input_is_checked_by_its_rule(entry, name):
+    """An entry of 10**400 (an OverflowError or TypeError inside numpy
+    before) is a ValueError naming the parameter."""
+    call, arrays = ARRAY_ENTRY_POINTS[entry]
+    kind = ENTRY_POINTS.get(entry, (None, {}))[1].get(name, NUMBER)
+    with pytest.raises(ValueError, match=_expected_message(kind, re.escape(name))):
+        call(**{**arrays, name: _with_huge_entry(arrays[name])})
+
+
+# every public scalar or array parameter has its rows: the callables isocurv exports,
 # less the results and errors it hands out and the elementwise formula
 NOT_INPUTS = {
     "ClassificationOutcome", "Interval", "MinimalVerdict", "ProbeReport", "SymmetryReport", "FirstFailure",
@@ -459,23 +510,33 @@ NOT_INPUTS = {
     "cic_from_spectrum",  # elementwise on numpy arrays, as the profile grids call it
 }
 SCALAR_ANNOTATIONS = {"int", "float", "Number"}
+ARRAY_ANNOTATIONS = {"np.ndarray", "Sequence[float]", "Iterable[np.ndarray]"}
 
 
-def scalar_parameters(obj) -> list[str]:
-    """The parameters of obj annotated int, float or Number, alone or or-ed with None."""
+def _annotated(obj, kinds: set[str]) -> list[str]:
+    """The parameters of obj whose annotation, split at |, has a part in kinds."""
     names = []
     for p in inspect.signature(obj).parameters.values():
         text = p.annotation if isinstance(p.annotation, str) else inspect.formatannotation(p.annotation)
-        parts = {part.strip() for part in text.split("|")} - {"None"}
-        if parts and parts <= SCALAR_ANNOTATIONS:
+        if {part.strip() for part in text.split("|")} & kinds:
             names.append(p.name)
     return names
 
 
-def uncovered(exports: dict, table: dict) -> list[str]:
-    """Each 'name.parameter' of a scalar parameter of exports with no row in table."""
+def scalar_parameters(obj) -> list[str]:
+    """The parameters of obj annotated int, float or Number, alone or or-ed with None or an array."""
+    return _annotated(obj, SCALAR_ANNOTATIONS)
+
+
+def array_parameters(obj) -> list[str]:
+    """The parameters of obj annotated np.ndarray, Sequence[float] or Iterable[np.ndarray], or or-ed with one."""
+    return _annotated(obj, ARRAY_ANNOTATIONS)
+
+
+def uncovered(exports: dict, table: dict, parameters=scalar_parameters) -> list[str]:
+    """Each 'name.parameter' of exports that parameters finds with no row in table."""
     return [
-        f"{name}.{p}" for name, obj in exports.items() for p in scalar_parameters(obj)
+        f"{name}.{p}" for name, obj in exports.items() for p in parameters(obj)
         if p not in table.get(name, (None, {}))[1]
     ]
 
@@ -490,11 +551,19 @@ def test_the_boundary_table_covers_every_scalar_parameter():
     assert uncovered(_exports(), ENTRY_POINTS) == []
 
 
+def test_the_boundary_table_covers_every_array_parameter():
+    assert uncovered(_exports(), ARRAY_ENTRY_POINTS, array_parameters) == []
+
+
 def _planted(n: int, x: float, s_max: float | None = None, xs: Sequence[float] = (), w: tuple[float, float] = (0, 1)):
     pass
 
 
 def _planted_postponed(c: "Number", dim: "int", comp: "np.ndarray", tag: "str", lo: "float | None" = None):
+    pass
+
+
+def _planted_arrays(C: "float | np.ndarray", us: "np.ndarray", cics: "Iterable[np.ndarray]", n: int, w: tuple = ()):
     pass
 
 
@@ -506,10 +575,25 @@ def _planted_postponed(c: "Number", dim: "int", comp: "np.ndarray", tag: "str", 
         ({"f": _planted}, {"f": (None, {"n": INTEGER, "x": NUMBER, "s_max": NUMBER})}, []),
         ({"f": _planted}, {"g": (None, {"n": INTEGER, "x": NUMBER, "s_max": NUMBER})}, ["f.n", "f.x", "f.s_max"]),
         ({"g": _planted_postponed}, {"g": (None, {"c": NUMBER})}, ["g.dim", "g.lo"]),
+        ({"h": _planted_arrays}, {}, ["h.C", "h.n"]),
     ],
 )
 def test_the_coverage_checker_sees_each_uncovered_parameter(exports, table, found):
     assert uncovered(exports, table) == found
+
+
+@pytest.mark.parametrize(
+    "exports,table,found",
+    [
+        ({"f": _planted}, {}, ["f.xs"]),
+        ({"f": _planted}, {"f": (None, {"xs": ()})}, []),
+        ({"g": _planted_postponed}, {}, ["g.comp"]),
+        ({"h": _planted_arrays}, {}, ["h.C", "h.us", "h.cics"]),
+        ({"h": _planted_arrays}, {"h": (None, {"C": 2.0, "cics": ()})}, ["h.us"]),
+    ],
+)
+def test_the_coverage_checker_sees_each_uncovered_array_parameter(exports, table, found):
+    assert uncovered(exports, table, array_parameters) == found
 
 
 def test_exact_and_numpy_inputs_stay_accepted():
